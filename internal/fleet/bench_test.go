@@ -127,3 +127,60 @@ func BenchmarkSessionNew(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) { build(b, nil) })
 	b.Run("arena", func(b *testing.B) { build(b, sim.NewArena()) })
 }
+
+// traceTick is one recorded PowerTrace call.
+type traceTick struct {
+	now, dt  time.Duration
+	systemW  float64
+	clusterW []float64
+}
+
+// BenchmarkTraceHook measures the power-trace export per tick: line
+// encoding, gzip compression and the file write, over the sample stream of
+// a 30 s Nexus 5 mobicore day-in-the-life session replayed in a loop. The
+// writer is warm (its buffers sized by a first pass), so allocs/op must
+// read 0.
+func BenchmarkTraceHook(b *testing.B) {
+	c := Cell{
+		Platform: platform.Nexus5(),
+		Policy:   Policy("mobicore"),
+		Workload: scenarioFactory("dayinlife"),
+		Seed:     1,
+		Duration: 30 * time.Second,
+	}
+	sp, err := c.session()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ticks []traceTick
+	sp.PowerTrace = func(now, dt time.Duration, systemW float64, clusterW []float64) {
+		ticks = append(ticks, traceTick{now, dt, systemW, append([]float64(nil), clusterW...)})
+	}
+	if _, _, err := sp.RunDoneIn(context.Background(), nil); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	tw, err := newTraceWriter(dir, "warm", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tk := range ticks {
+		tw.hook(tk.now, tk.dt, tk.systemW, tk.clusterW)
+	}
+	if err := tw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if tw, err = newTraceWriter(dir, "measured", tw); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk := &ticks[i%len(ticks)]
+		tw.hook(tk.now, tk.dt, tk.systemW, tk.clusterW)
+	}
+	b.StopTimer()
+	if err := tw.Close(); err != nil {
+		b.Fatal(err)
+	}
+}

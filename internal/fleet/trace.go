@@ -3,15 +3,17 @@ package fleet
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 )
 
 // TraceSample is one line of a per-cell power-trace export: one
-// integration tick's power sample.
+// integration tick's power sample. Each line is byte-for-byte
+// encoding/json's encoding of a TraceSample followed by a newline.
 type TraceSample struct {
 	// TSec is the tick's start time in simulated seconds.
 	TSec float64 `json:"t_s"`
@@ -28,23 +30,40 @@ type TraceSample struct {
 // TraceFileName returns the trace file a cell key exports to.
 func TraceFileName(key string) string { return key + ".trace.jsonl.gz" }
 
+// traceBatchBytes is how many bytes of encoded lines collect before they
+// go to the gzip writer in one Write. Deflate's output does not depend on
+// how its input is split across writes, so the batch size never changes
+// the file's bytes.
+const traceBatchBytes = 16 << 10
+
 // traceWriter streams TraceSamples to a gzip JSONL file. Write errors are
 // latched and surfaced at Close, because the sim's trace hook has no error
 // return.
+//
+// Each line is assembled by appending: `{"t_s":` plus the tick's time plus
+// a cached tail holding the rest of the line. The tail is reformatted only
+// when its inputs change, which on a quiescent session (where the memo
+// fast path replays the previous tick's power) is rarely.
 type traceWriter struct {
-	f    *os.File
-	buf  *bufio.Writer
-	gz   *gzip.Writer
-	enc  *json.Encoder
-	err  error
-	path string
+	f     *os.File
+	buf   *bufio.Writer
+	gz    *gzip.Writer
+	batch []byte // encoded lines not yet written to gz
+	// tail is `,"dt_s":…,"system_w":…,"cluster_w":[…]}` plus a newline,
+	// encoded from tailIn = [dt, systemW, clusterW...]; tailNil records
+	// whether clusterW was nil. An empty tailIn means no tail is cached.
+	tail    []byte
+	tailIn  []float64
+	tailNil bool
+	err     error
+	path    string
 }
 
 // newTraceWriter creates <dir>/<key>.trace.jsonl.gz for writing. Passing
 // the worker's previous (closed or aborted) writer as recycle reuses its
-// 64 KiB buffer, gzip state, and encoder for the new file, so a tracing
-// fleet worker allocates the expensive compression machinery once, not per
-// cell.
+// 64 KiB buffer, gzip state, and line buffers for the new file, so a
+// tracing fleet worker allocates the expensive compression machinery once,
+// not per cell.
 func newTraceWriter(dir, key string, recycle *traceWriter) (*traceWriter, error) {
 	path := filepath.Join(dir, TraceFileName(key))
 	f, err := os.Create(path)
@@ -56,42 +75,147 @@ func newTraceWriter(dir, key string, recycle *traceWriter) (*traceWriter, error)
 		tw = &traceWriter{}
 		tw.buf = bufio.NewWriterSize(nil, 64*1024)
 		tw.gz = gzip.NewWriter(tw.buf)
-		tw.enc = json.NewEncoder(tw.gz)
 	}
 	tw.f, tw.path, tw.err = f, path, nil
+	tw.batch, tw.tailIn = tw.batch[:0], tw.tailIn[:0]
 	tw.buf.Reset(f)
 	tw.gz.Reset(tw.buf)
 	return tw, nil
 }
 
 // hook is the sim.Config.PowerTrace adapter. The cluster slice is the
-// engine's reused scratch; json encoding reads it synchronously, so no
-// copy is needed.
+// engine's reused scratch; it is read synchronously, so no copy is needed.
+//
+//mobicore:hotpath
 func (tw *traceWriter) hook(now, dt time.Duration, systemW float64, clusterW []float64) {
+	tw.sample(now.Seconds(), dt.Seconds(), systemW, clusterW)
+}
+
+// sample encodes one TraceSample line into the batch. A NaN or infinite
+// value latches an error, as encoding/json refuses to encode one.
+//
+//mobicore:hotpath
+func (tw *traceWriter) sample(t, dt, systemW float64, clusterW []float64) {
 	if tw.err != nil {
 		return
 	}
-	tw.err = tw.enc.Encode(TraceSample{
-		TSec:     now.Seconds(),
-		DtSec:    dt.Seconds(),
-		SystemW:  systemW,
-		ClusterW: clusterW,
-	})
+	if !tw.tailMatches(dt, systemW, clusterW) {
+		if tw.err = tw.setTail(dt, systemW, clusterW); tw.err != nil {
+			return
+		}
+	}
+	if !finite(t) {
+		tw.err = unsupportedValue(t)
+		return
+	}
+	//mobilint:ignore append into the writer's reused batch buffer; capacity amortizes across ticks and cells
+	tw.batch = append(tw.batch, `{"t_s":`...)
+	tw.batch = appendJSONFloat(tw.batch, t)
+	tw.batch = append(tw.batch, tw.tail...) //mobilint:ignore append into the reused batch buffer, as above
+	if len(tw.batch) >= traceBatchBytes {
+		tw.flushBatch()
+	}
+}
+
+// tailMatches reports whether the cached tail was encoded from exactly
+// these inputs. Values compare by bit pattern, so -0 and +0 differ (their
+// encodings do) and a NaN never matches a cached tail (none is cached).
+func (tw *traceWriter) tailMatches(dt, systemW float64, clusterW []float64) bool {
+	in := tw.tailIn
+	if len(in) != 2+len(clusterW) || tw.tailNil != (clusterW == nil) ||
+		math.Float64bits(in[0]) != math.Float64bits(dt) ||
+		math.Float64bits(in[1]) != math.Float64bits(systemW) {
+		return false
+	}
+	for i, w := range clusterW {
+		if math.Float64bits(in[2+i]) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// setTail encodes and caches the tail for these inputs, reusing the
+// writer's buffers.
+func (tw *traceWriter) setTail(dt, systemW float64, clusterW []float64) error {
+	tw.tailIn = append(tw.tailIn[:0], dt, systemW)
+	tw.tailIn = append(tw.tailIn, clusterW...)
+	for _, x := range tw.tailIn {
+		if !finite(x) {
+			tw.tailIn = tw.tailIn[:0]
+			return unsupportedValue(x)
+		}
+	}
+	tw.tailNil = clusterW == nil
+	b := append(tw.tail[:0], `,"dt_s":`...)
+	b = appendJSONFloat(b, dt)
+	b = append(b, `,"system_w":`...)
+	b = appendJSONFloat(b, systemW)
+	b = append(b, `,"cluster_w":`...)
+	if clusterW == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, w := range clusterW {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONFloat(b, w)
+		}
+		b = append(b, ']')
+	}
+	tw.tail = append(b, "}\n"...)
+	return nil
+}
+
+// flushBatch hands the batched lines to the gzip writer.
+func (tw *traceWriter) flushBatch() {
+	if tw.err == nil && len(tw.batch) > 0 {
+		_, tw.err = tw.gz.Write(tw.batch)
+	}
+	tw.batch = tw.batch[:0]
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func unsupportedValue(x float64) error {
+	return fmt.Errorf("unsupported trace value %s", strconv.FormatFloat(x, 'g', -1, 64))
+}
+
+// appendJSONFloat appends finite x as encoding/json encodes a float64: the
+// shortest representation that round-trips, in 'f' format unless |x| is
+// below 1e-6 or at least 1e21, where it switches to 'e' with the
+// exponent's leading zero dropped (1e-07 becomes 1e-7).
+func appendJSONFloat(b []byte, x float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // Abort closes and deletes the trace — the path for sessions that ended
 // early (cancellation, cell failure), whose partial trace would otherwise
-// pass for a complete shorter run.
+// pass for a complete shorter run. Batched lines are never written; the
+// next newTraceWriter on this writer drops them.
 func (tw *traceWriter) Abort() {
 	tw.gz.Close()
 	tw.f.Close()
 	os.Remove(tw.path)
 }
 
-// Close flushes and closes the trace, returning the first error from any
-// stage. On error the partial file is removed — a truncated trace is worse
-// than no trace.
+// Close writes the batched lines, flushes and closes the trace, returning
+// the first error from any stage. On error the partial file is removed — a
+// truncated trace is worse than no trace.
 func (tw *traceWriter) Close() error {
+	tw.flushBatch()
 	err := tw.err
 	if e := tw.gz.Close(); err == nil {
 		err = e
