@@ -296,8 +296,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec store.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := store.DecodeRecord(line)
+		if err != nil {
 			http.Error(w, fmt.Sprintf("remote: bad fragment record: %v", err), http.StatusBadRequest)
 			return
 		}

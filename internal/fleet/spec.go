@@ -185,7 +185,8 @@ func (s Spec) Cells() ([]Cell, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{0}
 	}
-	var cells []Cell
+	n := len(s.Platforms)*len(s.Policies)*len(s.Workloads)*len(placers)*len(seeds) + len(s.ExtraCells)
+	cells := make([]Cell, 0, n)
 	for _, plat := range s.Platforms {
 		for _, pol := range s.Policies {
 			for _, wl := range s.Workloads {

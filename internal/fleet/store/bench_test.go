@@ -1,0 +1,68 @@
+package store
+
+import (
+	"math"
+	"testing"
+)
+
+// benchRecords is a store of n records shaped like a fleet study's.
+func benchRecords(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		rec := fullRecord()
+		rec.Seed = int64(i)
+		rec.Policy = []string{"mobicore", "android-default", "ondemand+offline"}[i%3]
+		for j, p := range floatSlots(&rec) {
+			*p = math.Sqrt(float64(i*len(recs)+j+1)) * 1.37
+		}
+		rec.Key = rec.Identity.Key()
+		recs[i] = rec
+	}
+	return recs
+}
+
+// BenchmarkFlush times one Flush of a 3000-record store, syncs included.
+func BenchmarkFlush(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for _, rec := range benchRecords(3000) {
+		s.Put(rec)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := s.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpen times one Open (and Close) of a 3000-record store.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rec := range benchRecords(3000) {
+		s.Put(rec)
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,14 +6,26 @@
 // on which cells exist — never on execution order, parallelism, or how
 // many invocations it took to fill the matrix.
 //
+// Each line is byte-for-byte encoding/json's encoding of a Record. The
+// package writes and parses that form itself, without reflection (see
+// codec.go); a record or line outside it falls back to encoding/json, so
+// what the store accepts, rejects and returns is what encoding/json would.
+//
 // The store assumes one writer at a time: Flush is load-at-Open, merge in
-// memory, rewrite whole file (atomically, via rename). Open enforces that
-// with a lock file (created O_CREATE|O_EXCL, removed by Close): a second
-// process opening a held store fails with a clear error instead of
-// silently dropping the first one's records on the last rename. Sharding a
-// sweep across processes uses disjoint store directories — one per shard —
-// combined afterwards with Merge, which refuses conflicting records for
-// the same key.
+// memory, rewrite whole file. Open enforces that with a lock file
+// (created O_CREATE|O_EXCL, removed by Close): a second process opening a
+// held store fails with a clear error instead of silently dropping the
+// first one's records on the last rename. Sharding a sweep across
+// processes uses disjoint store directories — one per shard — combined
+// afterwards with Merge, which refuses conflicting records for the same
+// key.
+//
+// Flush writes a temp file, fsyncs it, renames it over the cells file and
+// fsyncs the directory. A reader therefore sees the previous complete file
+// or the new one, never a partial one; and once Flush returns, the new
+// file survives a crash or power loss, as far as the file system honours
+// fsync and atomic rename. A crash during Flush leaves the previous file
+// in place plus a stale cells.jsonl.tmp-* file, which Open ignores.
 package store
 
 import (
@@ -21,7 +33,6 @@ import (
 	"crypto/sha256"
 	"encoding/csv"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -127,13 +138,14 @@ type Store struct {
 }
 
 // Open creates the store directory if needed, takes the single-writer
-// lock, and loads any existing records from its cells file. A missing
-// cells file is an empty store; a malformed line is an error (the store is
-// a cache of expensive runs — silently dropping records would silently
-// re-run them). A held lock is an error too: before the lock existed, two
-// concurrent writers would each rewrite the file from their own view and
-// the last rename silently dropped the other's records. Callers must
-// Close the store to release the lock.
+// lock, and loads any existing records from its cells file, each line
+// through DecodeRecord. A missing cells file is an empty store; a
+// malformed line is an error (the store is a cache of expensive runs —
+// silently dropping records would silently re-run them). A held lock is
+// an error too: before the lock existed, two concurrent writers would
+// each rewrite the file from their own view and the last rename silently
+// dropped the other's records. Callers must Close the store to release
+// the lock.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
@@ -202,8 +214,8 @@ func (s *Store) load() error {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		rec, err := DecodeRecord(sc.Bytes())
+		if err != nil {
 			return fmt.Errorf("store: %s line %d: %w", path, line, err)
 		}
 		if rec.Key == "" {
@@ -272,10 +284,12 @@ func (s *Store) Keys() []string {
 }
 
 // Flush rewrites the cells file: one JSON line per record, sorted by key,
-// written to a temp file and renamed into place so readers never observe a
-// torn store. The bytes depend only on the record set — a parallel run, a
-// serial run, and a resumed run that filled the same cells all flush
-// byte-identical files.
+// each encoded by appendRecord into one reused buffer. The lines go to a
+// temp file, which is fsynced and renamed into place before the directory
+// is fsynced, so readers never observe a torn store and a returned Flush
+// survives a crash (see the package comment). The bytes depend only on the
+// record set — a parallel run, a serial run, and a resumed run that filled
+// the same cells all flush byte-identical files.
 func (s *Store) Flush() error {
 	tmp, err := os.CreateTemp(s.dir, CellsFile+".tmp-*")
 	if err != nil {
@@ -283,13 +297,14 @@ func (s *Store) Flush() error {
 	}
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriter(tmp)
+	var line []byte
 	for _, key := range s.Keys() {
-		b, err := json.Marshal(s.recs[key])
-		if err != nil {
+		if line, err = appendRecord(line[:0], s.recs[key]); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: encoding record %s: %w", key, err)
 		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: writing record %s: %w", key, err)
 		}
@@ -298,13 +313,33 @@ func (s *Store) Flush() error {
 		tmp.Close()
 		return fmt.Errorf("store: flushing: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store: syncing temp file: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: closing temp file: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, CellsFile)); err != nil {
 		return fmt.Errorf("store: installing cells file: %w", err)
 	}
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("store: syncing %s: %w", s.dir, err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // CSVHeader is the column list of the CSV export, shared by the store-wide

@@ -364,3 +364,67 @@ func TestMerge(t *testing.T) {
 		t.Error("merge with no sources accepted")
 	}
 }
+
+// TestStaleTempFileIgnored: a Flush killed between writing its temp file
+// and the rename leaves the previous cells file in place plus a stale
+// cells.jsonl.tmp-* file. The stale file must change neither what Open
+// loads nor what the next Flush writes.
+func TestStaleTempFileIgnored(t *testing.T) {
+	fill := func(dir string, seeds ...int64) {
+		t.Helper()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, seed := range seeds {
+			s.Put(testRecord(seed))
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean, crashed := t.TempDir(), t.TempDir()
+	fill(clean, 1, 2)
+	fill(crashed, 1, 2)
+	// The killed flush had written the old records, a new one, and half
+	// of another.
+	old, err := os.ReadFile(filepath.Join(crashed, CellsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord(3)
+	line, err := appendRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := append(append(old, line...), "\n"...)
+	partial = append(partial, line[:len(line)/2]...)
+	if err := os.WriteFile(filepath.Join(crashed, CellsFile+".tmp-4242"), partial, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(crashed)
+	if err != nil {
+		t.Fatalf("Open with a stale temp file: %v", err)
+	}
+	if got := s.Len(); got != 2 {
+		t.Errorf("Open loaded %d records, want the 2 flushed ones", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fill(clean, 4)
+	fill(crashed, 4)
+	want, err := os.ReadFile(filepath.Join(clean, CellsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(crashed, CellsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("flush after a stale temp file differs from a clean store's:\n got %s\nwant %s", got, want)
+	}
+}

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"time"
+
+	"mobicore/internal/fleet/store"
 )
 
 // TraceSample is one line of a per-cell power-trace export: one
@@ -110,7 +112,7 @@ func (tw *traceWriter) sample(t, dt, systemW float64, clusterW []float64) {
 	}
 	//mobilint:ignore append into the writer's reused batch buffer; capacity amortizes across ticks and cells
 	tw.batch = append(tw.batch, `{"t_s":`...)
-	tw.batch = appendJSONFloat(tw.batch, t)
+	tw.batch = store.AppendJSONFloat(tw.batch, t)
 	tw.batch = append(tw.batch, tw.tail...) //mobilint:ignore append into the reused batch buffer, as above
 	if len(tw.batch) >= traceBatchBytes {
 		tw.flushBatch()
@@ -148,9 +150,9 @@ func (tw *traceWriter) setTail(dt, systemW float64, clusterW []float64) error {
 	}
 	tw.tailNil = clusterW == nil
 	b := append(tw.tail[:0], `,"dt_s":`...)
-	b = appendJSONFloat(b, dt)
+	b = store.AppendJSONFloat(b, dt)
 	b = append(b, `,"system_w":`...)
-	b = appendJSONFloat(b, systemW)
+	b = store.AppendJSONFloat(b, systemW)
 	b = append(b, `,"cluster_w":`...)
 	if clusterW == nil {
 		b = append(b, "null"...)
@@ -160,7 +162,7 @@ func (tw *traceWriter) setTail(dt, systemW float64, clusterW []float64) error {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONFloat(b, w)
+			b = store.AppendJSONFloat(b, w)
 		}
 		b = append(b, ']')
 	}
@@ -180,25 +182,6 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func unsupportedValue(x float64) error {
 	return fmt.Errorf("unsupported trace value %s", strconv.FormatFloat(x, 'g', -1, 64))
-}
-
-// appendJSONFloat appends finite x as encoding/json encodes a float64: the
-// shortest representation that round-trips, in 'f' format unless |x| is
-// below 1e-6 or at least 1e21, where it switches to 'e' with the
-// exponent's leading zero dropped (1e-07 becomes 1e-7).
-func appendJSONFloat(b []byte, x float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, x, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // Abort closes and deletes the trace — the path for sessions that ended
