@@ -184,3 +184,42 @@ func BenchmarkTraceHook(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSequentialShards runs a 300-cell matrix (3 policies × 100
+// seeds of 50 ms Nexus 5 sessions) as 10 sequential key-range shards into
+// one store, the calling pattern of the benchmark's fleet-store-churn
+// workload: each shard expands and hashes the whole matrix, plans its
+// range, decodes the store the previous shard flushed, and flushes it
+// again.
+func BenchmarkSequentialShards(b *testing.B) {
+	const shards = 10
+	seeds := make([]int64, 100)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	spec := Spec{
+		Platforms: []platform.Platform{platform.Nexus5()},
+		Policies:  []PolicyFactory{Policy("android-default"), Policy("mobicore"), Policy("ondemand+load")},
+		Workloads: []WorkloadFactory{busyFactory(0.5, 4)},
+		Seeds:     seeds,
+		Duration:  50 * time.Millisecond,
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		spec.StoreDir = b.TempDir()
+		cells := 0
+		for i := range shards {
+			s := spec
+			s.ShardIndex, s.ShardCount = i, shards
+			res, err := Run(context.Background(), s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells += len(res.Cells)
+		}
+		if cells != 300 {
+			b.Fatalf("shards ran %d cells, want 300", cells)
+		}
+	}
+	b.ReportMetric(float64(300*b.N)/b.Elapsed().Seconds(), "cells/s")
+}

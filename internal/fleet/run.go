@@ -131,11 +131,16 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		keys[i] = ids[i].Key()
 	}
 
-	// Restrict the matrix to one key-range shard, after verifying the
-	// manifest against the locally expanded cell set — a worker must prove
-	// it was handed the right work before executing any of it.
+	// Restrict the matrix to one key-range shard. A handed-in manifest is
+	// verified against the locally expanded cell set first — a worker must
+	// prove it was handed the right work before executing any of it. One
+	// planned here from the same keys holds by construction.
 	manifest := spec.Shard
-	if manifest == nil && spec.ShardCount > 0 {
+	if manifest != nil {
+		if err := manifest.Verify(keys); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+	} else if spec.ShardCount > 0 {
 		plan, err := shard.Plan(keys, spec.ShardCount)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
@@ -146,9 +151,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		manifest = &plan[spec.ShardIndex]
 	}
 	if manifest != nil {
-		if err := manifest.Verify(keys); err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
 		var (
 			shardCells []Cell
 			shardIDs   []store.Identity

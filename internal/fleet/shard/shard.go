@@ -51,6 +51,11 @@ type Manifest struct {
 func SpecHash(keys []string) string {
 	sorted := append([]string(nil), keys...)
 	sort.Strings(sorted)
+	return sortedHash(sorted)
+}
+
+// sortedHash is SpecHash of keys already in sorted order.
+func sortedHash(sorted []string) string {
 	h := sha256.New()
 	for _, k := range sorted {
 		h.Write([]byte(k))
@@ -77,7 +82,7 @@ func Plan(keys []string, count int) ([]Manifest, error) {
 			return nil, fmt.Errorf("shard: duplicate cell key %s", sorted[i])
 		}
 	}
-	hash := SpecHash(sorted)
+	hash := sortedHash(sorted)
 	base, rem := len(sorted)/count, len(sorted)%count
 	plan := make([]Manifest, count)
 	at := 0

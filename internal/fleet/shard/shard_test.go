@@ -151,3 +151,29 @@ func TestSpecHashOrderIndependent(t *testing.T) {
 		t.Error("hash ignores a dropped key")
 	}
 }
+
+// TestPlanManifestsVerify: every manifest Plan returns verifies against
+// the keys it was planned from, in any order — the property that lets a
+// fleet run skip Verify on a manifest it planned itself.
+func TestPlanManifestsVerify(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		keys := fakeKeys(n, int64(n))
+		for _, count := range []int{1, 2, 3, n / 2, n - 1, n} {
+			if count < 1 || count > n {
+				continue
+			}
+			plan, err := Plan(keys, count)
+			if err != nil {
+				t.Fatalf("Plan(%d keys, %d): %v", n, count, err)
+			}
+			for _, m := range plan {
+				if m.SpecHash != SpecHash(keys) {
+					t.Errorf("Plan(%d keys, %d) shard %d: spec hash %s, SpecHash says %s", n, count, m.Index, m.SpecHash, SpecHash(keys))
+				}
+				if err := m.Verify(keys); err != nil {
+					t.Errorf("Plan(%d keys, %d) shard %d fails Verify: %v", n, count, m.Index, err)
+				}
+			}
+		}
+	}
+}

@@ -66,3 +66,17 @@ func BenchmarkOpen(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIdentityKey times one identity hash.
+func BenchmarkIdentityKey(b *testing.B) {
+	ids := make([]Identity, 64)
+	for i, rec := range benchRecords(len(ids)) {
+		ids[i] = rec.Identity
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		_ = ids[i%len(ids)].Key()
+		i++
+	}
+}

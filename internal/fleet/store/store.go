@@ -72,22 +72,23 @@ type Identity struct {
 }
 
 // Key returns the cell's identity hash: the first 16 bytes of the SHA-256
-// over the canonical field encoding, hex-encoded. It names the cell in the
-// store and the per-cell trace files.
+// over the canonical field encoding (each field's text followed by a NUL),
+// hex-encoded. It names the cell in the store and the per-cell trace files.
 func (id Identity) Key() string {
-	h := sha256.New()
-	for _, s := range []string{
-		id.Platform, id.Policy, id.Workload, id.Placer,
-		strconv.FormatInt(id.Seed, 10),
-		strconv.FormatInt(id.DurationNS, 10),
-		strconv.FormatBool(id.UntilDone),
-		strconv.FormatInt(id.TickNS, 10),
-		strconv.FormatInt(id.SampleNS, 10),
-	} {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
+	var buf [192]byte
+	b := buf[:0]
+	for _, s := range [...]string{id.Platform, id.Policy, id.Workload, id.Placer} {
+		b = append(append(b, s...), 0)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	b = append(strconv.AppendInt(b, id.Seed, 10), 0)
+	b = append(strconv.AppendInt(b, id.DurationNS, 10), 0)
+	b = append(strconv.AppendBool(b, id.UntilDone), 0)
+	b = append(strconv.AppendInt(b, id.TickNS, 10), 0)
+	b = append(strconv.AppendInt(b, id.SampleNS, 10), 0)
+	sum := sha256.Sum256(b)
+	var key [32]byte
+	hex.Encode(key[:], sum[:16])
+	return string(key[:])
 }
 
 // Record is one cell's persisted outcome: its identity plus the summary
