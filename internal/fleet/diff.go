@@ -122,8 +122,8 @@ func LoadStoreDiff(dirA, dirB string) (*Diff, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer st.Close()
-		return st.Records(), nil
+		recs := st.Records()
+		return recs, st.Close()
 	}
 	a, err := load(dirA)
 	if err != nil {

@@ -181,12 +181,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// storedInRange counts store records inside a shard's key range. Callers
-// must not hold records across Flush; counting is enough here.
+// storedInRange counts store records inside a shard's key range.
 func (c *Coordinator) storedInRange(m shard.Manifest) int {
 	n := 0
-	for _, rec := range c.st.Records() {
-		if m.Contains(rec.Key) {
+	for _, key := range c.st.Keys() {
+		if m.Contains(key) {
 			n++
 		}
 	}
@@ -250,16 +249,22 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		case s.phase == shardDone:
 			done++
 		case s.phase == shardPending, s.phase == shardLeased && now.After(s.expiry):
+			m := c.manifests[i]
+			resp := ClaimResponse{Manifest: &m}
+			for _, key := range c.st.Keys() {
+				if !m.Contains(key) {
+					continue
+				}
+				rec, ok := c.st.Get(key)
+				if !ok {
+					http.Error(w, fmt.Sprintf("remote: reading stored record %s failed", key), http.StatusInternalServerError)
+					return
+				}
+				resp.Cached = append(resp.Cached, rec)
+			}
 			s.phase = shardLeased
 			s.worker = req.Worker
 			s.expiry = now.Add(c.cfg.LeaseTimeout)
-			m := c.manifests[i]
-			resp := ClaimResponse{Manifest: &m}
-			for _, rec := range c.st.Records() {
-				if m.Contains(rec.Key) {
-					resp.Cached = append(resp.Cached, rec)
-				}
-			}
 			writeJSON(w, resp)
 			return
 		}

@@ -2,6 +2,8 @@ package store
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -80,3 +82,54 @@ func BenchmarkIdentityKey(b *testing.B) {
 		i++
 	}
 }
+
+// shardCycle is one sequential invocation against a 3000-record store:
+// Open, Put 94 records (one shard of fleet-store-churn's size), Flush,
+// Close. The 94 records are the same each time, so the store keeps its
+// size; untrusted removes the sum file first, as an older store lacks it.
+func shardCycle(b *testing.B, untrusted bool) {
+	dir := b.TempDir()
+	recs := benchRecords(3000 + 94)
+	s, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rec := range recs[:3000] {
+		s.Put(rec)
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if untrusted {
+			if err := os.Remove(filepath.Join(dir, SumFile)); err != nil && !os.IsNotExist(err) {
+				b.Fatal(err)
+			}
+		}
+		s, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rec := range recs[3000:] {
+			s.Put(rec)
+		}
+		if err := s.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardCycle times one shard invocation on a store whose sum
+// file matches, so Flush copies the unchanged lines.
+func BenchmarkShardCycle(b *testing.B) { shardCycle(b, false) }
+
+// BenchmarkOpenUntrusted times the same invocation on a store without a
+// sum file, so Flush decodes and re-encodes every line.
+func BenchmarkOpenUntrusted(b *testing.B) { shardCycle(b, true) }

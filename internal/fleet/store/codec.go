@@ -154,7 +154,27 @@ func DecodeRecord(line []byte) (Record, error) {
 // false, leaving rec partly written, for any other line.
 func decodeCanonical(line []byte, rec *Record) bool {
 	d := lineDecoder{rest: line, ok: true}
-	rec.Key = d.str(`{"key":`)
+	d.record(rec)
+	return d.ok && len(d.rest) == 0
+}
+
+// scanCanonical reports whether decodeCanonical would accept line, and
+// returns the line's key bytes (a subslice of line) if so. It walks the
+// same grammar without converting a value: no string is copied, and a
+// number token is handed to strconv only when it might overflow.
+func scanCanonical(line []byte) (key []byte, ok bool) {
+	d := lineDecoder{rest: line, ok: true, scan: true}
+	var rec Record
+	key = d.record(&rec)
+	return key, d.ok && len(d.rest) == 0
+}
+
+// record reads one canonical line into rec and returns the key's bytes.
+// In scan mode rec is scratch: its strings stay empty, and a number is
+// converted only when it might overflow.
+func (d *lineDecoder) record(rec *Record) (key []byte) {
+	key = d.raw(`{"key":`)
+	rec.Key = d.text(key)
 	rec.Platform = d.str(`,"platform":`)
 	rec.Policy = d.str(`,"policy":`)
 	rec.Workload = d.str(`,"workload":`)
@@ -182,15 +202,17 @@ func decodeCanonical(line []byte, rec *Record) bool {
 	rec.QuotaThrottledSec = d.float(`,"quota_throttled_sec":`)
 	rec.ThermalCappedSec = d.float(`,"thermal_capped_sec":`)
 	d.expect(`}`)
-	return d.ok && len(d.rest) == 0
+	return key
 }
 
 // lineDecoder consumes `prefix value` pairs from rest; ok turns false at
 // the first byte outside the canonical form, after which every read
-// returns a zero value.
+// returns a zero value. With scan set it checks tokens without
+// converting them where it can.
 type lineDecoder struct {
 	rest []byte
 	ok   bool
+	scan bool
 }
 
 // skip consumes lit if rest starts with it.
@@ -208,15 +230,16 @@ func (d *lineDecoder) expect(lit string) {
 	}
 }
 
-func (d *lineDecoder) str(prefix string) string {
+// raw consumes prefix and a string of plain bytes, returning its bytes.
+func (d *lineDecoder) raw(prefix string) []byte {
 	d.expect(prefix)
 	d.expect(`"`)
 	if !d.ok {
-		return ""
+		return nil
 	}
 	for i, c := range d.rest {
 		if c == '"' {
-			s := string(d.rest[:i])
+			s := d.rest[:i]
 			d.rest = d.rest[i+1:]
 			return s
 		}
@@ -225,7 +248,19 @@ func (d *lineDecoder) str(prefix string) string {
 		}
 	}
 	d.ok = false
-	return ""
+	return nil
+}
+
+// text converts a string's bytes, except in scan mode.
+func (d *lineDecoder) text(b []byte) string {
+	if d.scan {
+		return ""
+	}
+	return string(b)
+}
+
+func (d *lineDecoder) str(prefix string) string {
+	return d.text(d.raw(prefix))
 }
 
 func (d *lineDecoder) bool(prefix string) bool {
@@ -244,12 +279,16 @@ func (d *lineDecoder) int(prefix string) int64 {
 		d.ok = false
 		return 0
 	}
-	v, err := strconv.ParseInt(string(d.rest[:n]), 10, 64)
+	tok := d.rest[:n]
+	d.rest = d.rest[n:]
+	if d.scan && n <= 18 {
+		return 0 // at most 18 digits: inside int64's range
+	}
+	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil {
 		d.ok = false
 		return 0
 	}
-	d.rest = d.rest[n:]
 	return v
 }
 
@@ -261,6 +300,7 @@ func (d *lineDecoder) float(prefix string) float64 {
 		d.ok = false
 		return 0
 	}
+	whole := n // sign and integer digits
 	if n < len(b) && b[n] == '.' {
 		frac := digits(b[n+1:])
 		if frac == 0 {
@@ -269,24 +309,43 @@ func (d *lineDecoder) float(prefix string) float64 {
 		}
 		n += 1 + frac
 	}
+	exp := 0 // the exponent's value; 1000 stands for any beyond 3 digits
 	if n < len(b) && (b[n] == 'e' || b[n] == 'E') {
 		n++
+		sign := 1
 		if n < len(b) && (b[n] == '+' || b[n] == '-') {
+			if b[n] == '-' {
+				sign = -1
+			}
 			n++
 		}
-		exp := digits(b[n:])
-		if exp == 0 {
+		m := digits(b[n:])
+		if m == 0 {
 			d.ok = false
 			return 0
 		}
-		n += exp
+		for _, c := range b[n : n+m] {
+			if exp = exp*10 + int(c-'0'); exp >= 1000 {
+				exp = 1000
+				break
+			}
+		}
+		exp *= sign
+		n += m
 	}
-	v, err := strconv.ParseFloat(string(b[:n]), 64)
+	tok := b[:n]
+	d.rest = b[n:]
+	// Below 10^300 the token is far from float64's overflow at about
+	// 1.8e308, and an underflow to zero is no error. Its magnitude is
+	// below 10^(whole+exp) unless the exponent was cut off at 1000.
+	if d.scan && whole+exp <= 300 && exp > -1000 {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		d.ok = false
 		return 0
 	}
-	d.rest = b[n:]
 	return v
 }
 

@@ -235,6 +235,19 @@ func numberTokenLines(t testing.TB) map[string][]byte {
 		"float-exp-zeros":   set("avg_fps", "1e0000000000000000000001"),
 		"float-int-form":    set("avg_fps", "3"),
 		"float-trailing-0s": set("avg_fps", "2.50000"),
+		"int-19-digits":     set("seed", "1000000000000000000"),
+		"int-max":           set("seed", "9223372036854775807"),
+		"int-min":           set("seed", "-9223372036854775808"),
+		"float-1e300":       set("avg_fps", "1e300"),
+		"float-near-max":    set("avg_fps", "1.7976931348623157e308"),
+		"float-max-digits":  set("avg_fps", "17976931348623157"+strings.Repeat("0", 292)),
+		"float-max-over":    set("avg_fps", "1.797693134862316e308"),
+		"float-big-int":     set("avg_fps", strings.Repeat("9", 400)),
+		"float-big-int-exp": set("avg_fps", strings.Repeat("9", 400)+"e-300"),
+		"float-exp-0s":      set("avg_fps", "1e0300"),
+		"float-exp-0s-over": set("avg_fps", "1e0400"),
+		"float-exp-neg-0s":  set("avg_fps", strings.Repeat("9", 900)+"e-0500"),
+		"float-exp-neg-big": set("avg_fps", "1e-99999999999999999999"),
 	}
 }
 
@@ -384,6 +397,20 @@ func TestCanonicalFastPath(t *testing.T) {
 	if n != s.Len() {
 		t.Fatalf("read %d lines, want %d", n, s.Len())
 	}
+
+	// Reopened, the store indexes every line without decoding it, and
+	// its sum file lets the next Flush copy them.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if len(re.recs) != 0 || len(re.lines) != n || !re.trusted {
+		t.Errorf("reopened store: %d decoded, %d indexed of %d lines, trusted %v", len(re.recs), len(re.lines), n, re.trusted)
+	}
 }
 
 // Fuzz record format: five strings, each a length byte (mod 32) and that
@@ -455,11 +482,23 @@ func recordBits(rec Record) []byte {
 	return b
 }
 
+// checkScan requires scanCanonical, Open's conversion-free check, to
+// accept exactly the lines decodeCanonical accepts, with the same key.
+func checkScan(t *testing.T, name string, line []byte) {
+	t.Helper()
+	key, ok := scanCanonical(line)
+	var rec Record
+	if want := decodeCanonical(line, &rec); ok != want || ok && string(key) != rec.Key {
+		t.Fatalf("%s: scanCanonical = %q, %v; decodeCanonical = %v, key %q, on %q", name, key, ok, want, rec.Key, line)
+	}
+}
+
 // FuzzRecordLine runs arbitrary bytes through DecodeRecord against
-// json.Unmarshal, and a record built from the same bytes' bits through
-// appendRecord against json.Marshal and back through the canonical
-// decoder. DecodeRecord is how Open reads the cells file, so this also
-// fuzzes the store's load.
+// json.Unmarshal and through scanCanonical against decodeCanonical, and a
+// record built from the same bytes' bits through appendRecord against
+// json.Marshal and back through the canonical decoder. DecodeRecord and
+// scanCanonical are how Open reads the cells file, so this also fuzzes
+// the store's load.
 func FuzzRecordLine(f *testing.F) {
 	for _, rec := range codecSeedRecords() {
 		f.Add(recordBits(rec))
@@ -474,6 +513,7 @@ func FuzzRecordLine(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, "fuzz line", data)
+		checkScan(t, "fuzz line", data)
 		rec := recordFromBits(data)
 		checkEncode(t, "fuzz record", rec)
 		checkCanonical(t, "fuzz record", rec)

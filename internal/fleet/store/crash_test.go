@@ -2,12 +2,14 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -61,7 +63,8 @@ func runCrashChild(dir string) {
 // TestCrashDurability kills a writer process at random moments and checks
 // what a cold Open finds afterwards: always exactly one complete record
 // set the child flushed — never a torn file, never fewer records than the
-// child last reported flushed — with its stale temp files ignored.
+// child last reported flushed — with its stale temp files ignored, and
+// that a Flush then writes that set's canonical bytes.
 func TestCrashDurability(t *testing.T) {
 	if dir := os.Getenv(crashChildEnv); dir != "" {
 		runCrashChild(dir)
@@ -130,6 +133,19 @@ func TestCrashDurability(t *testing.T) {
 			if got, ok := s.Get(crashRecord(i).Key); !ok || got != crashRecord(i) {
 				t.Fatalf("kill %d: store of %d records lacks record %d of its set", kill, n, i)
 			}
+		}
+		// Whatever state the kill left the sum file in, the next Flush
+		// writes the set's canonical bytes.
+		if err := s.Flush(); err != nil {
+			t.Fatalf("kill %d: Flush after the kill: %v", kill, err)
+		}
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = crashRecord(i)
+		}
+		sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+		if got, err := os.ReadFile(filepath.Join(dir, CellsFile)); err != nil || !bytes.Equal(got, refEncode(t, recs)) {
+			t.Fatalf("kill %d: Flush after the kill did not write the canonical bytes of its %d records (%v)", kill, n, err)
 		}
 		reported = n
 		if err := s.Close(); err != nil {

@@ -11,21 +11,48 @@
 // codec.go); a record or line outside it falls back to encoding/json, so
 // what the store accepts, rejects and returns is what encoding/json would.
 //
-// The store assumes one writer at a time: Flush is load-at-Open, merge in
-// memory, rewrite whole file. Open enforces that with a lock file
-// (created O_CREATE|O_EXCL, removed by Close): a second process opening a
-// held store fails with a clear error instead of silently dropping the
-// first one's records on the last rename. Sharding a sweep across
-// processes uses disjoint store directories — one per shard — combined
-// afterwards with Merge, which refuses conflicting records for the same
-// key.
+// The store assumes one writer at a time: Open indexes the file, Put
+// merges in memory, and Flush rewrites the whole file. Open enforces that
+// with a lock file (created O_CREATE|O_EXCL, removed by Close): a second
+// process opening a held store fails with a clear error instead of
+// silently dropping the first one's records on the last rename. Sharding
+// a sweep across processes uses disjoint store directories — one per
+// shard — combined afterwards with Merge, which refuses conflicting
+// records for the same key.
+//
+// Open reads the cells file once and keeps an index, not records: the
+// offset, length and key of each line in the canonical layout, which it
+// checks token by token without converting a value (only a number that
+// might overflow goes to strconv). Any other line is decoded at Open and
+// held decoded, and so is a whole file whose keys are out of order, which
+// Flush never writes. So Open accepts and rejects exactly what
+// DecodeRecord does, with the same line-numbered errors, and what stays
+// in memory is an index entry per line plus the records Put since. Get
+// reads one line back with ReadAt; Records, WriteCSV and Flush read the
+// file once, front to back. Every such read must hash to what Open read:
+// a cells file changed since Open — written by another process while the
+// lock was held — fails the read, and Flush then leaves the file alone.
+//
+// Flush copies a line byte for byte only when the sum file,
+// cells.jsonl.sum, holds the CRC-32C and length of the file Open read —
+// the file the last Flush wrote. Without that proof (an older store, a
+// hand edit, another tool's file) Flush decodes each line and encodes it
+// again, so such a file is normalized: a hand-written
+// 0.10000000000000001 is written back as 0.1. A CRC collision could only
+// keep a line that Open validated and that decodes to the same record in
+// another byte form.
 //
 // Flush writes a temp file, fsyncs it, renames it over the cells file and
 // fsyncs the directory. A reader therefore sees the previous complete file
 // or the new one, never a partial one; and once Flush returns, the new
 // file survives a crash or power loss, as far as the file system honours
-// fsync and atomic rename. A crash during Flush leaves the previous file
-// in place plus a stale cells.jsonl.tmp-* file, which Open ignores.
+// fsync and atomic rename. Then it replaces the sum file, also by rename
+// but without fsync: a crash can leave the sum stale, missing or torn,
+// none of which matches the cells file, so the next Flush re-encodes. A
+// crash during Flush leaves the previous file in place plus stale
+// cells.jsonl.tmp-* or cells.jsonl.sum.tmp-* files, which Open ignores.
+// The store holds the cells file open between Open and Close, and Flush
+// renames over it, as POSIX file systems allow.
 package store
 
 import (
@@ -35,9 +62,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,6 +82,10 @@ const CellsFile = "cells.jsonl"
 // LockFile is the name of the single-writer lock file inside a store
 // directory. It exists exactly while some process holds the store open.
 const LockFile = "store.lock"
+
+// SumFile is the name of the file holding the CRC-32C and length of the
+// cells file the last Flush wrote.
+const SumFile = CellsFile + ".sum"
 
 // Identity is the canonical coordinate of one fleet cell — everything that
 // selects a deterministic session. Two cells with equal identities run the
@@ -127,20 +162,47 @@ type Record struct {
 	ThermalCappedSec  float64 `json:"thermal_capped_sec"`
 }
 
-// Store is a load-then-merge view of one store directory. Open loads the
-// existing records; Put adds or replaces records in memory; Flush rewrites
-// the JSONL file sorted by key (atomically, via a temp file rename); Close
-// releases the writer lock. Not safe for concurrent use — the fleet driver
-// mutates it only from its single assembly goroutine.
+// Store is one store directory opened for reading and merging. Open
+// indexes the existing lines; Put adds or replaces records in memory;
+// Flush rewrites the JSONL file sorted by key (atomically, via a temp file
+// rename); Close releases the writer lock. Not safe for concurrent use —
+// the fleet driver mutates it only from its single assembly goroutine.
 type Store struct {
 	dir    string
-	recs   map[string]Record
 	locked bool
+
+	// file is the cells file Open read or Flush wrote, held open for
+	// reads; nil when there was none. sum and size are the CRC-32C and
+	// length of its bytes.
+	file *os.File
+	sum  uint32
+	size int64
+
+	// lines indexes, by key, the records still held only as lines of
+	// file; recs holds every other record, decoded. No key is in both.
+	// The indexed lines' keys rise with their offsets, so a walk in key
+	// order reads file front to back.
+	lines map[string]span
+	recs  map[string]Record
+	// trusted says the sum file vouched for file, so its lines are in the
+	// encoder's byte form and Flush may copy them.
+	trusted bool
+	// err is the first failed read of file; Flush and Close report it.
+	err error
+}
+
+// span locates a line of the cells file: its offset and its length
+// without the line end.
+type span struct {
+	off int64
+	n   int
 }
 
 // Open creates the store directory if needed, takes the single-writer
-// lock, and loads any existing records from its cells file, each line
-// through DecodeRecord. A missing cells file is an empty store; a
+// lock, and indexes the existing cells file (see the package comment).
+// Every line is checked as DecodeRecord would check it: a line in the
+// canonical layout is scanned without converting its values and indexed
+// by key, any other line is decoded now. A missing cells file is an empty store; a
 // malformed line is an error (the store is a cache of expensive runs —
 // silently dropping records would silently re-run them). A held lock is
 // an error too: before the lock existed, two concurrent writers would
@@ -157,7 +219,7 @@ func Open(dir string) (*Store, error) {
 	if err := lock(dir); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, recs: map[string]Record{}, locked: true}
+	s := &Store{dir: dir, lines: map[string]span{}, recs: map[string]Record{}, locked: true}
 	if err := s.load(); err != nil {
 		s.Close()
 		return nil, err
@@ -183,39 +245,66 @@ func lock(dir string) error {
 }
 
 // Close releases the store's writer lock. It does not flush — pairing an
-// explicit Flush with a deferred Close keeps error handling honest.
-// Closing twice is a no-op.
+// explicit Flush with a deferred Close keeps error handling honest. It
+// reports the first failed read of the cells file since Open, which Get
+// and Records, having no error result, cannot. Closing twice is a no-op.
 func (s *Store) Close() error {
 	if !s.locked {
 		return nil
 	}
 	s.locked = false
+	if s.file != nil {
+		s.file.Close() // read-only
+		s.file = nil
+	}
 	if err := os.Remove(filepath.Join(s.dir, LockFile)); err != nil {
 		return fmt.Errorf("store: unlocking %s: %w", s.dir, err)
 	}
-	return nil
+	return s.err
 }
 
-// load reads the cells file into memory.
+// load indexes the cells file, hashing every byte it reads, and trusts
+// the indexed lines when the sum file matches that hash.
 func (s *Store) load() error {
-	path := filepath.Join(s.dir, CellsFile)
+	path := s.path()
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
+		s.trusted = true
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("store: opening %s: %w", path, err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
+	s.file = f
+	h := crc32.New(castagnoli)
+	sc := bufio.NewScanner(io.TeeReader(f, h))
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	// start is the offset of the token Scan last returned: split is last
+	// called for that token, and calls asking for more data advance 0.
+	var start, next int64
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		start, next = next, next+int64(advance)
+		return advance, token, err
+	})
+	sorted := true
+	last := ""
 	line := 0
 	for sc.Scan() {
 		line++
-		if len(sc.Bytes()) == 0 {
+		b := sc.Bytes()
+		if len(b) == 0 {
 			continue
 		}
-		rec, err := DecodeRecord(sc.Bytes())
+		if key, ok := scanCanonical(b); ok && len(key) > 0 {
+			k := string(key)
+			sorted = sorted && k > last
+			last = k
+			s.lines[k] = span{start, len(b)}
+			delete(s.recs, k)
+			continue
+		}
+		rec, err := DecodeRecord(b)
 		if err != nil {
 			return fmt.Errorf("store: %s line %d: %w", path, line, err)
 		}
@@ -223,29 +312,62 @@ func (s *Store) load() error {
 			return fmt.Errorf("store: %s line %d: record without key", path, line)
 		}
 		s.recs[rec.Key] = rec
+		delete(s.lines, rec.Key)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: reading %s: %w", path, err)
 	}
+	s.sum, s.size = h.Sum32(), next
+	sum, err := os.ReadFile(filepath.Join(s.dir, SumFile))
+	s.trusted = err == nil && string(sum) == sumText(s.sum, s.size) && sorted
+	if !sorted {
+		return s.decodeLines()
+	}
 	return nil
 }
+
+// castagnoli is the CRC-32C table of the sum file.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sumText is the sum file's content for a cells file: one line, so a
+// torn write never matches.
+func sumText(sum uint32, size int64) string {
+	return fmt.Sprintf("crc32c %08x %d\n", sum, size)
+}
+
+func (s *Store) path() string { return filepath.Join(s.dir, CellsFile) }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Len returns the number of records held.
-func (s *Store) Len() int { return len(s.recs) }
+func (s *Store) Len() int { return len(s.lines) + len(s.recs) }
 
-// Get returns the record for a key, if present.
+// Get returns the record for a key, if present. An indexed record is
+// read back with one ReadAt; a failed read returns false, and Flush and
+// Close report it.
 func (s *Store) Get(key string) (Record, bool) {
-	rec, ok := s.recs[key]
-	return rec, ok
+	if rec, ok := s.recs[key]; ok {
+		return rec, true
+	}
+	sp, ok := s.lines[key]
+	if !ok {
+		return Record{}, false
+	}
+	line := make([]byte, sp.n)
+	if _, err := s.file.ReadAt(line, sp.off); err != nil {
+		s.fail(fmt.Errorf("store: reading %s: %w", s.path(), err))
+		return Record{}, false
+	}
+	rec, err := s.decode(key, line)
+	return rec, err == nil
 }
 
 // Put adds or replaces a record. Records with equal keys describe the same
 // deterministic session, so replacement is idempotent by construction.
 func (s *Store) Put(rec Record) {
 	s.recs[rec.Key] = rec
+	delete(s.lines, rec.Key)
 }
 
 // PutChecked adds a record, verifying the idempotence Put assumes: a key
@@ -254,21 +376,34 @@ func (s *Store) Put(rec Record) {
 // different physics (or a corrupted fragment) and must fail loudly rather
 // than silently overwrite. It reports whether the record was new.
 func (s *Store) PutChecked(rec Record) (added bool, err error) {
-	if have, ok := s.recs[rec.Key]; ok {
+	have, ok := s.Get(rec.Key)
+	if s.err != nil {
+		return false, s.err
+	}
+	if ok {
 		if have != rec {
 			return false, fmt.Errorf("store: conflicting records for key %s: the same cell produced different results (%+v vs %+v)", rec.Key, have, rec)
 		}
 		return false, nil
 	}
-	s.recs[rec.Key] = rec
+	s.Put(rec)
 	return true, nil
 }
 
-// Records returns every record sorted by key — the file order of Flush.
+// Records returns every record sorted by key — the file order of Flush —
+// reading the cells file once. After a failed read it returns nil, and
+// Flush and Close report the error.
 func (s *Store) Records() []Record {
-	out := make([]Record, 0, len(s.recs))
-	for _, key := range s.Keys() {
-		out = append(out, s.recs[key])
+	out := make([]Record, 0, s.Len())
+	err := s.walk(func(key string, rec Record, line []byte) (err error) {
+		if line != nil {
+			rec, err = s.decode(key, line)
+		}
+		out = append(out, rec)
+		return err
+	})
+	if err != nil {
+		return nil
 	}
 	return out
 }
@@ -276,7 +411,10 @@ func (s *Store) Records() []Record {
 // Keys returns every key in sorted order — the file order of Flush and
 // WriteCSV.
 func (s *Store) Keys() []string {
-	keys := make([]string, 0, len(s.recs))
+	keys := make([]string, 0, s.Len())
+	for k := range s.lines {
+		keys = append(keys, k)
+	}
 	for k := range s.recs {
 		keys = append(keys, k)
 	}
@@ -284,31 +422,203 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// Flush rewrites the cells file: one JSON line per record, sorted by key,
-// each encoded by appendRecord into one reused buffer. The lines go to a
-// temp file, which is fsynced and renamed into place before the directory
-// is fsynced, so readers never observe a torn store and a returned Flush
-// survives a crash (see the package comment). The bytes depend only on the
-// record set — a parallel run, a serial run, and a resumed run that filled
-// the same cells all flush byte-identical files.
+// decode decodes the indexed line of key. Open found the line canonical,
+// so a line that no longer decodes to its key means the file changed
+// under the lock.
+func (s *Store) decode(key string, line []byte) (Record, error) {
+	var r Record
+	if !decodeCanonical(line, &r) || r.Key != key {
+		return Record{}, s.fail(s.changed())
+	}
+	return r, nil
+}
+
+// changed is the error for a cells file that is not the one Open read.
+func (s *Store) changed() error {
+	return fmt.Errorf("store: %s changed since Open: another process wrote it while this one held %s", s.path(), LockFile)
+}
+
+// fail records the first failed read and returns it.
+func (s *Store) fail(err error) error {
+	if s.err == nil {
+		s.err = err
+	}
+	return s.err
+}
+
+// walk calls fn for every record in key order, with either the bytes of
+// its indexed line, valid only during the call, or (line nil) the
+// decoded record. The lines come from one front-to-back read of the
+// cells file, which must hash to what Open read. The first error stops
+// the walk.
+func (s *Store) walk(fn func(key string, rec Record, line []byte) error) error {
+	if s.err != nil {
+		return s.err
+	}
+	var r *lineReader
+	for _, key := range s.Keys() {
+		if rec, ok := s.recs[key]; ok {
+			if err := fn(key, rec, nil); err != nil {
+				return err
+			}
+			continue
+		}
+		if r == nil {
+			r = s.newLineReader()
+		}
+		line, err := r.read(s.lines[key])
+		if err != nil {
+			return err
+		}
+		if err := fn(key, Record{}, line); err != nil {
+			return err
+		}
+	}
+	if r != nil {
+		return r.finish()
+	}
+	return nil
+}
+
+// decodeLines moves every indexed line into recs, reading the cells file
+// again in offset order — Open's path for a file whose keys are out of
+// order, which this package never writes.
+func (s *Store) decodeLines() error {
+	keys := make([]string, 0, len(s.lines))
+	for k := range s.lines {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return s.lines[keys[i]].off < s.lines[keys[j]].off })
+	r := s.newLineReader()
+	for _, key := range keys {
+		line, err := r.read(s.lines[key])
+		if err != nil {
+			return err
+		}
+		rec, err := s.decode(key, line)
+		if err != nil {
+			return err
+		}
+		s.recs[key] = rec
+	}
+	if err := r.finish(); err != nil {
+		return err
+	}
+	clear(s.lines)
+	return nil
+}
+
+// lineReader reads indexed lines front to back from the cells file,
+// hashing every byte it passes so finish can prove the file is the one
+// Open read.
+type lineReader struct {
+	s   *Store
+	h   hash.Hash32
+	br  *bufio.Reader
+	pos int64
+	buf []byte
+}
+
+func (s *Store) newLineReader() *lineReader {
+	h := crc32.New(castagnoli)
+	src := io.TeeReader(io.NewSectionReader(s.file, 0, math.MaxInt64), h)
+	return &lineReader{s: s, h: h, br: bufio.NewReaderSize(src, 64*1024)}
+}
+
+// read returns the line at sp, which must not start before the end of
+// the previous one.
+func (r *lineReader) read(sp span) ([]byte, error) {
+	if _, err := r.br.Discard(int(sp.off - r.pos)); err != nil {
+		return nil, r.error(err)
+	}
+	r.buf = slices.Grow(r.buf[:0], sp.n)[:sp.n]
+	if _, err := io.ReadFull(r.br, r.buf); err != nil {
+		return nil, r.error(err)
+	}
+	r.pos = sp.off + int64(sp.n)
+	return r.buf, nil
+}
+
+// finish reads the rest of the file and checks the hash and length of
+// everything read against what Open read.
+func (r *lineReader) finish() error {
+	n, err := io.Copy(io.Discard, r.br)
+	if err != nil {
+		return r.error(err)
+	}
+	if r.h.Sum32() != r.s.sum || r.pos+n != r.s.size {
+		return r.s.fail(r.s.changed())
+	}
+	return nil
+}
+
+// error records a failed read; a file that ends early has shrunk since
+// Open.
+func (r *lineReader) error(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return r.s.fail(r.s.changed())
+	}
+	return r.s.fail(fmt.Errorf("store: reading %s: %w", r.s.path(), err))
+}
+
+// Flush rewrites the cells file: one JSON line per record, sorted by key.
+// A line Open indexed is copied byte for byte when the sum file vouched
+// for it, and decoded and re-encoded otherwise; every other record is
+// encoded by appendRecord. The old file must still hash to what Open
+// read, or Flush fails and leaves it alone. The lines go to a temp file,
+// which is fsynced and renamed into place before the directory is
+// fsynced, so readers never observe a torn store and a returned Flush
+// survives a crash (see the package comment). Then the sum file is
+// replaced, and the store re-indexes against the new file and drops its
+// decoded records, except the few only encoding/json could write. The bytes depend only on the record set — a parallel
+// run, a serial run, and a resumed run that filled the same cells all
+// flush byte-identical files.
 func (s *Store) Flush() error {
 	tmp, err := os.CreateTemp(s.dir, CellsFile+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: creating temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	var line []byte
-	for _, key := range s.Keys() {
-		if line, err = appendRecord(line[:0], s.recs[key]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: encoding record %s: %w", key, err)
+	h := crc32.New(castagnoli)
+	w := bufio.NewWriterSize(io.MultiWriter(tmp, h), 64*1024)
+	lines := make(map[string]span, s.Len())
+	recs := map[string]Record{} // records encoding/json wrote, kept decoded
+	var (
+		enc []byte
+		off int64
+	)
+	err = s.walk(func(key string, rec Record, line []byte) (err error) {
+		if line != nil && !s.trusted {
+			if rec, err = s.decode(key, line); err != nil {
+				return err
+			}
+			line = nil
 		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			tmp.Close()
+		if line == nil {
+			var ok bool
+			if enc, ok = appendCanonical(enc[:0], &rec); !ok {
+				if enc, err = appendRecord(enc[:0], rec); err != nil {
+					return fmt.Errorf("store: encoding record %s: %w", key, err)
+				}
+				recs[key] = rec
+			}
+			line = enc
+		}
+		if _, ok := recs[key]; !ok {
+			lines[key] = span{off, len(line)}
+		}
+		off += int64(len(line)) + 1
+		w.Write(line)
+		// A bufio.Writer's error sticks, so this also reports a failed
+		// Write.
+		if err := w.WriteByte('\n'); err != nil {
 			return fmt.Errorf("store: writing record %s: %w", key, err)
 		}
+		return nil
+	})
+	if err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()
@@ -321,11 +631,46 @@ func (s *Store) Flush() error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: closing temp file: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, CellsFile)); err != nil {
+	if err := os.Rename(tmp.Name(), s.path()); err != nil {
 		return fmt.Errorf("store: installing cells file: %w", err)
 	}
 	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("store: syncing %s: %w", s.dir, err)
+	}
+	if err := writeSum(s.dir, sumText(h.Sum32(), off)); err != nil {
+		return err
+	}
+	f, err := os.Open(s.path())
+	if err != nil {
+		return fmt.Errorf("store: reopening %s: %w", s.path(), err)
+	}
+	if s.file != nil {
+		s.file.Close() // read-only
+	}
+	s.file, s.sum, s.size = f, h.Sum32(), off
+	s.lines, s.recs = lines, recs
+	s.trusted = true
+	return nil
+}
+
+// writeSum replaces the sum file through a temp file and a rename. It is
+// not fsynced: after a power loss it can only be stale, missing or torn,
+// each of which matches no cells file, so the next Flush re-encodes.
+func writeSum(dir, text string) error {
+	tmp, err := os.CreateTemp(dir, SumFile+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("store: creating sum temp file: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.WriteString(text); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store: writing sum file: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("store: closing sum temp file: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, SumFile)); err != nil {
+		return fmt.Errorf("store: installing sum file: %w", err)
 	}
 	return nil
 }
@@ -388,10 +733,19 @@ func (s *Store) WriteCSV(w io.Writer) error {
 	if err := cw.Write(CSVHeader()); err != nil {
 		return fmt.Errorf("store: writing csv header: %w", err)
 	}
-	for _, key := range s.Keys() {
-		if err := cw.Write(s.recs[key].CSVRow()); err != nil {
+	err := s.walk(func(key string, rec Record, line []byte) (err error) {
+		if line != nil {
+			if rec, err = s.decode(key, line); err != nil {
+				return err
+			}
+		}
+		if err := cw.Write(rec.CSVRow()); err != nil {
 			return fmt.Errorf("store: writing csv row %s: %w", key, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	cw.Flush()
 	if err := cw.Error(); err != nil {

@@ -67,11 +67,14 @@ func LoadStoreResult(dir string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	if st.Len() == 0 {
+	recs := st.Records()
+	if err := st.Close(); err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
 		return nil, fmt.Errorf("fleet: store %s holds no records", dir)
 	}
-	return FromRecords(st.Records()), nil
+	return FromRecords(recs), nil
 }
 
 // MergeStores is store.Merge re-exported at the driver level: combine
