@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"mobicore/internal/metrics"
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
-	"mobicore/internal/workload"
 )
 
 // Fig9aRow compares the two policies at one utilization point of the
@@ -82,7 +82,7 @@ func RunFig9a(opt Options) (Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig9a: %w", err)
 			}
-			rep, err := session(plat, mgr, []workload.Workload{wl}, opt.dur(60*time.Second), opt.Seed)
+			rep, err := opt.spec(plat, mgr, wl, opt.dur(60*time.Second)).Run(context.Background())
 			if err != nil {
 				return nil, fmt.Errorf("fig9a u=%.1f %s: %w", util, mgr.Name(), err)
 			}
@@ -163,7 +163,7 @@ func RunFig9b(opt Options) (Result, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		s, err := newSim(plat, mgr, []workload.Workload{run}, opt.Seed)
+		s, err := opt.spec(plat, mgr, run, 0).New()
 		if err != nil {
 			return outcome{}, err
 		}
@@ -263,7 +263,7 @@ func runGames(opt Options) ([]GameRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("games %s: %w", prof.Name, err)
 			}
-			rep, err := session(plat, mgr, []workload.Workload{g}, opt.dur(120*time.Second), opt.Seed)
+			rep, err := opt.spec(plat, mgr, g, opt.dur(120*time.Second)).Run(context.Background())
 			if err != nil {
 				return nil, fmt.Errorf("games %s: %w", prof.Name, err)
 			}

@@ -142,39 +142,20 @@ func Run(id string, opt Options) (Result, error) {
 }
 
 // --- shared helpers -------------------------------------------------------
-//
-// Every session an experiment runs is described by a sim.SessionSpec, the
-// one construction path shared with the fleet driver — the helpers below
-// are thin spellings of a spec, so sim.Config can grow fields without the
-// experiment layer drifting.
 
-// session runs one simulation to completion and returns its report.
-func session(plat platform.Platform, mgr policy.Manager, wls []workload.Workload, d time.Duration, seed int64) (*sim.Report, error) {
-	return sessionPlaced(plat, mgr, wls, d, seed, "")
-}
-
-// sessionPlaced is session with an explicit scheduler placement rule
-// ("greedy" or "eas"; empty means the default greedy).
-func sessionPlaced(plat platform.Platform, mgr policy.Manager, wls []workload.Workload, d time.Duration, seed int64, placer string) (*sim.Report, error) {
+// spec describes one single-workload session of duration d (0 for sessions
+// built with New and driven by hand) as a sim.SessionSpec, the one
+// construction path shared with the fleet driver. It carries the option's
+// Seed and NoFuse, so every session an experiment runs honours both.
+func (o Options) spec(plat platform.Platform, mgr policy.Manager, wl workload.Workload, d time.Duration) sim.SessionSpec {
 	return sim.SessionSpec{
 		Platform:  plat,
 		Manager:   mgr,
-		Workloads: wls,
+		Workloads: []workload.Workload{wl},
 		Duration:  d,
-		Seed:      seed,
-		Placer:    placer,
-	}.Run(context.Background())
-}
-
-// newSim builds a simulation without running it, for experiments that need
-// mid-run access (FPS series, thermal zone).
-func newSim(plat platform.Platform, mgr policy.Manager, wls []workload.Workload, seed int64) (*sim.Sim, error) {
-	return sim.SessionSpec{
-		Platform:  plat,
-		Manager:   mgr,
-		Workloads: wls,
-		Seed:      seed,
-	}.New()
+		Seed:      o.Seed,
+		NoFuse:    o.NoFuse,
+	}
 }
 
 // seedList expands Options into the fleet seed dimension: Seeds

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
 	"mobicore/internal/thermal"
-	"mobicore/internal/workload"
 )
 
 // Fig1Row is one handset's full-stress measurement.
@@ -60,7 +60,7 @@ func RunFig1(opt Options) (Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig1 %s: %w", plat.Name, err)
 		}
-		rep, err := session(plat, mgr, []workload.Workload{wl}, opt.dur(30*time.Second), opt.Seed)
+		rep, err := opt.spec(plat, mgr, wl, opt.dur(30*time.Second)).Run(context.Background())
 		if err != nil {
 			return nil, fmt.Errorf("fig1 %s: %w", plat.Name, err)
 		}
@@ -129,7 +129,7 @@ func RunFig2(opt Options) (Result, error) {
 		}
 		// Five time constants reach >99% of steady state.
 		d := opt.dur(5 * plat.Thermal.TimeConstant)
-		s, err := newSim(plat, mgr, []workload.Workload{wl}, opt.Seed)
+		s, err := opt.spec(plat, mgr, wl, 0).New()
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s: %w", plat.Name, err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -63,7 +64,7 @@ func RunFig3(opt Options) (Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig3: %w", err)
 			}
-			rep, err := session(plat, mgr, []workload.Workload{wl}, opt.dur(60*time.Second), opt.Seed)
+			rep, err := opt.spec(plat, mgr, wl, opt.dur(60*time.Second)).Run(context.Background())
 			if err != nil {
 				return nil, fmt.Errorf("fig3 f=%v u=%.1f: %w", f, util, err)
 			}
@@ -124,7 +125,7 @@ func RunFig4(opt Options) (Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig4: %w", err)
 			}
-			rep, err := session(plat, mgr, []workload.Workload{wl}, opt.dur(60*time.Second), opt.Seed)
+			rep, err := opt.spec(plat, mgr, wl, opt.dur(60*time.Second)).Run(context.Background())
 			if err != nil {
 				return nil, fmt.Errorf("fig4 f=%v n=%d: %w", f, cores, err)
 			}
@@ -242,6 +243,7 @@ func measureOperatingPoint(plat platform.Platform, cores int, freq soc.Hz, deman
 		Manager:      mgr,
 		Workloads:    []workload.Workload{wl},
 		Seed:         opt.Seed,
+		NoFuse:       opt.NoFuse,
 		InitialFreq:  freq,
 		InitialCores: cores,
 	})

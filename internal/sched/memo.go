@@ -71,13 +71,13 @@ type memoWin struct {
 // snapshotting, sorting, and placement entirely while leaving thread state,
 // cycle accounting, and every float result byte-identical to the slow path.
 //
-// Validity is split between the Memo and its owner: Match proves the
-// thread-side inputs (runnable set, debts, affinity, pressure caps, pool
-// headroom) unchanged; the owner must separately guarantee that the
-// CPU-side inputs — programmed frequencies and the online mask — have not
-// moved since the record, which the simulation does by trusting its
-// applied-frequency mirror and gating replay on a per-slot flag it clears
-// on every reprogram, hotplug, and policy decision.
+// Match proves the thread-side inputs (runnable set, debts, affinity,
+// pressure caps, pool headroom) unchanged. The CPU-side inputs —
+// programmed frequencies and the online mask — follow one rule: the owner
+// calls Invalidate whenever they move. The simulation does so on every
+// core reprogram and every online-state change, trusting its
+// applied-frequency mirror in between; a policy decision that moves
+// neither keeps every retained window.
 //
 // The zero value is an empty memo ready for use. A Memo retains thread
 // pointers and is not safe for concurrent use; each Scheduler owner keeps

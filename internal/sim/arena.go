@@ -41,31 +41,6 @@ func (a *Arena) take() *Sim {
 	return &a.sim
 }
 
-// Reset drops the arena's association with the previous session's
-// configuration (manager, workloads, hooks) while keeping every buffer's
-// capacity. Construction via NewIn resets state anyway, so calling Reset
-// between cells is optional — it exists for callers that want to release
-// references (for garbage collection) without building the next session
-// yet.
-//
-//mobicore:hotpath
-func (a *Arena) Reset() {
-	s := &a.sim
-	s.cfg = Config{}
-	s.cpu = nil
-	s.model = nil
-	s.net = nil
-	s.sch.Placer = nil
-	s.rng = nil
-	s.views = s.views[:0]
-	s.coreCluster = nil
-	s.clusterFmax = nil
-	s.threads = s.threads[:0]
-	s.hinters = s.hinters[:0]
-	s.memo = s.memo.Recycle()
-	s.invalidateFast()
-}
-
 // The buffer helpers below resize a pooled slice to length n, zeroing the
 // contents but keeping the backing array whenever it is large enough — the
 // arena-reset primitive newSim applies to every Sim field. Each grows only

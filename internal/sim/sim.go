@@ -173,30 +173,31 @@ type Sim struct {
 	prGen     uint64   // thermal cap generation of the cached pressure view (capped/capScale)
 
 	// quiescent-tick fast path: the ring of retained scheduling windows
-	// and, slot for slot, the memoized integration-tail scalars each fuses
-	// with. The memo proves the thread-side inputs unchanged
-	// (sched.Memo.Match); fast[i].valid vouches for the CPU-side inputs of
-	// slot i — every slot is cleared whenever applyFrequencies reprograms
-	// a core and on every policy decision (hotplug, frequency, quota),
-	// trusting the applied-frequency mirror in between, and only the tick
-	// that records a slot re-validates it.
+	// and, slot for slot, the integration tail each fuses with. The memo
+	// proves the thread-side inputs unchanged (sched.Memo.Match); for the
+	// CPU-side inputs the sim keeps one rule: whenever a core is
+	// reprogrammed (applyFrequencies) or its online state moves
+	// (samplePolicy), it invalidates the memo, trusting the
+	// applied-frequency mirror in between. The full pass that arms a slot
+	// writes that slot's tail in the same tick, so a valid slot always has
+	// a valid tail. A no-op policy decision keeps the ring armed.
 	memo      sched.Memo
 	fast      [sched.MemoRing]fastState
+	tail      fastState               // a full pass's tail when it arms no memo slot
 	satRate   float64                 // saturation ceiling (cycles/sec): the platform's top ladder frequency
 	hinters   []workload.SteadyHinter // cached SteadyHint views of cfg.Workloads (nil where unimplemented)
 	fastTicks uint64                  // ticks served by the fast path this session
 
 	// per-tick scratch, reused to keep the hot loop allocation-free
-	snap         []soc.CoreSnapshot // CPU snapshot buffer
-	util         []float64          // per-core utilization buffer
-	busySec      []float64          // per-core busy-seconds buffer handed to the scheduler
-	clusterWatts []float64          // per-cluster power share from the system model
-	zoneWatts    []float64          // per-zone watts fed to the thermal network
-	capped       []bool             // per-core thermal-cap flags for the scheduler
-	capScale     []float64          // per-core headroom-aware capacity scale
-	clusterFmax  []float64          // per-cluster ladder top (shared from the platform precompute)
-	threads      []*sched.Thread    // demand gathered from workloads this tick
-	loads        []power.CoreLoad   // per-core load view fed to the power model
+	snap        []soc.CoreSnapshot // CPU snapshot buffer
+	util        []float64          // per-core utilization buffer
+	busySec     []float64          // per-core busy-seconds buffer handed to the scheduler
+	zoneWatts   []float64          // per-zone watts fed to the thermal network
+	capped      []bool             // per-core thermal-cap flags for the scheduler
+	capScale    []float64          // per-core headroom-aware capacity scale
+	clusterFmax []float64          // per-cluster ladder top (shared from the platform precompute)
+	threads     []*sched.Thread    // demand gathered from workloads this tick
+	loads       []power.CoreLoad   // per-core load view fed to the power model
 
 	// per-sample scratch for the policy input, reused because managers
 	// must not retain Input slices past Decide
@@ -240,54 +241,39 @@ type Sim struct {
 	clusterEnergySeries []metrics.Series // cumulative per-cluster joules, sampled
 }
 
-// fastState is the memoized integration tail of one retained tick: every
-// scalar the slow path derives from the scheduling result before feeding the
-// power model, captured once on the recording tick and replayed while the
-// window stays quiescent. Replay adds the same float values in the same
-// order as the slow path, so accumulators stay bit-identical. The Sim keeps
-// one fastState per memo ring slot, captured on the same tick that recorded
-// the slot.
+// fastState is the integration tail of one tick: every scalar a full pass
+// derives from the scheduling result and the power model, which commit then
+// feeds to the monitor, thermal network and accumulators. A full pass writes
+// it into the memo slot it arms (or into Sim.tail when it arms none), and a
+// replayed tick commits the slot's retained tail — the same float values
+// added in the same order, so accumulators stay bit-identical.
 type fastState struct {
-	valid   bool
-	watts   float64   // total system watts of the retained tick
+	watts   float64   // total system watts
 	base    float64   // platform floor share of watts
-	per     []float64 // per-cluster watts (copy — clusterWatts is scratch)
+	per     []float64 // per-cluster watts (cores + uncore, floor excluded)
 	winInc  []float64 // per-core winBusySec increment (0 for offline cores)
 	online  int       // online core count
 	avgFreq float64   // online-average frequency added to freqSum
 	avgUtil float64   // online-average utilization added to utilSum
 }
 
-// fastRing resizes each fast-path slot's buffers to the session topology,
-// keeping accumulated capacity, with every slot invalid.
-func fastRing(old [sched.MemoRing]fastState, nc, n int) [sched.MemoRing]fastState {
-	var ring [sched.MemoRing]fastState
-	for i := range ring {
-		ring[i] = fastState{per: f64Buf(old[i].per, nc), winInc: f64Buf(old[i].winInc, n)}
-	}
-	return ring
+// tailBuf resizes a tail's buffers to the session topology, keeping their
+// capacity.
+func tailBuf(old fastState, nc, n int) fastState {
+	return fastState{per: f64Buf(old.per, nc), winInc: f64Buf(old.winInc, n)}
 }
 
-// invalidateFast clears the CPU-side vouch of every fast-path slot: retained
-// windows stop replaying until a fresh recording revalidates its slot.
-//
-//mobicore:hotpath
-func (s *Sim) invalidateFast() {
-	for i := range s.fast {
-		s.fast[i].valid = false
+// fastRing resizes every memo slot's tail to the session topology.
+func fastRing(old [sched.MemoRing]fastState, nc, n int) (ring [sched.MemoRing]fastState) {
+	for i := range ring {
+		ring[i] = tailBuf(old[i], nc, n)
 	}
+	return ring
 }
 
 // New builds a simulation from cfg with freshly allocated buffers.
 func New(cfg Config) (*Sim, error) {
 	return newSim(cfg, nil)
-}
-
-// NewInArena is New drawing every reusable buffer from the arena instead of
-// the heap — the fleet driver's cross-cell fast path. See Arena for the
-// ownership contract. A nil arena reproduces New exactly.
-func NewInArena(cfg Config, a *Arena) (*Sim, error) {
-	return newSim(cfg, a)
 }
 
 // newSim assembles a simulation, reusing the arena's buffers when one is
@@ -387,12 +373,12 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 
 		memo:                s.memo.Recycle(),
 		fast:                fastRing(s.fast, nc, n),
+		tail:                tailBuf(s.tail, nc, n),
 		satRate:             satRate,
 		hinters:             hinters,
 		snap:                snapBuf(s.snap, n),
 		util:                f64Buf(s.util, n),
 		busySec:             f64Buf(s.busySec, n),
-		clusterWatts:        f64Buf(s.clusterWatts, nc),
 		zoneWatts:           f64Buf(s.zoneWatts, nc),
 		capped:              boolBuf(s.capped, n),
 		capScale:            f64Buf(s.capScale, n),
@@ -500,7 +486,6 @@ func (s *Sim) Quota() float64 { return s.quota }
 //mobicore:hotpath
 func (s *Sim) Step() error {
 	dt := s.cfg.Tick
-	dts := dt.Seconds()
 
 	// 1. Demand generation. The thread slice is per-tick scratch — the
 	// scheduler never retains it past the call. Workloads that implement
@@ -519,9 +504,9 @@ func (s *Sim) Step() error {
 	}
 	s.threads = threads
 
-	// 2. Scheduling and execution under the remaining bandwidth pool
-	// (CFS group-quota semantics: full speed until the period's shared
-	// budget drains). The scheduler sees which clusters are thermally
+	// 2. The pressure view and the remaining bandwidth pool (CFS
+	// group-quota semantics: full speed until the period's shared budget
+	// drains). The scheduler sees which clusters are thermally
 	// capped — and how deep each cap sits relative to the ladder top —
 	// so placement steers backlog toward the cool ones with
 	// headroom-aware capacity.
@@ -545,11 +530,17 @@ func (s *Sim) Step() error {
 	// cap generation starts at 0, and equality is all the tag carries.
 	pr := sched.Pressure{Capped: s.capped, CapScale: s.capScale, Gen: s.prGen + 1}
 
-	// Quiescent fast path: when a retained window provably reproduces
-	// this tick's scheduling decision and its CPU-side inputs are vouched
-	// unchanged, replay it and fuse the memoized integration tail.
-	if idx := s.memo.Match(threads, steady, pool, pr); idx >= 0 && s.fast[idx].valid {
-		return s.stepFast(dt, idx)
+	// 3. Scheduling and execution. Quiescent fast path: when a retained
+	// window provably reproduces this tick's scheduling decision (the memo
+	// holds only windows whose CPU-side inputs are unchanged), replay it
+	// and commit its retained integration tail.
+	if idx := s.memo.Match(threads, steady, pool, pr); idx >= 0 {
+		res, err := s.memo.ReplayInto(idx, s.busySec, s.cpu, dt)
+		if err != nil {
+			return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
+		}
+		s.fastTicks++
+		return s.commit(dt, res, &s.fast[idx])
 	}
 
 	rec := &s.memo
@@ -560,6 +551,58 @@ func (s *Sim) Step() error {
 	if err != nil {
 		return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
 	}
+
+	// Full pass: evaluate the power model into the tail commit consumes —
+	// the slot the scheduler just armed, so replays of it skip this
+	// evaluation, or the scratch tail when nothing was recorded. The
+	// snapshot mirror is current: the scheduler wrote each online core's
+	// post-run Active/Idle state into it, and frequencies/online masks only
+	// move through applyFrequencies and samplePolicy, which both refresh
+	// it — so no locked snapshot is needed here.
+	f := &s.tail
+	if s.memo.Armed() {
+		f = &s.fast[s.memo.ArmedSlot()]
+	}
+	util := res.UtilizationInto(s.util, dt)
+	s.util = util
+	dts := dt.Seconds()
+	online := 0
+	var freqAcc, overall float64
+	for i, c := range s.snap {
+		s.loads[i] = power.CoreLoad{
+			State: c.State,
+			OPP:   soc.OPP{Freq: c.Freq, Volt: c.Volt},
+			Util:  util[i],
+		}
+		f.winInc[i] = 0
+		if c.State != soc.StateOffline {
+			online++
+			freqAcc += float64(c.Freq)
+			overall += util[i]
+			f.winInc[i] = util[i] * dts
+		}
+	}
+	base, per := s.model.SystemWattsByCluster(s.loads, f.per)
+	watts := base
+	for _, w := range per {
+		watts += w
+	}
+	f.watts, f.base, f.per, f.online = watts, base, per, online
+	f.avgFreq, f.avgUtil = 0, 0
+	if online > 0 {
+		f.avgFreq = freqAcc / float64(online)
+		f.avgUtil = overall / float64(online)
+	}
+	return s.commit(dt, res, f)
+}
+
+// commit finishes one tick from its scheduling result and integration tail,
+// whether the tick was a full pass or a memo replay: result accounting,
+// power observation, thermal integration, residency and run-wide
+// accumulators, then the clock and policy sampling.
+//
+//mobicore:hotpath
+func (s *Sim) commit(dt time.Duration, res sched.Result, f *fastState) error {
 	s.busySec = res.BusySeconds
 	s.executed += res.ExecutedCycles
 	s.throttledSec += res.ThrottledSeconds
@@ -568,77 +611,27 @@ func (s *Sim) Step() error {
 		s.quotaPool = 0
 	}
 
-	// 3. Power and thermal integration. The load and snapshot slices are
-	// fixed-size scratch; every entry is rewritten below. When the
-	// scheduler armed the memo, capture the integration tail alongside so
-	// replay ticks skip the snapshot/load/model evaluation entirely.
-	recording := rec != nil && s.memo.Armed()
-	var f *fastState
-	if recording {
-		f = &s.fast[s.memo.ArmedSlot()]
-	}
-	// The snapshot mirror is current: the scheduler wrote each online
-	// core's post-run Active/Idle state into it, and frequencies/online
-	// masks only move through applyFrequencies and samplePolicy, which
-	// both refresh it — so no locked snapshot is needed here.
-	snap := s.snap
-	loads := s.loads
-	util := res.UtilizationInto(s.util, dt)
-	s.util = util
-	onlineCount := 0
-	var freqAcc float64
-	var overall float64
-	for i, c := range snap {
-		loads[i] = power.CoreLoad{
-			State: c.State,
-			OPP:   soc.OPP{Freq: c.Freq, Volt: c.Volt},
-			Util:  util[i],
-		}
-		if recording {
-			f.winInc[i] = 0
-		}
-		if c.State != soc.StateOffline {
-			onlineCount++
-			freqAcc += float64(c.Freq)
-			overall += util[i]
-			inc := util[i] * dts
-			s.winBusySec[i] += inc
-			if recording {
-				f.winInc[i] = inc
-			}
-		}
-	}
-	base, per := s.model.SystemWattsByCluster(loads, s.clusterWatts)
-	watts := base
-	for _, w := range per {
-		watts += w
-	}
-	if recording {
-		f.watts, f.base = watts, base
-		copy(f.per, per)
-		f.online = onlineCount
-		f.avgFreq, f.avgUtil = 0, 0
-		f.valid = true
-	}
-	if err := s.mon.Observe(s.now, watts, dt); err != nil {
+	// 4. Power and thermal integration. Each zone integrates its own
+	// cluster's share plus an even split of the platform floor; the network
+	// adds the shared-die coupling. The cluster's own share (cores + uncore,
+	// floor excluded) also feeds the per-cluster energy attribution the
+	// report exposes.
+	if err := s.mon.Observe(s.now, f.watts, dt); err != nil {
 		return fmt.Errorf("sim: power observation: %w", err)
 	}
 	if s.cfg.PowerTrace != nil {
-		s.cfg.PowerTrace(s.now, dt, watts, per)
+		s.cfg.PowerTrace(s.now, dt, f.watts, f.per)
 	}
-	// Each zone integrates its own cluster's share plus an even split of
-	// the platform floor; the network adds the shared-die coupling. The
-	// cluster's own share (cores + uncore, floor excluded) also feeds the
-	// per-cluster energy attribution the report exposes.
-	floorShare := base / float64(len(per))
-	for ci := range per {
-		s.zoneWatts[ci] = per[ci] + floorShare
-		s.clusterEnergyJ[ci] += per[ci] * dts
+	dts := dt.Seconds()
+	floorShare := f.base / float64(len(f.per))
+	for ci, w := range f.per {
+		s.zoneWatts[ci] = w + floorShare
+		s.clusterEnergyJ[ci] += w * dts
 	}
 	if err := s.net.Step(s.zoneWatts, dt); err != nil {
 		return fmt.Errorf("sim: thermal integration: %w", err)
 	}
-	for ci := range per {
+	for ci := range f.per {
 		if s.net.Throttling(ci) {
 			s.clusterThermalSec[ci] += dts
 			s.thermalSec += dts
@@ -653,85 +646,7 @@ func (s *Sim) Step() error {
 		}
 	}
 
-	// Run-wide accounting (tick-weighted). The online averages are
-	// computed once and shared with the memo so replay ticks add the
-	// bit-identical values.
-	if onlineCount > 0 {
-		avgF := freqAcc / float64(onlineCount)
-		avgU := overall / float64(onlineCount)
-		s.freqSum.Add(avgF)
-		s.utilSum.Add(avgU)
-		if recording {
-			f.avgFreq, f.avgUtil = avgF, avgU
-		}
-	}
-	s.coreSum.Add(float64(onlineCount))
-	s.quotaSum.Add(s.quota)
-	s.tempSum.Add(s.net.MaxTempC())
-
-	s.now += dt
-	s.winElapsed += dt
-
-	// 4. Policy sampling.
-	if s.now-s.lastSample >= s.cfg.SamplePeriod {
-		if err := s.samplePolicy(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stepFast commits one quiescent tick: the retained scheduling window in
-// ring slot idx replays onto the threads and CPU (exact cycle accounting
-// included), and its memoized integration tail feeds the same power,
-// thermal, residency, and accounting updates the slow path would compute —
-// the same float values added in the same order, so every accumulator,
-// series, trace, and downstream report byte stays identical.
-//
-//mobicore:hotpath
-func (s *Sim) stepFast(dt time.Duration, idx int) error {
-	res, err := s.memo.ReplayInto(idx, s.busySec, s.cpu, dt)
-	if err != nil {
-		return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
-	}
-	s.busySec = res.BusySeconds
-	s.executed += res.ExecutedCycles
-	s.throttledSec += res.ThrottledSeconds
-	s.quotaPool -= res.PoolUsedSec
-	if s.quotaPool < 0 {
-		s.quotaPool = 0
-	}
-
-	f := &s.fast[idx]
-	watts, base, per := f.watts, f.base, f.per
-	if err := s.mon.Observe(s.now, watts, dt); err != nil {
-		return fmt.Errorf("sim: power observation: %w", err)
-	}
-	if s.cfg.PowerTrace != nil {
-		s.cfg.PowerTrace(s.now, dt, watts, per)
-	}
-	floorShare := base / float64(len(per))
-	dts := dt.Seconds()
-	for ci := range per {
-		s.zoneWatts[ci] = per[ci] + floorShare
-		s.clusterEnergyJ[ci] += per[ci] * dts
-	}
-	if err := s.net.Step(s.zoneWatts, dt); err != nil {
-		return fmt.Errorf("sim: thermal integration: %w", err)
-	}
-	for ci := range per {
-		if s.net.Throttling(ci) {
-			s.clusterThermalSec[ci] += dts
-			s.thermalSec += dts
-		}
-		s.clusterTempSum[ci].Add(s.net.TempC(ci))
-	}
-	if s.net.CapGen() != s.capGen {
-		if err := s.applyFrequencies(); err != nil {
-			return err
-		}
-	}
-
+	// Run-wide accounting (tick-weighted).
 	for i, inc := range f.winInc {
 		s.winBusySec[i] += inc
 	}
@@ -745,8 +660,8 @@ func (s *Sim) stepFast(dt time.Duration, idx int) error {
 
 	s.now += dt
 	s.winElapsed += dt
-	s.fastTicks++
 
+	// 5. Policy sampling.
 	if s.now-s.lastSample >= s.cfg.SamplePeriod {
 		if err := s.samplePolicy(); err != nil {
 			return err
@@ -850,13 +765,12 @@ func (s *Sim) samplePolicy() error {
 	// A decision that actually moved a core's online state changes the
 	// scheduling capacity and power inputs outside what the memo
 	// fingerprints: drop every retained window. Frequency moves already
-	// invalidated the CPU-side vouch inside applyFrequencies, and the
-	// quota/pool refill is a per-tick Match input — so a no-op decision
-	// (the steady-state common case) keeps the ring armed straight across
-	// the sample boundary.
+	// invalidated the memo inside applyFrequencies, and the quota/pool
+	// refill is a per-tick Match input — so a no-op decision (the
+	// steady-state common case) keeps the ring armed straight across the
+	// sample boundary.
 	for i, c := range snap {
 		if (c.State != soc.StateOffline) != in.Online[i] {
-			s.invalidateFast()
 			s.memo.Invalidate()
 			break
 		}
@@ -933,10 +847,10 @@ func (s *Sim) applyFrequencies() error {
 	}
 	if dirty {
 		// A reprogrammed core (thermal clamp engaging or releasing between
-		// samples) changes scheduling and power inputs the memo does not
-		// fingerprint: drop every retained window's CPU-side vouch, and
-		// refresh the snapshot mirror the scheduler trusts.
-		s.invalidateFast()
+		// samples, or a policy decision) changes scheduling and power
+		// inputs the memo does not fingerprint: drop every retained window,
+		// and refresh the snapshot mirror the scheduler trusts.
+		s.memo.Invalidate()
 		s.snap = s.cpu.SnapshotInto(s.snap)
 	}
 	return nil
