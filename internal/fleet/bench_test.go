@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -139,7 +141,8 @@ type traceTick struct {
 // encoding, gzip compression and the file write, over the sample stream of
 // a 30 s Nexus 5 mobicore day-in-the-life session replayed in a loop. The
 // writer is warm (its buffers sized by a first pass), so allocs/op must
-// read 0.
+// read 0. gz-bytes/tick is the first pass's compressed file size over its
+// tick count: the size side of the gzip level's speed trade.
 func BenchmarkTraceHook(b *testing.B) {
 	c := Cell{
 		Platform: platform.Nexus5(),
@@ -170,6 +173,10 @@ func BenchmarkTraceHook(b *testing.B) {
 	if err := tw.Close(); err != nil {
 		b.Fatal(err)
 	}
+	warm, err := os.Stat(filepath.Join(dir, TraceFileName("warm")))
+	if err != nil {
+		b.Fatal(err)
+	}
 	if tw, err = newTraceWriter(dir, "measured", tw); err != nil {
 		b.Fatal(err)
 	}
@@ -183,6 +190,7 @@ func BenchmarkTraceHook(b *testing.B) {
 	if err := tw.Close(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(warm.Size())/float64(len(ticks)), "gz-bytes/tick")
 }
 
 // BenchmarkSequentialShards runs a 300-cell matrix (3 policies × 100

@@ -44,10 +44,19 @@ type WorkloadSpec struct {
 	Iterations int `json:"iterations,omitempty"`
 }
 
+// maxThreads bounds a wire workload's thread count. Lowering a spec builds
+// each workload once to validate it, so an unbounded count from a peer
+// would allocate that many threads; 1024 is far above any simulated SoC's
+// core count.
+const maxThreads = 1024
+
 // factory lowers the wire spec to a fleet workload factory. Names encode
 // the parameters exactly as the CLI spells them, because the store hashes
 // the name.
 func (ws WorkloadSpec) factory() (fleet.WorkloadFactory, error) {
+	if ws.Threads > maxThreads {
+		return fleet.WorkloadFactory{}, fmt.Errorf("remote: workload %q asks for %d threads (max %d)", ws.Kind, ws.Threads, maxThreads)
+	}
 	switch ws.Kind {
 	case "busyloop":
 		cfg := workload.BusyLoopConfig{
