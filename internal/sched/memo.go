@@ -7,19 +7,6 @@ import (
 	"mobicore/internal/soc"
 )
 
-// MemoRing is how many recent scheduling windows a Memo retains. One
-// retained window serves truly quiescent stretches; the ring exists for
-// periodic schedules. Under oversubscription — more saturated runnable
-// threads than online cores — the scheduler serves the top-debt threads
-// each window, their debts fall behind the unserved ones, and the window
-// rotates through the thread set with period N/gcd(N,K) for N threads on K
-// cores. Each phase of the rotation is itself a fixed point (the affinity
-// and order checks discriminate phases), so retaining the last few windows
-// lets every phase replay against its own record. Four slots cover all
-// rotations of the 4-thread reference workloads; longer periods fall back
-// to the slow path, never to wrong output.
-const MemoRing = 4
-
 // memoEntry is one thread's recorded share of a scheduling window: where it
 // stood when the window opened and what the window granted it.
 type memoEntry struct {
@@ -37,36 +24,11 @@ type memoEntry struct {
 	saturated bool
 }
 
-// memoWin is one retained scheduling window: per-thread grants, the
-// busy-seconds vector, the batched cycle commit, plus the input fingerprint
-// needed to prove a later window would reproduce it bit for bit.
-type memoWin struct {
-	valid   bool
-	drained bool // starved-pool window: zero grants, every budget throttled
-	limited bool // recorded against a finite bandwidth pool
-	// verified is the window sequence number at which this slot's runnable
-	// set was last proven equal to the live set (at record, and on every
-	// successful match). A steady hint may skip the set comparison only
-	// when every window since this verification carried the hint — each
-	// hint vouches one tick of no demand change, so an unbroken streak of
-	// them extends the proof from the verification point to now.
-	verified  int64
-	dtSec     float64 // recorded window length (seconds)
-	satCycles float64 // saturation ceiling: capacity any core could offer
-	poolUsed  float64
-	executed  float64
-	throttled float64 // quota-denied seconds (non-zero only for drained windows)
-	entries   []memoEntry
-	busySec   []float64
-	nanos     []uint64 // clamped per-core busy nanos for the batched commit
-	capped    []bool   // pressure fingerprint at record
-	capScale  []float64
-	prGen     uint64 // pressure generation tag at record (0 when untagged)
-}
-
-// Memo retains the last MemoRing scheduling windows' complete outcomes.
-// The simulation's quiescent-tick fast path records a window on each full
-// scheduling pass and replays a retained one (ReplayInto) on every
+// Memo retains the most recent scheduling window's complete outcome: the
+// per-thread grants, the busy-seconds vector and the batched cycle commit,
+// plus the input fingerprint needed to prove a later window would reproduce
+// it bit for bit. The simulation's quiescent-tick fast path records a window
+// on each full scheduling pass and replays it (ReplayInto) on every
 // subsequent tick whose inputs still match it (Match), skipping
 // snapshotting, sorting, and placement entirely while leaving thread state,
 // cycle accounting, and every float result byte-identical to the slow path.
@@ -77,109 +39,103 @@ type memoWin struct {
 // calls Invalidate whenever they move. The simulation does so on every
 // core reprogram and every online-state change, trusting its
 // applied-frequency mirror in between; a policy decision that moves
-// neither keeps every retained window.
+// neither keeps the window.
+//
+// Every recording pass drops the held window before it records, so the
+// window is valid only when the latest full pass armed it: an owner that
+// caches per-window results alongside (the simulation's integration tail)
+// can overwrite them on every full pass.
 //
 // The zero value is an empty memo ready for use. A Memo retains thread
 // pointers and is not safe for concurrent use; each Scheduler owner keeps
 // its own.
 type Memo struct {
-	next  int   // ring slot the next recording scribbles on
-	last  int   // slot of the most recent armed recording
-	hint  int   // ring slot of the most recent successful Match
-	armed bool  // whether the latest begin..finish pass armed its slot
-	seq   int64 // window sequence number, bumped once per Match call (one per tick)
+	valid   bool
+	drained bool // starved-pool window: zero grants, every budget throttled
+	limited bool // recorded against a finite bandwidth pool
+	// verified is the window sequence number at which the runnable set was
+	// last proven equal to the live set (at record, and on every
+	// successful match). A steady hint may skip the set comparison only
+	// when every window since this verification carried the hint — each
+	// hint vouches one tick of no demand change, so an unbroken streak of
+	// them extends the proof from the verification point to now.
+	verified int64
+	seq      int64 // window sequence number, bumped once per Match call (one per tick)
 	// steadySince is the first sequence number of the current unbroken run
-	// of steady windows (0 while the run is broken). A slot verified at or
-	// before the run's start has had every subsequent tick vouched
+	// of steady windows (0 while the run is broken). A window verified at
+	// or before the run's start has had every subsequent tick vouched
 	// demand-free, so its runnable set is still proven current.
 	steadySince int64
-	wins        [MemoRing]memoWin
+	dtSec       float64 // recorded window length (seconds)
+	satCycles   float64 // saturation ceiling: capacity any core could offer
+	poolUsed    float64
+	executed    float64
+	throttled   float64 // quota-denied seconds (non-zero only for drained windows)
+	entries     []memoEntry
+	busySec     []float64
+	nanos       []uint64 // clamped per-core busy nanos for the batched commit
+	capped      []bool   // pressure fingerprint at record
+	capScale    []float64
 }
 
-// Armed reports whether the most recent recording pass retained a
-// replayable window; ArmedSlot identifies it. The owner captures its fused
-// integration tail under the same slot index.
-func (m *Memo) Armed() bool { return m.armed }
-
-// ArmedSlot returns the ring slot of the most recent armed recording.
-// Meaningful only while Armed reports true.
-func (m *Memo) ArmedSlot() int { return m.last }
-
-// Invalidate drops every retained window. The next ScheduleRecordInto call
+// Invalidate drops the retained window. The next recording pass
 // re-records.
 //
 //mobicore:hotpath
-func (m *Memo) Invalidate() {
-	for i := range m.wins {
-		m.wins[i].valid = false
-	}
-	m.armed = false
-}
+func (m *Memo) Invalidate() { m.valid = false }
 
-// Recycle returns the memo reset for a new session, keeping every slot's
-// buffer capacity.
+// Recycle returns the memo reset for a new session, keeping every buffer's
+// capacity.
 func (m *Memo) Recycle() Memo {
-	r := *m
-	for i := range r.wins {
-		w := &r.wins[i]
-		w.valid, w.drained = false, false
-		w.entries = w.entries[:0]
-		w.busySec = w.busySec[:0]
-		w.nanos = w.nanos[:0]
-		w.capped = w.capped[:0]
-		w.capScale = w.capScale[:0]
-		w.dtSec, w.satCycles, w.poolUsed, w.executed, w.throttled = 0, 0, 0, 0, 0
-		w.verified = 0
+	return Memo{
+		entries:  m.entries[:0],
+		busySec:  m.busySec[:0],
+		nanos:    m.nanos[:0],
+		capped:   m.capped[:0],
+		capScale: m.capScale[:0],
 	}
-	r.next, r.last, r.hint, r.armed, r.seq, r.steadySince = 0, 0, 0, false, 0, 0
-	return r
 }
 
-// begin opens a recording in the next ring slot: that slot is invalid until
-// finish arms it (evicting whatever window it held — the ring trades one
-// retained phase for the fresher record). satRate is the capacity ceiling
-// in cycles/sec — at least every core's programmed frequency and every
-// domain's top capacity — above which a thread's placement is
-// debt-independent (callers pass the platform's global ladder top).
+// begin opens a recording, dropping the held window until finish arms the
+// new one. satRate is the capacity ceiling in cycles/sec — at least every
+// core's programmed frequency and every domain's top capacity — above which
+// a thread's placement is debt-independent (callers pass the platform's
+// global ladder top).
 //
 //mobicore:hotpath
 func (m *Memo) begin(dt time.Duration, satRate float64) {
-	w := &m.wins[m.next]
-	w.valid = false
-	w.dtSec = dt.Seconds()
-	w.satCycles = satRate * w.dtSec
-	w.entries = w.entries[:0]
-	m.armed = false
+	m.valid = false
+	m.dtSec = dt.Seconds()
+	m.satCycles = satRate * m.dtSec
+	m.entries = m.entries[:0]
 }
 
 // record appends one placed (or passed-over) thread to the open recording.
 //
 //mobicore:hotpath
 func (m *Memo) record(t *Thread, lastCore, core int, granted, pending float64) {
-	w := &m.wins[m.next]
 	//mobilint:ignore append into pooled memo entries; capacity amortizes across windows
-	w.entries = append(w.entries, memoEntry{
+	m.entries = append(m.entries, memoEntry{
 		t:         t,
 		lastCore:  lastCore,
 		core:      core,
 		granted:   granted,
 		pending:   pending,
-		saturated: pending > w.satCycles,
+		saturated: pending > m.satCycles,
 	})
 }
 
-// finish arms the open recording when the window is replayable, advancing
-// the ring. Two regimes qualify: the granted window — the bandwidth pool
-// never clamped a grant (a full window of slack remained, so any later pool
-// at least that healthy grants identically) and no runnable time was
-// throttled — and the starved window, where the pool was empty before the
-// first grant, so nothing executed and every online budget was throttled,
-// an outcome independent of debts, ordering, and pressure. It fingerprints
-// the thermal-pressure view alongside.
+// finish arms the open recording when the window is replayable. Two regimes
+// qualify: the granted window — the bandwidth pool never clamped a grant (a
+// full window of slack remained, so any later pool at least that healthy
+// grants identically) and no runnable time was throttled — and the starved
+// window, where the pool was empty before the first grant, so nothing
+// executed and every online budget was throttled, an outcome independent of
+// debts, ordering, and pressure. It fingerprints the thermal-pressure view
+// alongside.
 //
 //mobicore:hotpath
 func (m *Memo) finish(res Result, nanos []uint64, pr Pressure, limited bool, poolLeft float64) {
-	w := &m.wins[m.next]
 	drained := false
 	if res.ThrottledSeconds != 0 {
 		// Throttling replays only in the fully starved regime: the pool
@@ -191,49 +147,38 @@ func (m *Memo) finish(res Result, nanos []uint64, pr Pressure, limited bool, poo
 			return
 		}
 		drained = true
-	} else if limited && poolLeft < w.dtSec {
+	} else if limited && poolLeft < m.dtSec {
 		// The pool influenced (or was one thread away from influencing)
 		// the grants; replaying under a different pool could diverge.
 		return
 	}
-	w.drained = drained
-	w.limited = limited
-	w.throttled = res.ThrottledSeconds
-	w.poolUsed = res.PoolUsedSec
-	w.executed = res.ExecutedCycles
-	w.busySec = f64Into(w.busySec, res.BusySeconds)
-	w.nanos = u64Into(w.nanos, nanos)
-	w.capped = boolInto(w.capped, pr.Capped)
-	w.capScale = f64Into(w.capScale, pr.CapScale)
-	w.prGen = pr.Gen
-	w.verified = m.seq
-	w.valid = true
-	m.armed = true
-	m.last = m.next
-	m.next = (m.next + 1) % MemoRing
+	m.drained = drained
+	m.limited = limited
+	m.throttled = res.ThrottledSeconds
+	m.poolUsed = res.PoolUsedSec
+	m.executed = res.ExecutedCycles
+	m.busySec = copyInto(m.busySec, res.BusySeconds)
+	m.nanos = copyInto(m.nanos, nanos)
+	m.capped = copyInto(m.capped, pr.Capped)
+	m.capScale = copyInto(m.capScale, pr.CapScale)
+	m.verified = m.seq
+	m.valid = true
 }
 
-// Match scans the retained windows and returns the ring slot of one that a
-// fresh scheduling pass over threads would reproduce bit for bit under the
-// given pool and pressure view, or -1. Call it exactly once per scheduling
-// window: it advances the sequence clock the per-slot set verification
-// leans on. steady asserts (on the workloads' authority — the SteadyHint
-// contract) that no demand changed since the previous tick; a streak of
-// such windows lets the runnable-set comparison be skipped for any slot
-// verified before the streak began, because every tick separating the
-// verification from now has been vouched demand-free. A slot verified
-// before that must be re-proven by the counting scan. The caller separately
-// guarantees unchanged core frequencies and online states.
-//
-// Probe order is a latency heuristic only: rotations advance one ring slot
-// per window, so the slot after the last hit is tried first, then the last
-// hit itself (the quiescent case), then the rest most recent first. When
-// several slots match they hold byte-identical outcomes — each match is a
-// proof that the slot equals the unique slow-path result — so any probe
-// order returns an equally correct index.
+// Match reports whether a fresh scheduling pass over threads would
+// reproduce the retained window bit for bit under the given pool and
+// pressure view. Call it exactly once per scheduling window: it advances
+// the sequence clock the set verification leans on. steady asserts (on the
+// workloads' authority — the SteadyHint contract) that no demand changed
+// since the previous tick; a streak of such windows lets the runnable-set
+// comparison be skipped when the window was verified before the streak
+// began, because every tick separating the verification from now has been
+// vouched demand-free. A window verified before that must be re-proven by
+// the counting scan. The caller separately guarantees unchanged core
+// frequencies and online states.
 //
 //mobicore:hotpath
-func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressure) int {
+func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressure) bool {
 	m.seq++
 	if steady {
 		if m.steadySince == 0 {
@@ -242,50 +187,25 @@ func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressur
 	} else {
 		m.steadySince = 0
 	}
-	var order [MemoRing]int
-	order[0] = (m.hint + 1) % MemoRing
-	order[1] = m.hint
-	n := 2
-	for off := 1; off <= MemoRing; off++ {
-		idx := (m.next - off + MemoRing) % MemoRing
-		if idx != order[0] && idx != order[1] {
-			order[n] = idx
-			n++
-		}
+	if !m.valid {
+		return false
 	}
-	runnable := -1 // live runnable population, counted once on first need
-	for _, idx := range order[:n] {
-		w := &m.wins[idx]
-		if !w.valid {
-			continue
-		}
-		trusted := m.steadySince != 0 && w.verified >= m.steadySince-1
-		if !trusted && runnable < 0 {
-			runnable = 0
-			for _, t := range threads {
-				if t != nil && t.Runnable() {
-					runnable++
-				}
-			}
-		}
-		if matchWin(w, threads, trusted, runnable, poolSec, pr) {
-			w.verified = m.seq
-			m.hint = idx
-			return idx
-		}
+	trusted := m.steadySince != 0 && m.verified >= m.steadySince-1
+	if !m.matches(threads, trusted, poolSec, pr) {
+		return false
 	}
-	return -1
+	m.verified = m.seq
+	return true
 }
 
-// matchWin checks one retained window against the current inputs. trusted
+// matches checks the retained window against the current inputs. trusted
 // reports that the window's runnable set is proven current — the steady
 // hint combined with an unbroken verification chain — so the set scans can
-// be skipped. runnable is the live runnable-thread count, shared across the
-// ring scan (ignored while trusted).
+// be skipped.
 //
 //mobicore:hotpath
-func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec float64, pr Pressure) bool {
-	if w.drained {
+func (m *Memo) matches(threads []*Thread, trusted bool, poolSec float64, pr Pressure) bool {
+	if m.drained {
 		// Starved pool: the recorded window granted nothing and throttled
 		// every online budget. Any window whose pool is still exactly
 		// empty reproduces that outcome whatever the debts, ordering, or
@@ -296,7 +216,7 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 		if poolSec != 0 {
 			return false
 		}
-		return trusted || runnable > 0
+		return trusted || countRunnable(threads) > 0
 	}
 	// Pool regime must match before headroom means anything: a window
 	// recorded against an unbounded pool reports zero consumption, so
@@ -304,42 +224,38 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 	// corrupting the accounting the next windows schedule against — and a
 	// finite-pool record replayed unlimited would drain a pool that does
 	// not exist.
-	if w.limited != (poolSec >= 0) {
+	if m.limited != (poolSec >= 0) {
 		return false
 	}
 	// Pool headroom: with a full window of slack beyond the recorded
 	// consumption, no grant can hit the pool, so the grants replay exactly.
-	if w.limited && poolSec < w.poolUsed+w.dtSec {
+	if m.limited && poolSec < m.poolUsed+m.dtSec {
 		return false
 	}
 	// Thermal pressure must be unchanged: a cap engaging, releasing, or
-	// deepening re-derates capacity and can move placements. A matching
-	// nonzero generation tag proves the tagged view untouched since the
-	// record; otherwise compare the elements.
-	if pr.Gen == 0 || pr.Gen != w.prGen {
-		if len(pr.Capped) != len(w.capped) || len(pr.CapScale) != len(w.capScale) {
+	// deepening re-derates capacity and can move placements.
+	if len(pr.Capped) != len(m.capped) || len(pr.CapScale) != len(m.capScale) {
+		return false
+	}
+	for i, c := range pr.Capped {
+		if c != m.capped[i] {
 			return false
 		}
-		for i, c := range pr.Capped {
-			if c != w.capped[i] {
-				return false
-			}
-		}
-		for i, v := range pr.CapScale {
-			if v != w.capScale[i] {
-				return false
-			}
+	}
+	for i, v := range pr.CapScale {
+		if v != m.capScale[i] {
+			return false
 		}
 	}
 	// Set equality, half one: the runnable population must match the entry
 	// count. The entry loop below proves the other half — every recorded
 	// thread still runnable — and distinct entries plus equal counts force
 	// the sets equal.
-	if !trusted && runnable != len(w.entries) {
+	if !trusted && countRunnable(threads) != len(m.entries) {
 		return false
 	}
-	for i := range w.entries {
-		e := &w.entries[i]
+	for i := range m.entries {
+		e := &m.entries[i]
 		t := e.t
 		if !trusted && !t.Runnable() {
 			return false
@@ -353,7 +269,7 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 			if e.saturated {
 				// Deep backlog: any debt above the ceiling places and
 				// grants identically (the grant was capacity-limited).
-				if t.pending <= w.satCycles {
+				if t.pending <= m.satCycles {
 					return false
 				}
 			} else if t.pending != e.pending {
@@ -363,8 +279,8 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 		// Order: the recorded sequence must remain the unique descending
 		// debt order (names breaking ties strictly), so the stable sort
 		// reproduces exactly this permutation from any gather order.
-		if i+1 < len(w.entries) {
-			n := w.entries[i+1].t
+		if i+1 < len(m.entries) {
+			n := m.entries[i+1].t
 			if t.pending < n.pending || (t.pending == n.pending && t.name >= n.name) {
 				return false
 			}
@@ -373,70 +289,54 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 	return true
 }
 
-// ReplayInto re-applies the retained window in ring slot idx: each thread
-// drains its recorded grant on its recorded core, the busy-seconds vector
-// is copied into busy, and the batched cycle commit runs against cpu —
-// byte-identical side effects and Result to the full scheduling pass whose
-// inputs Match verified. The returned Result aliases busy, like
-// ScheduleThermalInto.
+// countRunnable counts the live runnable threads.
 //
 //mobicore:hotpath
-func (m *Memo) ReplayInto(idx int, busy []float64, cpu *soc.CPU, dt time.Duration) (Result, error) {
-	w := &m.wins[idx]
-	if cap(busy) < len(w.busySec) {
-		//mobilint:ignore one Result slice per window when the caller passes no buffer
-		busy = make([]float64, len(w.busySec))
+func countRunnable(threads []*Thread) int {
+	n := 0
+	for _, t := range threads {
+		if t != nil && t.Runnable() {
+			n++
+		}
 	}
-	busy = busy[:len(w.busySec)]
-	copy(busy, w.busySec)
-	for i := range w.entries {
-		e := &w.entries[i]
+	return n
+}
+
+// ReplayInto re-applies the retained window: each thread drains its
+// recorded grant on its recorded core, the busy-seconds vector is copied
+// into busy, and the batched cycle commit runs against cpu — byte-identical
+// side effects and Result to the full scheduling pass whose inputs Match
+// verified. The returned Result aliases busy, like Schedule.
+//
+//mobicore:hotpath
+func (m *Memo) ReplayInto(busy []float64, cpu *soc.CPU, dt time.Duration) (Result, error) {
+	busy = copyInto(busy, m.busySec)
+	for i := range m.entries {
+		e := &m.entries[i]
 		if e.core >= 0 && e.granted > 0 {
 			e.t.Execute(e.granted, e.core)
 		}
 	}
-	if err := cpu.RunBatch(w.nanos, uint64(dt.Nanoseconds())); err != nil {
+	if err := cpu.RunBatch(m.nanos, uint64(dt.Nanoseconds())); err != nil {
 		return Result{}, fmt.Errorf("sched: committing window: %w", err)
 	}
 	return Result{
 		BusySeconds:      busy,
-		ExecutedCycles:   w.executed,
-		ThrottledSeconds: w.throttled,
-		PoolUsedSec:      w.poolUsed,
+		ExecutedCycles:   m.executed,
+		ThrottledSeconds: m.throttled,
+		PoolUsedSec:      m.poolUsed,
 	}, nil
 }
 
-// The copy helpers below refresh a memo buffer from a source slice, keeping
-// the backing array whenever it is large enough (the growth branches are
-// cold; steady-state recording never allocates).
-
+// copyInto refreshes dst from src, keeping the backing array whenever it is
+// large enough (the growth branch is cold; steady-state recording and
+// replay never allocate).
+//
 //mobicore:hotpath
-func f64Into(dst, src []float64) []float64 {
+func copyInto[T any](dst, src []T) []T {
 	if cap(dst) < len(src) {
 		//mobilint:ignore one-time memo growth; steady-state recording reuses capacity
-		dst = make([]float64, len(src))
-	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
-}
-
-//mobicore:hotpath
-func u64Into(dst, src []uint64) []uint64 {
-	if cap(dst) < len(src) {
-		//mobilint:ignore one-time memo growth; steady-state recording reuses capacity
-		dst = make([]uint64, len(src))
-	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
-}
-
-//mobicore:hotpath
-func boolInto(dst, src []bool) []bool {
-	if cap(dst) < len(src) {
-		//mobilint:ignore one-time memo growth; steady-state recording reuses capacity
-		dst = make([]bool, len(src))
+		dst = make([]T, len(src))
 	}
 	dst = dst[:len(src)]
 	copy(dst, src)

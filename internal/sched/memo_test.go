@@ -95,20 +95,20 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 		}
 		var resA Result
 		var err error
-		if idx := memo.Match(thA, false, poolSec, Pressure{}); idx >= 0 {
-			resA, err = memo.ReplayInto(idx, busyA, cpuA, dt)
+		if memo.Match(thA, false, poolSec, Pressure{}) {
+			resA, err = memo.ReplayInto(busyA, cpuA, dt)
 			if runnable > 0 {
 				fastBusy++
 			} else {
 				fastIdle++
 			}
 		} else {
-			resA, err = schedA.ScheduleRecordInto(&memo, satRate, busyA, nil, cpuA, thA, dt, poolSec, Pressure{})
+			resA, err = schedA.Schedule(cpuA, thA, dt, poolSec, Pressure{}, busyA, nil, &memo, satRate)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		resB, err := schedB.ScheduleThermalInto(busyB, cpuB, thB, dt, poolSec, Pressure{})
+		resB, err := schedB.Schedule(cpuB, thB, dt, poolSec, Pressure{}, busyB, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,17 +138,18 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 	})
 	t.Run("oversubscribed alternation", func(t *testing.T) {
 		// Eight equal saturated threads on four cores alternate between two
-		// serving halves with stable affinities; once both phases are
-		// recorded (tick 4 on) every tick replays from its own ring slot.
+		// serving halves with stable affinities. Each window differs from
+		// the one before it, so the one retained window never matches — the
+		// memo must fall back to the slow path, never to wrong output.
 		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 60, Unlimited)
-		if fast < 50 {
-			t.Errorf("replayed %d of 60 ticks, want at least 50", fast)
+		if fast != 0 {
+			t.Errorf("replayed %d ticks of an alternation, want 0", fast)
 		}
 	})
 	t.Run("rotation longer than ring falls back", func(t *testing.T) {
 		// Six equal saturated threads on four cores rotate affinities with a
-		// period beyond MemoRing, so no retained window ever matches again —
-		// the memo must fall back to the slow path, never to wrong output.
+		// period longer than the one retained window, so no window ever
+		// matches again — the memo must fall back to the slow path.
 		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 30, Unlimited)
 		if fast != 0 {
 			t.Errorf("replayed %d ticks of an unmemoizable rotation, want 0", fast)
@@ -179,11 +180,11 @@ func recordSettled(t *testing.T, m *Memo, cpu *soc.CPU, threads []*Thread, poolS
 	var s Scheduler
 	busy := make([]float64, cpu.NumCores())
 	for pass := 0; pass < 2; pass++ {
-		if _, err := s.ScheduleRecordInto(m, memoSatRate(), busy, nil, cpu, threads, time.Millisecond, poolSec, pr); err != nil {
+		if _, err := s.Schedule(cpu, threads, time.Millisecond, poolSec, pr, busy, nil, m, memoSatRate()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !m.Armed() {
+	if !m.valid {
 		t.Fatal("recording pass did not arm the memo")
 	}
 }
@@ -214,10 +215,8 @@ func TestMemoMatchInvalidation(t *testing.T) {
 			nil, Unlimited, Pressure{Capped: boolvec(true, false, false, false)}, false},
 		{"cap scale moves", Unlimited, Pressure{Capped: boolvec(true, true, false, false), CapScale: []float64{0.8, 0.8, 1, 1}},
 			nil, Unlimited, Pressure{Capped: boolvec(true, true, false, false), CapScale: []float64{0.7, 0.7, 1, 1}}, false},
-		{"matching generation skips element compare", Unlimited, Pressure{Capped: boolvec(false, false, false, false), Gen: 7},
-			nil, Unlimited, Pressure{Capped: boolvec(true, false, false, false), Gen: 7}, true},
-		{"stale generation falls back to elements", Unlimited, Pressure{Capped: boolvec(false, false, false, false), Gen: 7},
-			nil, Unlimited, Pressure{Capped: boolvec(false, false, false, false), Gen: 8}, true},
+		{"equal pressure elements replay", Unlimited, Pressure{Capped: boolvec(false, false, false, false)},
+			nil, Unlimited, Pressure{Capped: boolvec(false, false, false, false)}, true},
 		{"desaturation", Unlimited, zero, func(t *testing.T, threads []*Thread) []*Thread {
 			threads[0].DropWork(threads[0].Pending() - 1)
 			return threads
@@ -251,7 +250,7 @@ func TestMemoMatchInvalidation(t *testing.T) {
 			if tc.mutate != nil {
 				threads = tc.mutate(t, threads)
 			}
-			got := m.Match(threads, false, tc.pool, tc.pr) >= 0
+			got := m.Match(threads, false, tc.pool, tc.pr)
 			if got != tc.want {
 				t.Errorf("Match = %v, want %v", got, tc.want)
 			}
@@ -265,30 +264,30 @@ func TestMemoDrainedRegime(t *testing.T) {
 	cpu, threads := memoFixture(t, []float64{4e12, 3e12, 2e12, 1e12})
 	var m Memo
 	recordSettled(t, &m, cpu, threads, 0, Pressure{})
-	if idx := m.Match(threads, false, 0, Pressure{}); idx < 0 {
+	if !m.Match(threads, false, 0, Pressure{}) {
 		t.Fatal("empty pool should replay the drained window")
 	}
-	if idx := m.Match(threads, false, 0.001, Pressure{}); idx >= 0 {
+	if m.Match(threads, false, 0.001, Pressure{}) {
 		t.Error("replenished pool must not replay a drained window")
 	}
 	for _, th := range threads {
 		th.DropWork(th.Pending())
 	}
-	if idx := m.Match(threads, false, 0, Pressure{}); idx >= 0 {
+	if m.Match(threads, false, 0, Pressure{}) {
 		t.Error("drained window must not replay once no thread is runnable")
 	}
 }
 
 // TestMemoSteadyStreakTrust pins the steady-hint semantics: an unbroken
-// streak of steady windows lets a slot verified before the streak skip the
-// runnable-set scan, and one broken window retires that trust until the slot
-// is re-proven the slow way.
+// streak of steady windows lets a record verified before the streak skip
+// the runnable-set scan, and one broken window retires that trust until the
+// record is re-proven the slow way.
 func TestMemoSteadyStreakTrust(t *testing.T) {
 	cpu, threads := memoFixture(t, []float64{4e12, 3e12, 2e12, 1e12})
 	var m Memo
 	recordSettled(t, &m, cpu, threads, Unlimited, Pressure{})
 
-	if idx := m.Match(threads, true, Unlimited, Pressure{}); idx < 0 {
+	if !m.Match(threads, true, Unlimited, Pressure{}) {
 		t.Fatal("steady window immediately after record should replay")
 	}
 
@@ -299,53 +298,54 @@ func TestMemoSteadyStreakTrust(t *testing.T) {
 	extra := NewThread("t9")
 	extra.AddWork(5e12)
 	grown := append(append([]*Thread(nil), threads...), extra)
-	if idx := m.Match(grown, true, Unlimited, Pressure{}); idx < 0 {
+	if !m.Match(grown, true, Unlimited, Pressure{}) {
 		t.Fatal("steady streak should skip the set scan")
 	}
 
 	// One non-steady window breaks the streak and forces the counting scan,
 	// which sees five runnable threads against four entries.
-	if idx := m.Match(grown, false, Unlimited, Pressure{}); idx >= 0 {
+	if m.Match(grown, false, Unlimited, Pressure{}) {
 		t.Fatal("broken streak must fall back to the set scan and miss")
 	}
 
-	// A fresh steady window does not resurrect the old trust: the slot was
+	// A fresh steady window does not resurrect the old trust: the window was
 	// last verified before this streak began, so the scan still runs.
-	if idx := m.Match(grown, true, Unlimited, Pressure{}); idx >= 0 {
+	if m.Match(grown, true, Unlimited, Pressure{}) {
 		t.Fatal("trust must not survive a broken streak without re-verification")
 	}
 
 	// Back at the recorded population the scan proves the set again, and the
-	// match re-verifies the slot for future streaks.
-	if idx := m.Match(threads, true, Unlimited, Pressure{}); idx < 0 {
+	// match re-verifies the window for future streaks.
+	if !m.Match(threads, true, Unlimited, Pressure{}) {
 		t.Fatal("restored population should match via the full scan")
 	}
 }
 
 // TestMemoInvalidateAndRecycle checks the two reset paths: Invalidate drops
-// retained windows in place, Recycle returns a fresh memo that records again.
+// the retained window in place, Recycle returns a fresh memo that records
+// again.
 func TestMemoInvalidateAndRecycle(t *testing.T) {
 	cpu, threads := memoFixture(t, []float64{4e12, 3e12, 2e12, 1e12})
 	var m Memo
 	recordSettled(t, &m, cpu, threads, Unlimited, Pressure{})
 	m.Invalidate()
-	if m.Armed() {
+	if m.valid {
 		t.Error("Invalidate should disarm the memo")
 	}
-	if idx := m.Match(threads, false, Unlimited, Pressure{}); idx >= 0 {
+	if m.Match(threads, false, Unlimited, Pressure{}) {
 		t.Error("invalidated memo must not match")
 	}
 
 	recordSettled(t, &m, cpu, threads, Unlimited, Pressure{})
 	m = m.Recycle()
-	if m.Armed() {
+	if m.valid {
 		t.Error("Recycle should return a disarmed memo")
 	}
-	if idx := m.Match(threads, false, Unlimited, Pressure{}); idx >= 0 {
+	if m.Match(threads, false, Unlimited, Pressure{}) {
 		t.Error("recycled memo must not match")
 	}
 	recordSettled(t, &m, cpu, threads, Unlimited, Pressure{})
-	if idx := m.Match(threads, false, Unlimited, Pressure{}); idx < 0 {
+	if !m.Match(threads, false, Unlimited, Pressure{}) {
 		t.Error("recycled memo should record and replay again")
 	}
 }

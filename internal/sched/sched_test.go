@@ -51,7 +51,7 @@ func TestScheduleExecutesWork(t *testing.T) {
 	var s Scheduler
 	th := NewThread("t0")
 	th.AddWork(500_000) // ~0.48 ms at 1.0368 GHz
-	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited)
+	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestScheduleBalancesThreads(t *testing.T) {
 		threads[i] = NewThread("t" + string(rune('0'+i)))
 		threads[i].AddWork(1e9) // far more than one tick can serve
 	}
-	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited)
+	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +102,13 @@ func TestScheduleAffinity(t *testing.T) {
 	var s Scheduler
 	th := NewThread("sticky")
 	th.AddWork(1000)
-	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	home := th.LastCore()
 	for i := 0; i < 5; i++ {
 		th.AddWork(1000)
-		if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited); err != nil {
+		if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		if th.LastCore() != home {
@@ -127,7 +127,7 @@ func TestScheduleSkipsOfflineCores(t *testing.T) {
 	for _, th := range threads {
 		th.AddWork(1e9)
 	}
-	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited)
+	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestBandwidthPoolCapsAggregate(t *testing.T) {
 		threads[i].AddWork(1e9)
 	}
 	pool := 0.002 // two core-milliseconds across four cores
-	res, err := s.Schedule(cpu, threads, time.Millisecond, pool)
+	res, err := s.Schedule(cpu, threads, time.Millisecond, pool, Pressure{}, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestZeroPoolRunsNothing(t *testing.T) {
 	var s Scheduler
 	th := NewThread("starved")
 	th.AddWork(1000)
-	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, 0)
+	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, 0, Pressure{}, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +192,14 @@ func TestZeroPoolRunsNothing(t *testing.T) {
 
 func TestScheduleValidation(t *testing.T) {
 	var s Scheduler
-	if _, err := s.Schedule(nil, nil, time.Millisecond, Unlimited); err == nil {
+	if _, err := s.Schedule(nil, nil, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err == nil {
 		t.Error("nil cpu accepted")
 	}
 	cpu := newCPU(t, 2)
-	if _, err := s.Schedule(cpu, nil, 0, Unlimited); err == nil {
+	if _, err := s.Schedule(cpu, nil, 0, Unlimited, Pressure{}, nil, nil, nil, 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := s.Schedule(cpu, nil, -time.Millisecond, Unlimited); err == nil {
+	if _, err := s.Schedule(cpu, nil, -time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err == nil {
 		t.Error("negative window accepted")
 	}
 }
@@ -212,7 +212,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		threads[0].AddWork(5e5)
 		threads[1].AddWork(5e5)
 		threads[2].AddWork(3e5)
-		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited)
+		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			threads[i].AddWork(amt)
 			deposited += amt
 		}
-		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited)
+		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
 		if err != nil {
 			return false
 		}
@@ -295,7 +295,7 @@ func TestThermalPressureSteersToCoolCluster(t *testing.T) {
 	cpu := thermalTestCPU(t)
 	th := NewThread("hog")
 	th.AddWork(1e12)
-	if _, err := s.ScheduleWithPressure(cpu, []*Thread{th}, dt, Unlimited, nil); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc < 2 {
@@ -307,7 +307,7 @@ func TestThermalPressureSteersToCoolCluster(t *testing.T) {
 	th = NewThread("hog")
 	th.AddWork(1e12)
 	capped := []bool{false, false, true, true}
-	if _, err := s.ScheduleWithPressure(cpu, []*Thread{th}, dt, Unlimited, capped); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: capped}, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc >= 2 {
@@ -315,12 +315,15 @@ func TestThermalPressureSteersToCoolCluster(t *testing.T) {
 	}
 }
 
-// TestScheduleMatchesScheduleWithNilPressure locks the compatibility
-// contract: Schedule is exactly ScheduleWithPressure with no flags.
+// TestScheduleMatchesScheduleWithNilPressure locks the no-pressure
+// contract: the zero Pressure schedules exactly like an all-cool view (every
+// core uncapped at full capacity scale), the view the simulation hands the
+// scheduler while no thermal cap is engaged.
 func TestScheduleMatchesScheduleWithNilPressure(t *testing.T) {
 	var s Scheduler
 	dt := 10 * time.Millisecond
-	run := func(viaPlain bool) []float64 {
+	cool := Pressure{Capped: make([]bool, 4), CapScale: []float64{1, 1, 1, 1}}
+	run := func(zero bool) []float64 {
 		cpu := thermalTestCPU(t)
 		threads := []*Thread{NewThread("a"), NewThread("b"), NewThread("c")}
 		for _, th := range threads {
@@ -328,10 +331,10 @@ func TestScheduleMatchesScheduleWithNilPressure(t *testing.T) {
 		}
 		var res Result
 		var err error
-		if viaPlain {
-			res, err = s.Schedule(cpu, threads, dt, Unlimited)
+		if zero {
+			res, err = s.Schedule(cpu, threads, dt, Unlimited, Pressure{}, nil, nil, nil, 0)
 		} else {
-			res, err = s.ScheduleWithPressure(cpu, threads, dt, Unlimited, nil)
+			res, err = s.Schedule(cpu, threads, dt, Unlimited, cool, nil, nil, nil, 0)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -356,7 +359,7 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	cpu := thermalTestCPU(t)
 	th := NewThread("render")
 	th.AddWork(1e12)
-	if _, err := s.ScheduleWithPressure(cpu, []*Thread{th}, dt, Unlimited, nil); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc < 2 {
@@ -365,7 +368,7 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	// Big cluster caps: the next window must move the thread to LITTLE.
 	th.AddWork(1e12)
 	capped := []bool{false, false, true, true}
-	if _, err := s.ScheduleWithPressure(cpu, []*Thread{th}, dt, Unlimited, capped); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: capped}, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc >= 2 {
@@ -375,7 +378,7 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	th.AddWork(1e12)
 	lcBefore := th.LastCore()
 	allCapped := []bool{true, true, true, true}
-	if _, err := s.ScheduleWithPressure(cpu, []*Thread{th}, dt, Unlimited, allCapped); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: allCapped}, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if th.LastCore() != lcBefore {
@@ -383,10 +386,10 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	}
 }
 
-// TestScheduleThermalIntoReusesBuffer: the Into variant must return results
-// identical to ScheduleThermal while writing busy seconds into the caller's
-// buffer — including zeroing stale entries from the previous window.
-func TestScheduleThermalIntoReusesBuffer(t *testing.T) {
+// TestScheduleReusesBuffer: a caller-supplied busy buffer must yield results
+// identical to a nil one while receiving the busy seconds — including
+// zeroing stale entries from the previous window.
+func TestScheduleReusesBuffer(t *testing.T) {
 	fresh := newCPU(t, 4)
 	pooled := newCPU(t, 4)
 	for _, cpu := range []*soc.CPU{fresh, pooled} {
@@ -406,11 +409,11 @@ func TestScheduleThermalIntoReusesBuffer(t *testing.T) {
 	// Poison the reused buffer so a missing zeroing pass shows up.
 	buf := []float64{99, 99, 99, 99}
 	for window := 0; window < 3; window++ {
-		ra, err := sa.ScheduleThermal(fresh, mkThreads(), time.Millisecond, Unlimited, Pressure{})
+		ra, err := sa.Schedule(fresh, mkThreads(), time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := sb.ScheduleThermalInto(buf, pooled, mkThreads(), time.Millisecond, Unlimited, Pressure{})
+		rb, err := sb.Schedule(pooled, mkThreads(), time.Millisecond, Unlimited, Pressure{}, buf, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,9 +430,9 @@ func TestScheduleThermalIntoReusesBuffer(t *testing.T) {
 			}
 		}
 	}
-	// A too-small buffer still works (the Into path grows it).
+	// A too-small buffer still works (Schedule grows it).
 	var sc Scheduler
-	rc, err := sc.ScheduleThermalInto(make([]float64, 1), newCPU(t, 4), mkThreads(), time.Millisecond, Unlimited, Pressure{})
+	rc, err := sc.Schedule(newCPU(t, 4), mkThreads(), time.Millisecond, Unlimited, Pressure{}, make([]float64, 1), nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,12 +120,6 @@ type Pressure struct {
 	// (CapFreq/f_max, in (0,1] while capped, 1 while cool). Optional;
 	// placers fall back to the fixed thermalDerate when nil.
 	CapScale []float64
-	// Gen optionally fingerprints the view: callers that rebuild Capped
-	// and CapScale only when a monotonic cap generation moves can tag the
-	// view with that generation, letting the memo prove "pressure
-	// unchanged" with one integer compare. Zero means untagged, and
-	// consumers fall back to comparing the elements.
-	Gen uint64
 }
 
 // placer returns the installed Placer, defaulting to the greedy.
@@ -141,73 +135,38 @@ func (s *Scheduler) placer() Placer {
 // enforcement period (CFS group-quota semantics, the §4.1.1 global CPU
 // bandwidth): total busy seconds across all cores this window may not
 // exceed it, but any single core may run at full speed while the pool
-// lasts. Pass Unlimited (or any negative value) for no cap. Schedule
-// updates cpu cycle accounting via soc.CPU.Run and returns per-core busy
-// time plus the pool time actually consumed.
-func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64) (Result, error) {
-	return s.ScheduleThermal(cpu, threads, dt, poolSec, Pressure{})
-}
-
-// ScheduleWithPressure is Schedule with a boolean per-core thermal-pressure
-// view: capped[i] true means core i's cluster currently has a thermal
-// frequency cap engaged, so placement treats its effective capacity as
-// reduced (thermalDerate) and steers backlog toward cool clusters. nil
-// capped (or a homogeneous platform, where derating is uniform) reproduces
-// Schedule exactly.
-func (s *Scheduler) ScheduleWithPressure(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, capped []bool) (Result, error) {
-	return s.ScheduleThermal(cpu, threads, dt, poolSec, Pressure{Capped: capped})
-}
-
-// ScheduleThermal is the full-signal entry point: ScheduleWithPressure plus
-// the optional headroom-aware capacity scale consumed by energy-aware
-// placers. The returned Result owns a freshly allocated BusySeconds slice;
-// per-tick callers that want a zero-allocation window pass their own buffer
-// to ScheduleThermalInto instead.
-func (s *Scheduler) ScheduleThermal(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure) (Result, error) {
-	return s.ScheduleThermalInto(nil, cpu, threads, dt, poolSec, pr)
-}
-
-// ScheduleThermalInto is ScheduleThermal writing the per-core busy seconds
-// into busy when it has the capacity (the slice is zeroed and resized to
-// the core count), so a per-tick caller can reuse one buffer across windows
-// and the scheduler allocates nothing in steady state. A nil or undersized
-// busy falls back to a fresh allocation, reproducing ScheduleThermal. The
+// lasts. Pass Unlimited (or any negative value) for no cap. pr is the
+// thermal-pressure view: placement treats capped cores' capacity as
+// reduced and steers backlog toward cool clusters (the zero Pressure, or a
+// homogeneous platform where derating is uniform, places without it).
+// Schedule updates cpu cycle accounting in one batched commit and returns
+// per-core busy time plus the pool time actually consumed.
+//
+// busy, when it has the capacity, receives the per-core busy seconds (it
+// is zeroed and resized to the core count), so a per-tick caller reuses
+// one buffer across windows and the scheduler allocates nothing in steady
+// state; a nil or undersized busy falls back to a fresh allocation. The
 // returned Result aliases busy — the caller owns the buffer and must not
 // reuse it until it is done with the Result.
-//
-//mobicore:hotpath
-func (s *Scheduler) ScheduleThermalInto(busy []float64, cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure) (Result, error) {
-	return s.scheduleInto(nil, 0, busy, nil, cpu, threads, dt, poolSec, pr)
-}
-
-// ScheduleRecordInto is ScheduleThermalInto that additionally fingerprints
-// the window into rec for the quiescent-tick fast path: the per-thread
-// placements and grants, the busy vector, the batched commit, and the
-// pressure view are retained, and rec arms (rec.Valid) when the window is
-// replayable — no pool clamping and no throttling. satRate is the capacity
-// ceiling for the saturation classing (see Memo.begin); callers pass the
-// platform's top ladder frequency. A nil rec reproduces ScheduleThermalInto
-// exactly.
 //
 // snap, when non-nil, is the caller's current view of the CPU — each core's
 // online state and programmed frequency, exactly as SnapshotInto would
 // report them — and the scheduler trusts it instead of taking its own
-// locked snapshot (the per-tick caller already maintains such a mirror).
-// Active/Idle distinctions in the view are ignored; only offline-ness and
-// frequency feed scheduling. A nil snap reproduces the self-snapshotting
-// behaviour.
+// locked snapshot, then writes each online core's post-run Active/Idle
+// state back into it. Only offline-ness and frequency feed scheduling. A
+// nil snap makes the scheduler snapshot the CPU itself.
+//
+// rec, when non-nil, records the window for the quiescent-tick fast path:
+// the per-thread placements and grants, the busy vector, the batched
+// commit, and the pressure view. Recording first drops rec's held window;
+// rec arms again only when the window is replayable — either no pool
+// clamping and no throttling, or a pool drained before the first grant
+// (see Memo.finish). satRate is the capacity ceiling for the
+// saturation classing (see Memo.begin); callers pass the platform's top
+// ladder frequency. It is ignored when rec is nil.
 //
 //mobicore:hotpath
-func (s *Scheduler) ScheduleRecordInto(rec *Memo, satRate float64, busy []float64, snap []soc.CoreSnapshot, cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure) (Result, error) {
-	return s.scheduleInto(rec, satRate, busy, snap, cpu, threads, dt, poolSec, pr)
-}
-
-// scheduleInto is the shared scheduling body; rec, when non-nil, records the
-// window into the memo (see ScheduleRecordInto); snap, when non-nil, is the
-// caller-maintained CPU view that replaces the locked snapshot.
-//
-//mobicore:hotpath
-func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, snap []soc.CoreSnapshot, cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure) (Result, error) {
+func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure, busy []float64, snap []soc.CoreSnapshot, rec *Memo, satRate float64) (Result, error) {
 	if cpu == nil {
 		return Result{}, errors.New("sched: nil cpu")
 	}

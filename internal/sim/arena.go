@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"mobicore/internal/metrics"
-	"mobicore/internal/policy"
-	"mobicore/internal/power"
-	"mobicore/internal/soc"
-	"mobicore/internal/workload"
-)
+import "mobicore/internal/metrics"
 
 // Arena is a cross-session reuse pool for the engine's buffers: the sampled
 // series, CPU snapshots, scheduler scratch, policy-input slices, the power
@@ -34,146 +28,20 @@ func NewArena() *Arena {
 	return &Arena{}
 }
 
-// take hands the arena's embedded Sim to a new session. The previous
-// session's buffers ride along inside it; newSim resets every field,
-// keeping only capacity.
-func (a *Arena) take() *Sim {
-	return &a.sim
-}
-
-// The buffer helpers below resize a pooled slice to length n, zeroing the
-// contents but keeping the backing array whenever it is large enough — the
-// arena-reset primitive newSim applies to every Sim field. Each grows only
-// on first use or when a larger topology arrives (the growth branches are
-// cold; steady-state arena reuse never allocates).
-
+// resize returns b resized to length n with every element zeroed, keeping
+// the backing array whenever it is large enough — the arena-reset
+// primitive newSim applies to every Sim field. It grows only on first use
+// or when a larger topology arrives (the growth branch is cold;
+// steady-state arena reuse never allocates).
+//
 //mobicore:hotpath
-func f64Buf(b []float64, n int) []float64 {
+func resize[T any](b []T, n int) []T {
 	if cap(b) < n {
 		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-//mobicore:hotpath
-func hzBuf(b []soc.Hz, n int) []soc.Hz {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]soc.Hz, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-//mobicore:hotpath
-func boolBuf(b []bool, n int) []bool {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]bool, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
-}
-
-//mobicore:hotpath
-func intBuf(b []int, n int) []int {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]int, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-//mobicore:hotpath
-func snapBuf(b []soc.CoreSnapshot, n int) []soc.CoreSnapshot {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]soc.CoreSnapshot, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = soc.CoreSnapshot{}
-	}
-	return b
-}
-
-//mobicore:hotpath
-func loadBuf(b []power.CoreLoad, n int) []power.CoreLoad {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]power.CoreLoad, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = power.CoreLoad{}
-	}
-	return b
-}
-
-//mobicore:hotpath
-func thermalBuf(b []policy.ThermalSignal, n int) []policy.ThermalSignal {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]policy.ThermalSignal, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = policy.ThermalSignal{}
-	}
-	return b
-}
-
-//mobicore:hotpath
-func sumBuf(b []metrics.Summary, n int) []metrics.Summary {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]metrics.Summary, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = metrics.Summary{}
-	}
-	return b
-}
-
-//mobicore:hotpath
-func viewsBuf(b []policy.ClusterView, n int) []policy.ClusterView {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]policy.ClusterView, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = policy.ClusterView{}
-	}
-	return b
-}
-
-//mobicore:hotpath
-func hinterBuf(b []workload.SteadyHinter, n int) []workload.SteadyHinter {
-	if cap(b) < n {
-		//mobilint:ignore one-time arena growth; steady-state reuse hits the resize path
-		return make([]workload.SteadyHinter, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = nil
-	}
+	clear(b)
 	return b
 }
 

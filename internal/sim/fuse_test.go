@@ -180,7 +180,7 @@ func TestFreqChangeBreaksQuiescence(t *testing.T) {
 	}
 }
 
-// TestHotplugBreaksQuiescence: parking a core invalidates every retained
+// TestHotplugBreaksQuiescence: parking a core invalidates the retained
 // window at the decision boundary.
 func TestHotplugBreaksQuiescence(t *testing.T) {
 	max := platform.Nexus5().Table.Max().Freq
@@ -206,8 +206,9 @@ func TestHotplugBreaksQuiescence(t *testing.T) {
 // tick — so each period grants one full window, starves the rest, and
 // refills. Every seam must recompute: the regime change (an
 // unlimited-pool recording must never replay against a finite pool), the
-// first starved tick, and the refill tick; while the starved mid-period
-// stretch must replay as drained windows, including across periods.
+// first starved tick, the refill tick, and the first starved tick after it
+// (the refill pass dropped the drained window it could not re-arm); while
+// the starved stretches must replay as drained windows.
 func TestQuotaRefillBreaksQuiescence(t *testing.T) {
 	max := platform.Nexus5().Table.Max().Freq
 	s := quiesceSim(t, []mgrStep{{freq: max, cores: 4, quota: 0.02}}, nil)
@@ -227,20 +228,20 @@ func TestQuotaRefillBreaksQuiescence(t *testing.T) {
 	if stepOne(t, s) { // tick 100: sample at tick 99 refilled the pool
 		t.Error("tick after a quota refill replayed a starved window against a live pool")
 	}
-	if !stepOne(t, s) { // tick 101: starved again; period 1's drained window serves
-		t.Error("drained window did not replay across the period boundary")
+	if stepOne(t, s) { // tick 101: starved again; the refill pass dropped the drained window
+		t.Error("tick 101 replayed a window the refill pass had dropped")
+	}
+	if !stepOne(t, s) { // tick 102: tick 101 re-recorded the drained window
+		t.Error("re-recorded drained window did not replay")
 	}
 }
 
 // TestDemandChangeBreaksQuiescence: a workload deposit between samples (a
 // frame boundary, a burst arrival) must push the very next tick down the
 // slow path even though no allocation changed. The initial burst drains
-// within ~10 ticks, so the retained windows of the idle stretch are empty;
-// the deposit then wakes two of the four threads — a runnable population no
-// retained window has seen (the drain-phase records hold four, the idle
-// records zero), so every match must fail. A four-thread rewake would
-// legitimately replay a drain-phase window; the memo proves set equality,
-// not recency.
+// within ~10 ticks, so the window retained through the idle stretch is
+// empty; the deposit then wakes two of the four threads — a runnable
+// population the retained window has not seen, so the match must fail.
 func TestDemandChangeBreaksQuiescence(t *testing.T) {
 	max := platform.Nexus5().Table.Max().Freq
 	steps := []mgrStep{{freq: max, cores: 4, quota: 1}}
@@ -390,9 +391,9 @@ func TestFusedMatchesNoFuseUnderQuota(t *testing.T) {
 
 // TestFusedMatchesNoFuseUnderHotplugChurn repeats the lockstep comparison
 // across repeated hotplug events: a scripted manager cycles the online set
-// 4 → 2 → 4 → 1 → 4 under a saturated load, so retained windows recorded on
-// one topology are candidates for replay on another. Every online-state
-// change must invalidate the fused slots — a stale window replayed across a
+// 4 → 2 → 4 → 1 → 4 under a saturated load, so a window recorded on one
+// topology is a candidate for replay on another. Every online-state change
+// must invalidate the retained window — a stale window replayed across a
 // core-count change would misattribute executed cycles — and the run must
 // still find fast ticks in the steady stretches between events.
 func TestFusedMatchesNoFuseUnderHotplugChurn(t *testing.T) {

@@ -172,18 +172,17 @@ type Sim struct {
 	capGen    uint64   // thermal cap generation at the last re-clamp; the per-tick re-clamp runs only when a cap moved
 	prGen     uint64   // thermal cap generation of the cached pressure view (capped/capScale)
 
-	// quiescent-tick fast path: the ring of retained scheduling windows
-	// and, slot for slot, the integration tail each fuses with. The memo
-	// proves the thread-side inputs unchanged (sched.Memo.Match); for the
-	// CPU-side inputs the sim keeps one rule: whenever a core is
-	// reprogrammed (applyFrequencies) or its online state moves
-	// (samplePolicy), it invalidates the memo, trusting the
-	// applied-frequency mirror in between. The full pass that arms a slot
-	// writes that slot's tail in the same tick, so a valid slot always has
-	// a valid tail. A no-op policy decision keeps the ring armed.
+	// quiescent-tick fast path: the retained scheduling window and the
+	// integration tail it fuses with. The memo proves the thread-side
+	// inputs unchanged (sched.Memo.Match); for the CPU-side inputs the sim
+	// keeps one rule: whenever a core is reprogrammed (applyFrequencies) or
+	// its online state moves (samplePolicy), it invalidates the memo,
+	// trusting the applied-frequency mirror in between. Every full pass
+	// writes the tail, and every recording pass drops the window before it
+	// records, so a valid window always holds the tail of the pass that
+	// armed it. A no-op policy decision keeps the window armed.
 	memo      sched.Memo
-	fast      [sched.MemoRing]fastState
-	tail      fastState               // a full pass's tail when it arms no memo slot
+	fast      fastState
 	satRate   float64                 // saturation ceiling (cycles/sec): the platform's top ladder frequency
 	hinters   []workload.SteadyHinter // cached SteadyHint views of cfg.Workloads (nil where unimplemented)
 	fastTicks uint64                  // ticks served by the fast path this session
@@ -243,10 +242,10 @@ type Sim struct {
 
 // fastState is the integration tail of one tick: every scalar a full pass
 // derives from the scheduling result and the power model, which commit then
-// feeds to the monitor, thermal network and accumulators. A full pass writes
-// it into the memo slot it arms (or into Sim.tail when it arms none), and a
-// replayed tick commits the slot's retained tail — the same float values
-// added in the same order, so accumulators stay bit-identical.
+// feeds to the monitor, thermal network and accumulators. Every full pass
+// writes it, and a replayed tick commits the tail of the pass that armed
+// the memo — the same float values added in the same order, so
+// accumulators stay bit-identical.
 type fastState struct {
 	watts   float64   // total system watts
 	base    float64   // platform floor share of watts
@@ -255,20 +254,6 @@ type fastState struct {
 	online  int       // online core count
 	avgFreq float64   // online-average frequency added to freqSum
 	avgUtil float64   // online-average utilization added to utilSum
-}
-
-// tailBuf resizes a tail's buffers to the session topology, keeping their
-// capacity.
-func tailBuf(old fastState, nc, n int) fastState {
-	return fastState{per: f64Buf(old.per, nc), winInc: f64Buf(old.winInc, n)}
-}
-
-// fastRing resizes every memo slot's tail to the session topology.
-func fastRing(old [sched.MemoRing]fastState, nc, n int) (ring [sched.MemoRing]fastState) {
-	for i := range ring {
-		ring[i] = tailBuf(old[i], nc, n)
-	}
-	return ring
 }
 
 // New builds a simulation from cfg with freshly allocated buffers.
@@ -306,7 +291,9 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 
 	s := &Sim{}
 	if a != nil {
-		s = a.take()
+		// The previous session's buffers ride along inside the arena's Sim;
+		// the reset below keeps only their capacity.
+		s = &a.sim
 	}
 	// Reusable state captured before the wholesale reset below: the
 	// monitor keeps its trace buffer, the scheduler its window scratch,
@@ -327,7 +314,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 
 	n := cfg.Platform.NumCores
 	nc := len(comp.Specs)
-	views := viewsBuf(s.views, nc)
+	views := resize(s.views, nc)
 	for ci, cs := range comp.Specs {
 		views[ci] = policy.ClusterView{Name: cs.Name, Table: cs.Table, CoreIDs: comp.ClusterCoreIDs[ci]}
 	}
@@ -346,7 +333,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 			satRate = fmax
 		}
 	}
-	hinters := hinterBuf(s.hinters, len(cfg.Workloads))
+	hinters := resize(s.hinters, len(cfg.Workloads))
 	for i, w := range cfg.Workloads {
 		h, _ := w.(workload.SteadyHinter)
 		hinters[i] = h
@@ -367,36 +354,35 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		views:       views,
 		coreCluster: comp.CoreCluster,
 		quota:       cfg.InitialQuota,
-		requested:   hzBuf(s.requested, n),
-		applied:     hzBuf(s.applied, n),
+		requested:   resize(s.requested, n),
+		applied:     resize(s.applied, n),
 		prGen:       ^uint64(0), // force the first tick to build the pressure view
 
 		memo:                s.memo.Recycle(),
-		fast:                fastRing(s.fast, nc, n),
-		tail:                tailBuf(s.tail, nc, n),
+		fast:                fastState{per: resize(s.fast.per, nc), winInc: resize(s.fast.winInc, n)},
 		satRate:             satRate,
 		hinters:             hinters,
-		snap:                snapBuf(s.snap, n),
-		util:                f64Buf(s.util, n),
-		busySec:             f64Buf(s.busySec, n),
-		zoneWatts:           f64Buf(s.zoneWatts, nc),
-		capped:              boolBuf(s.capped, n),
-		capScale:            f64Buf(s.capScale, n),
+		snap:                resize(s.snap, n),
+		util:                resize(s.util, n),
+		busySec:             resize(s.busySec, n),
+		zoneWatts:           resize(s.zoneWatts, nc),
+		capped:              resize(s.capped, n),
+		capScale:            resize(s.capScale, n),
 		clusterFmax:         comp.ClusterFmaxHz,
 		threads:             s.threads[:0],
-		loads:               loadBuf(s.loads, n),
-		inUtil:              f64Buf(s.inUtil, n),
-		inOnline:            boolBuf(s.inOnline, n),
-		inCurFreq:           hzBuf(s.inCurFreq, n),
-		inThermal:           thermalBuf(s.inThermal, nc),
-		clFreq:              f64Buf(s.clFreq, nc),
-		clOnline:            intBuf(s.clOnline, nc),
-		winBusySec:          f64Buf(s.winBusySec, n),
-		clusterFreqSum:      sumBuf(s.clusterFreqSum, nc),
-		clusterCoreSum:      sumBuf(s.clusterCoreSum, nc),
-		clusterTempSum:      sumBuf(s.clusterTempSum, nc),
-		clusterThermalSec:   f64Buf(s.clusterThermalSec, nc),
-		clusterEnergyJ:      f64Buf(s.clusterEnergyJ, nc),
+		loads:               resize(s.loads, n),
+		inUtil:              resize(s.inUtil, n),
+		inOnline:            resize(s.inOnline, n),
+		inCurFreq:           resize(s.inCurFreq, n),
+		inThermal:           resize(s.inThermal, nc),
+		clFreq:              resize(s.clFreq, nc),
+		clOnline:            resize(s.clOnline, nc),
+		winBusySec:          resize(s.winBusySec, n),
+		clusterFreqSum:      resize(s.clusterFreqSum, nc),
+		clusterCoreSum:      resize(s.clusterCoreSum, nc),
+		clusterTempSum:      resize(s.clusterTempSum, nc),
+		clusterThermalSec:   resize(s.clusterThermalSec, nc),
+		clusterEnergyJ:      resize(s.clusterEnergyJ, nc),
 		freqSeries:          agg[0],
 		coreSeries:          agg[1],
 		utilSeries:          agg[2],
@@ -526,43 +512,38 @@ func (s *Sim) Step() error {
 	if s.quota < 1 {
 		pool = s.quotaPool
 	}
-	// The +1 keeps the tag nonzero (zero means untagged): a fresh network's
-	// cap generation starts at 0, and equality is all the tag carries.
-	pr := sched.Pressure{Capped: s.capped, CapScale: s.capScale, Gen: s.prGen + 1}
+	pr := sched.Pressure{Capped: s.capped, CapScale: s.capScale}
 
-	// 3. Scheduling and execution. Quiescent fast path: when a retained
+	// 3. Scheduling and execution. Quiescent fast path: when the retained
 	// window provably reproduces this tick's scheduling decision (the memo
-	// holds only windows whose CPU-side inputs are unchanged), replay it
-	// and commit its retained integration tail.
-	if idx := s.memo.Match(threads, steady, pool, pr); idx >= 0 {
-		res, err := s.memo.ReplayInto(idx, s.busySec, s.cpu, dt)
+	// holds it only while its CPU-side inputs are unchanged), replay it and
+	// commit its integration tail.
+	if s.memo.Match(threads, steady, pool, pr) {
+		res, err := s.memo.ReplayInto(s.busySec, s.cpu, dt)
 		if err != nil {
 			return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
 		}
 		s.fastTicks++
-		return s.commit(dt, res, &s.fast[idx])
+		return s.commit(dt, res, &s.fast)
 	}
 
 	rec := &s.memo
 	if s.cfg.NoFuse {
 		rec = nil
 	}
-	res, err := s.sch.ScheduleRecordInto(rec, s.satRate, s.busySec, s.snap, s.cpu, threads, dt, pool, pr)
+	res, err := s.sch.Schedule(s.cpu, threads, dt, pool, pr, s.busySec, s.snap, rec, s.satRate)
 	if err != nil {
 		return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
 	}
 
-	// Full pass: evaluate the power model into the tail commit consumes —
-	// the slot the scheduler just armed, so replays of it skip this
-	// evaluation, or the scratch tail when nothing was recorded. The
-	// snapshot mirror is current: the scheduler wrote each online core's
-	// post-run Active/Idle state into it, and frequencies/online masks only
-	// move through applyFrequencies and samplePolicy, which both refresh
-	// it — so no locked snapshot is needed here.
-	f := &s.tail
-	if s.memo.Armed() {
-		f = &s.fast[s.memo.ArmedSlot()]
-	}
+	// Full pass: evaluate the power model into the tail, which replays of
+	// a window this pass armed reuse. Overwriting it is safe: the scheduler
+	// dropped any older window before recording. The snapshot mirror is
+	// current: the scheduler wrote each online core's post-run Active/Idle
+	// state into it, and frequencies/online masks only move through
+	// applyFrequencies and samplePolicy, which both refresh it — so no
+	// locked snapshot is needed here.
+	f := &s.fast
 	util := res.UtilizationInto(s.util, dt)
 	s.util = util
 	dts := dt.Seconds()
@@ -692,13 +673,13 @@ func (s *Sim) samplePolicy() error {
 	in := policy.Input{
 		Now:      s.now,
 		Period:   period,
-		Util:     f64Buf(s.inUtil, len(snap)),
-		Online:   boolBuf(s.inOnline, len(snap)),
-		CurFreq:  hzBuf(s.inCurFreq, len(snap)),
+		Util:     resize(s.inUtil, len(snap)),
+		Online:   resize(s.inOnline, len(snap)),
+		CurFreq:  resize(s.inCurFreq, len(snap)),
 		Quota:    s.quota,
 		Table:    s.cfg.Platform.Table,
 		Clusters: s.views,
-		Thermal:  thermalBuf(s.inThermal, len(s.views)),
+		Thermal:  resize(s.inThermal, len(s.views)),
 	}
 	s.inUtil, s.inOnline, s.inCurFreq, s.inThermal = in.Util, in.Online, in.CurFreq, in.Thermal
 	for ci := range s.views {
@@ -764,10 +745,10 @@ func (s *Sim) samplePolicy() error {
 	s.snap = snap
 	// A decision that actually moved a core's online state changes the
 	// scheduling capacity and power inputs outside what the memo
-	// fingerprints: drop every retained window. Frequency moves already
+	// fingerprints: drop the retained window. Frequency moves already
 	// invalidated the memo inside applyFrequencies, and the quota/pool
 	// refill is a per-tick Match input — so a no-op decision (the
-	// steady-state common case) keeps the ring armed straight across the
+	// steady-state common case) keeps the memo armed straight across the
 	// sample boundary.
 	for i, c := range snap {
 		if (c.State != soc.StateOffline) != in.Online[i] {
@@ -777,8 +758,8 @@ func (s *Sim) samplePolicy() error {
 	}
 	var freqAcc float64
 	online := 0
-	clFreq := f64Buf(s.clFreq, len(s.views))
-	clOnline := intBuf(s.clOnline, len(s.views))
+	clFreq := resize(s.clFreq, len(s.views))
+	clOnline := resize(s.clOnline, len(s.views))
 	s.clFreq, s.clOnline = clFreq, clOnline
 	for _, c := range snap {
 		if c.State != soc.StateOffline {
@@ -848,7 +829,7 @@ func (s *Sim) applyFrequencies() error {
 	if dirty {
 		// A reprogrammed core (thermal clamp engaging or releasing between
 		// samples, or a policy decision) changes scheduling and power
-		// inputs the memo does not fingerprint: drop every retained window,
+		// inputs the memo does not fingerprint: drop the retained window,
 		// and refresh the snapshot mirror the scheduler trusts.
 		s.memo.Invalidate()
 		s.snap = s.cpu.SnapshotInto(s.snap)
