@@ -9,6 +9,7 @@
 package mobicore
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -214,11 +215,10 @@ func ablationRunOn(b *testing.B, plat platform.Platform, build func(plat platfor
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sim.New(sim.Config{Platform: plat, Manager: mgr, Workloads: []workload.Workload{wl}, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep, err := s.Run(10 * time.Second)
+	rep, err := sim.SessionSpec{
+		Platform: plat, Manager: mgr, Workloads: []workload.Workload{wl},
+		Duration: 10 * time.Second, Seed: 42,
+	}.Run(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -352,14 +352,10 @@ func BenchmarkAblationSamplePeriod(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := sim.New(sim.Config{
+		rep, err := sim.SessionSpec{
 			Platform: plat, Manager: mgr, Workloads: []workload.Workload{wl},
-			Seed: 42, SamplePeriod: period,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := s.Run(10 * time.Second)
+			Duration: 10 * time.Second, Seed: 42, SamplePeriod: period,
+		}.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -435,16 +431,18 @@ func perTickFused(b *testing.B, plat platform.Platform, mgr policy.Manager, thre
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sim.New(sim.Config{Platform: plat, Manager: mgr, Workloads: []workload.Workload{wl}, Seed: 1, Placer: placer, NoFuse: noFuse})
+	// The spec's Duration covers the whole measured run, so the sampled
+	// series are reserved up front and their growth does not pollute the
+	// per-tick cost; the warm-up then steps past the boot transient so b.N
+	// ticks measure steady state.
+	s, err := sim.SessionSpec{
+		Platform: plat, Manager: mgr, Workloads: []workload.Workload{wl},
+		Duration: 100*time.Millisecond + time.Duration(b.N)*time.Millisecond,
+		Seed:     1, Placer: placer, NoFuse: noFuse,
+	}.New()
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Reserve the sampled series for the whole measured run — the
-	// steady-state arrangement every fleet session gets from
-	// SessionSpec.NewIn — so series growth does not pollute the per-tick
-	// cost, then warm past the boot transient so b.N ticks measure steady
-	// state.
-	s.Reserve(100*time.Millisecond + time.Duration(b.N)*time.Millisecond)
 	if _, err := s.Run(100 * time.Millisecond); err != nil {
 		b.Fatal(err)
 	}
@@ -524,11 +522,13 @@ func BenchmarkScenarioTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sim.New(sim.Config{Platform: plat, Manager: mgr, Workloads: []workload.Workload{w}, Seed: 1})
+	s, err := sim.SessionSpec{
+		Platform: plat, Manager: mgr, Workloads: []workload.Workload{w},
+		Duration: 100*time.Millisecond + time.Duration(b.N)*time.Millisecond, Seed: 1,
+	}.New()
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Reserve(100*time.Millisecond + time.Duration(b.N)*time.Millisecond)
 	if _, err := s.Run(100 * time.Millisecond); err != nil {
 		b.Fatal(err)
 	}
@@ -582,11 +582,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := sim.New(sim.Config{Platform: plat, Manager: mgr, Workloads: []workload.Workload{wl}, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(time.Second); err != nil {
+		spec := sim.SessionSpec{Platform: plat, Manager: mgr, Workloads: []workload.Workload{wl}, Duration: time.Second, Seed: 1}
+		if _, err := spec.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -163,11 +163,12 @@ func RunFig9b(opt Options) (Result, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		s, err := opt.spec(plat, mgr, run, 0).New()
+		const bound = 10 * time.Minute
+		s, err := opt.spec(plat, mgr, run, bound).New()
 		if err != nil {
 			return outcome{}, err
 		}
-		rep, done, err := s.RunUntilDone(10 * time.Minute)
+		rep, done, err := s.RunUntilDone(bound)
 		if err != nil {
 			return outcome{}, err
 		}

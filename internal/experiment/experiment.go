@@ -44,8 +44,8 @@ type Options struct {
 	// 1 keeps the single-seed output byte-identical to earlier releases.
 	Seeds int
 	// NoFuse disables the engine's quiescent-tick fast path in every
-	// session (see sim.Config.NoFuse). Output is byte-identical either
-	// way; the equivalence tests run each experiment both ways and
+	// session (see sim.SessionSpec.NoFuse). Output is byte-identical
+	// either way; the equivalence tests run each experiment both ways and
 	// compare rendered reports.
 	NoFuse bool
 }
@@ -143,10 +143,10 @@ func Run(id string, opt Options) (Result, error) {
 
 // --- shared helpers -------------------------------------------------------
 
-// spec describes one single-workload session of duration d (0 for sessions
-// built with New and driven by hand) as a sim.SessionSpec, the one
-// construction path shared with the fleet driver. It carries the option's
-// Seed and NoFuse, so every session an experiment runs honours both.
+// spec describes one single-workload session of duration d as a
+// sim.SessionSpec, the one construction path shared with the fleet driver.
+// It carries the option's Seed and NoFuse, so every session an experiment
+// runs honours both.
 func (o Options) spec(plat platform.Platform, mgr policy.Manager, wl workload.Workload, d time.Duration) sim.SessionSpec {
 	return sim.SessionSpec{
 		Platform:  plat,

@@ -129,7 +129,7 @@ func RunFig2(opt Options) (Result, error) {
 		}
 		// Five time constants reach >99% of steady state.
 		d := opt.dur(5 * plat.Thermal.TimeConstant)
-		s, err := opt.spec(plat, mgr, wl, 0).New()
+		s, err := opt.spec(plat, mgr, wl, d).New()
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s: %w", plat.Name, err)
 		}

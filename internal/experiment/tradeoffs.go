@@ -238,19 +238,16 @@ func measureOperatingPoint(plat platform.Platform, cores int, freq soc.Hz, deman
 	}
 	// Boot directly in the pinned state so short sessions measure the
 	// operating point, not the boot transient.
-	s, err := sim.New(sim.Config{
+	rep, err := sim.SessionSpec{
 		Platform:     plat,
 		Manager:      mgr,
 		Workloads:    []workload.Workload{wl},
+		Duration:     d,
 		Seed:         opt.Seed,
 		NoFuse:       opt.NoFuse,
 		InitialFreq:  freq,
 		InitialCores: cores,
-	})
-	if err != nil {
-		return 0, err
-	}
-	rep, err := s.Run(d)
+	}.Run(context.Background())
 	if err != nil {
 		return 0, err
 	}

@@ -48,9 +48,10 @@ func TestFleetArenaMatchesFreshAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Fresh baseline: every cell through runCell with nil scratch — no
-		// arena, no recycled writer; the platform cache is still in play,
-		// which is the point: caching must be output-invisible.
+		// Fresh baseline: every cell through runCell with its own new
+		// scratch — an empty arena and no recycled writer, so every buffer
+		// is allocated anew; the platform cache is still in play, which is
+		// the point: caching must be output-invisible.
 		freshTraces := filepath.Join(dir, "fresh-traces")
 		if err := os.MkdirAll(freshTraces, 0o755); err != nil {
 			t.Fatal(err)
@@ -61,7 +62,7 @@ func TestFleetArenaMatchesFreshAllocation(t *testing.T) {
 		}
 		for i, c := range cells {
 			key := c.identity().Key()
-			fresh, err := runCell(context.Background(), i, c, key, freshTraces, nil)
+			fresh, err := runCell(context.Background(), i, c, key, freshTraces, newCellScratch())
 			if err != nil {
 				t.Fatalf("parallel %d cell %d: %v", par, i, err)
 			}
@@ -132,7 +133,7 @@ func TestFleetSharedModelMatchesUncached(t *testing.T) {
 		// A unique name means this cell's Compiled is built fresh and
 		// shared with nobody — the uncached path.
 		c.Platform.Name = fmt.Sprintf("%s [uncached %d]", c.Platform.Name, i)
-		fresh, err := runCell(context.Background(), i, c, "k", "", nil)
+		fresh, err := runCell(context.Background(), i, c, "k", "", newCellScratch())
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}

@@ -159,7 +159,7 @@ func BenchmarkTraceHook(b *testing.B) {
 	sp.PowerTrace = func(now, dt time.Duration, systemW float64, clusterW []float64) {
 		ticks = append(ticks, traceTick{now, dt, systemW, append([]float64(nil), clusterW...)})
 	}
-	if _, _, err := sp.RunDoneIn(context.Background(), nil); err != nil {
+	if _, err := sp.Run(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()

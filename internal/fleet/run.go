@@ -220,7 +220,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			// engine's buffers, and because reports deep-copy their series
 			// the output stays byte-identical to fresh allocation at any
 			// parallelism.
-			scratch := &cellScratch{arena: sim.NewArena()}
+			scratch := newCellScratch()
 			for {
 				n := int(next.Add(1))
 				if n >= len(pending) {
@@ -300,7 +300,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 // and the recycled trace writer. Never shared between goroutines.
 type cellScratch struct {
 	arena *sim.Arena
-	tw    *traceWriter
+	tw    *traceWriter // nil until the first traced cell
+}
+
+// newCellScratch returns empty scratch: the first cell run in it allocates
+// every buffer anew, exactly like fresh allocation.
+func newCellScratch() *cellScratch {
+	return &cellScratch{arena: sim.NewArena()}
 }
 
 // runCell executes one cell under pprof labels naming its matrix
@@ -321,36 +327,24 @@ func runCell(ctx context.Context, idx int, c Cell, key, traceDir string, scratch
 	return res, err
 }
 
-// runCellSession builds and runs one cell's session, exporting its power
-// trace when traceDir is set. scratch, when non-nil, supplies the worker's
-// arena and recycled trace writer; nil runs the cell with fresh allocations
-// (the two produce byte-identical results — the arena is purely a reuse
-// pool).
+// runCellSession builds and runs one cell's session in the worker's arena,
+// exporting its power trace through the worker's recycled writer when
+// traceDir is set.
 func runCellSession(ctx context.Context, idx int, c Cell, key, traceDir string, scratch *cellScratch) (*CellResult, error) {
 	spec, err := c.session()
 	if err != nil {
 		return nil, err
 	}
-	var arena *sim.Arena
-	if scratch != nil {
-		arena = scratch.arena
-	}
 	var tw *traceWriter
 	if traceDir != "" {
-		var recycle *traceWriter
-		if scratch != nil {
-			recycle = scratch.tw
-		}
-		tw, err = newTraceWriter(traceDir, key, recycle)
+		tw, err = newTraceWriter(traceDir, key, scratch.tw)
 		if err != nil {
 			return nil, err
 		}
-		if scratch != nil {
-			scratch.tw = tw
-		}
+		scratch.tw = tw
 		spec.PowerTrace = tw.hook
 	}
-	rep, done, err := spec.RunDoneIn(ctx, arena)
+	rep, done, err := spec.RunIn(ctx, scratch.arena)
 	if tw != nil {
 		if err != nil {
 			// A canceled or failed session leaves a truncated trace that

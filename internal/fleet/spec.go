@@ -80,7 +80,7 @@ type Spec struct {
 	Tick         time.Duration
 	SamplePeriod time.Duration
 	// NoFuse disables the engine's quiescent-tick fast path in every cell
-	// (see sim.Config.NoFuse). Output is byte-identical either way, so the
+	// (see sim.SessionSpec.NoFuse). Output is byte-identical either way, so the
 	// knob is excluded from cell identity — fused and unfused runs of the
 	// same matrix share store records.
 	NoFuse bool

@@ -93,7 +93,7 @@ func newTraceWriter(dir, key string, recycle *traceWriter) (*traceWriter, error)
 	return tw, nil
 }
 
-// hook is the sim.Config.PowerTrace adapter. The cluster slice is the
+// hook is the sim.SessionSpec.PowerTrace adapter. The cluster slice is the
 // engine's reused scratch; it is read synchronously, so no copy is needed.
 //
 //mobicore:hotpath

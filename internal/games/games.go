@@ -49,33 +49,41 @@ type Profile struct {
 	MaxQueue int
 }
 
-// Validate rejects nonsensical profiles.
+// Validate rejects nonsensical profiles, non-finite float fields
+// included (a NaN fails every comparison, so each range check is written
+// to reject it).
 func (p Profile) Validate() error {
 	switch {
 	case p.Name == "":
 		return errors.New("games: profile needs a name")
-	case p.TargetFPS <= 0:
-		return errors.New("games: TargetFPS must be positive")
-	case p.FrameCycles <= 0:
-		return errors.New("games: FrameCycles must be positive")
-	case p.ParallelFrac < 0 || p.ParallelFrac > 1:
+	case !finite(p.FrameCycles) || p.FrameCycles <= 0:
+		return errors.New("games: FrameCycles must be positive and finite")
+	case !(p.ParallelFrac >= 0 && p.ParallelFrac <= 1):
 		return errors.New("games: ParallelFrac must be in [0,1]")
-	case p.Workers < 0:
-		return errors.New("games: Workers must be non-negative")
-	case p.SwingAmp < 0 || p.SwingAmp > 1:
+	case !(p.SwingAmp >= 0 && p.SwingAmp <= 1):
 		return errors.New("games: SwingAmp must be in [0,1]")
 	case p.SwingAmp > 0 && p.SwingPeriod <= 0:
 		return errors.New("games: SwingPeriod must be positive when SwingAmp > 0")
-	case p.BurstMult < 0:
-		return errors.New("games: BurstMult must be non-negative")
+	case !finite(p.BurstMult) || p.BurstMult < 0:
+		return errors.New("games: BurstMult must be non-negative and finite")
 	case p.BurstMult > 0 && (p.BurstEvery <= 0 || p.BurstLen <= 0):
 		return errors.New("games: burst timing must be positive when bursting")
-	case p.NoiseStd < 0:
-		return errors.New("games: NoiseStd must be non-negative")
-	case p.MaxQueue < 1:
-		return errors.New("games: MaxQueue must be >= 1")
+	case !finite(p.NoiseStd) || p.NoiseStd < 0:
+		return errors.New("games: NoiseStd must be non-negative and finite")
+	}
+	// TargetFPS, Workers and MaxQueue shape the frame pipeline; its own
+	// validation is the one rule for them.
+	if err := p.pipelineConfig().Validate(); err != nil {
+		return fmt.Errorf("games: %w", err)
 	}
 	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// pipelineConfig is the frame pipeline the profile paces.
+func (p Profile) pipelineConfig() render.Config {
+	return render.Config{TargetFPS: p.TargetFPS, MaxQueue: p.MaxQueue, Workers: p.Workers}
 }
 
 // Game is a live instance of a profile: a frame pipeline plus the demand
@@ -99,11 +107,7 @@ func New(p Profile) (*Game, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pipe, err := render.New(p.Name, render.Config{
-		TargetFPS: p.TargetFPS,
-		MaxQueue:  p.MaxQueue,
-		Workers:   p.Workers,
-	})
+	pipe, err := render.New(p.Name, p.pipelineConfig())
 	if err != nil {
 		return nil, fmt.Errorf("games: building pipeline for %s: %w", p.Name, err)
 	}

@@ -1,6 +1,7 @@
 package games
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -24,6 +25,22 @@ func TestProfileValidate(t *testing.T) {
 		{"burst without timing", func(p *Profile) { p.BurstMult = 2; p.BurstEvery = 0 }},
 		{"negative noise", func(p *Profile) { p.NoiseStd = -1 }},
 		{"zero queue", func(p *Profile) { p.MaxQueue = 0 }},
+		// NaN passes every `x <= 0` style check, and a NaN, infinite or
+		// over-1e9 TargetFPS paces frames at an interval of 0 or less,
+		// which never lets a tick finish. No game is ticked here, so a
+		// regression fails instead of hanging.
+		{"NaN fps", func(p *Profile) { p.TargetFPS = math.NaN() }},
+		{"+Inf fps", func(p *Profile) { p.TargetFPS = math.Inf(1) }},
+		{"fps above 1e9", func(p *Profile) { p.TargetFPS = 2e9 }},
+		{"fps interval overflows", func(p *Profile) { p.TargetFPS = 1e-11 }},
+		{"NaN frame cycles", func(p *Profile) { p.FrameCycles = math.NaN() }},
+		{"+Inf frame cycles", func(p *Profile) { p.FrameCycles = math.Inf(1) }},
+		{"NaN parallel frac", func(p *Profile) { p.ParallelFrac = math.NaN() }},
+		{"NaN swing", func(p *Profile) { p.SwingAmp = math.NaN() }},
+		{"NaN burst mult", func(p *Profile) { p.BurstMult = math.NaN() }},
+		{"+Inf burst mult", func(p *Profile) { p.BurstMult = math.Inf(1) }},
+		{"NaN noise", func(p *Profile) { p.NoiseStd = math.NaN() }},
+		{"+Inf noise", func(p *Profile) { p.NoiseStd = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -31,6 +48,9 @@ func TestProfileValidate(t *testing.T) {
 			tt.mutate(&p)
 			if err := p.Validate(); err == nil {
 				t.Error("expected validation error")
+			}
+			if _, err := New(p); err == nil {
+				t.Error("New accepted")
 			}
 		})
 	}

@@ -108,7 +108,7 @@ func (p Platform) Validate() error {
 	if err := p.Thermal.Validate(); err != nil {
 		return fmt.Errorf("platform %s: %w", p.Name, err)
 	}
-	if p.ThermalCoupling < 0 || p.ThermalCoupling > 1 {
+	if !(p.ThermalCoupling >= 0 && p.ThermalCoupling <= 1) {
 		return fmt.Errorf("platform %s: thermal coupling %v outside [0,1]", p.Name, p.ThermalCoupling)
 	}
 	if len(p.Clusters) > 0 {

@@ -16,6 +16,48 @@ func TestAllProfilesValid(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: a Nexus 5 with a NaN coupling, a NaN
+// capacitance or an infinite thermal resistance once validated and ran to
+// EnergyJ = NaN and MaxTempC = -Inf. Each alone must now fail, on the
+// top-level profile and inside a cluster.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	cases := map[string]func(*Platform){
+		"coupling NaN":    func(p *Platform) { p.ThermalCoupling = math.NaN() },
+		"coupling +Inf":   func(p *Platform) { p.ThermalCoupling = math.Inf(1) },
+		"ceff NaN":        func(p *Platform) { p.Power.CeffFarads = math.NaN() },
+		"resistance +Inf": func(p *Platform) { p.Thermal.ResistanceKPerW = math.Inf(1) },
+		"cluster ceff NaN": func(p *Platform) {
+			p.Clusters = nanCluster(p, func(cs *ClusterSpec) { cs.Power.CeffFarads = math.NaN() })
+		},
+		"cluster ambient -Inf": func(p *Platform) {
+			p.Clusters = nanCluster(p, func(cs *ClusterSpec) { cs.Thermal.AmbientC = math.Inf(-1) })
+		},
+		"cluster base watts NaN": func(p *Platform) {
+			p.Clusters = nanCluster(p, func(cs *ClusterSpec) { cs.Power.BaseWatts = math.NaN() })
+		},
+	}
+	for name, mutate := range cases {
+		p := Nexus6P()
+		mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	p := Nexus5()
+	p.ThermalCoupling, p.Power.CeffFarads, p.Thermal.ResistanceKPerW = math.NaN(), math.NaN(), math.Inf(1)
+	if err := p.Validate(); err == nil {
+		t.Error("Nexus 5 with NaN coupling, NaN capacitance and infinite resistance accepted")
+	}
+}
+
+// nanCluster returns a copy of p's clusters with mutate applied to the
+// last one, leaving the shared profile untouched.
+func nanCluster(p *Platform, mutate func(*ClusterSpec)) []ClusterSpec {
+	cl := append([]ClusterSpec(nil), p.Clusters...)
+	mutate(&cl[len(cl)-1])
+	return cl
+}
+
 func TestAllOrderedByYear(t *testing.T) {
 	profiles := All()
 	if len(profiles) != 6 {

@@ -57,8 +57,21 @@ type Params struct {
 	BaseWatts float64
 }
 
-// Validate reports the first nonsensical field.
+// Validate reports the first nonsensical field; a NaN or infinite field is
+// nonsensical too.
 func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"CeffFarads", p.CeffFarads}, {"LeakCoeffWatts", p.LeakCoeffWatts}, {"LeakExponent", p.LeakExponent},
+		{"OfflineWatts", p.OfflineWatts}, {"IdleLeakFraction", p.IdleLeakFraction},
+		{"CacheBaseWatts", p.CacheBaseWatts}, {"CacheSlopeWatts", p.CacheSlopeWatts}, {"BaseWatts", p.BaseWatts},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("power: %s is %v, want a finite value", f.name, f.v)
+		}
+	}
 	switch {
 	case p.CeffFarads <= 0:
 		return errors.New("power: CeffFarads must be positive")

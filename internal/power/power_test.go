@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,6 +51,27 @@ func TestParamsValidate(t *testing.T) {
 		{"negative offline", func(p *Params) { p.OfflineWatts = -0.1 }},
 		{"negative cache", func(p *Params) { p.CacheBaseWatts = -0.1 }},
 		{"negative base", func(p *Params) { p.BaseWatts = -0.1 }},
+	}
+	// NaN fails every range comparison and +Inf passes the lower bounds,
+	// so either once validated and ran a session to a NaN or infinite
+	// EnergyJ.
+	fields := map[string]func(*Params) *float64{
+		"ceff":          func(p *Params) *float64 { return &p.CeffFarads },
+		"leak coeff":    func(p *Params) *float64 { return &p.LeakCoeffWatts },
+		"leak exponent": func(p *Params) *float64 { return &p.LeakExponent },
+		"offline":       func(p *Params) *float64 { return &p.OfflineWatts },
+		"idle fraction": func(p *Params) *float64 { return &p.IdleLeakFraction },
+		"cache base":    func(p *Params) *float64 { return &p.CacheBaseWatts },
+		"cache slope":   func(p *Params) *float64 { return &p.CacheSlopeWatts },
+		"base":          func(p *Params) *float64 { return &p.BaseWatts },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			mutations = append(mutations, struct {
+				name   string
+				mutate func(*Params)
+			}{fmt.Sprintf("%s %v", name, v), func(p *Params) { *field(p) = v }})
+		}
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("calibrated params should validate: %v", err)

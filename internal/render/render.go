@@ -10,6 +10,7 @@ package render
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"mobicore/internal/metrics"
@@ -29,10 +30,16 @@ type Config struct {
 	Workers int
 }
 
-// Validate rejects nonsensical configurations.
+// Validate rejects nonsensical configurations, including a TargetFPS
+// whose frame interval does not fit a time.Duration: an interval that
+// truncates to 0 (above 1e9 FPS) or overflows would never let Tick's
+// pacing loop exit.
 func (c Config) Validate() error {
-	if c.TargetFPS <= 0 {
-		return errors.New("render: TargetFPS must be positive")
+	if !(c.TargetFPS > 0) || math.IsInf(c.TargetFPS, 1) {
+		return fmt.Errorf("render: TargetFPS %v must be positive and finite", c.TargetFPS)
+	}
+	if iv := float64(time.Second) / c.TargetFPS; iv < 1 || iv >= math.MaxInt64 {
+		return fmt.Errorf("render: TargetFPS %v gives a frame interval outside [1ns, max duration]", c.TargetFPS)
 	}
 	if c.MaxQueue < 1 {
 		return errors.New("render: MaxQueue must be >= 1")
@@ -105,11 +112,17 @@ func (p *Pipeline) Tick(now, dt time.Duration, frameCycles, parallelFrac float64
 
 	p.sinceEmit += dt
 	for p.sinceEmit >= p.interval {
-		p.sinceEmit -= p.interval
 		if p.inFlight >= p.cfg.MaxQueue {
-			p.dropped++
-			continue
+			// Nothing retires mid-tick, so every frame still due this
+			// tick is skipped: count them at once rather than one loop
+			// pass each (a 1 GHz pacing would otherwise spin a million
+			// passes per 1 ms tick).
+			n := p.sinceEmit / p.interval
+			p.dropped += int(n)
+			p.sinceEmit -= n * p.interval
+			break
 		}
+		p.sinceEmit -= p.interval
 		p.emit(now, frameCycles, parallelFrac)
 	}
 }

@@ -26,10 +26,31 @@ func TestConfigValidate(t *testing.T) {
 		{TargetFPS: 0, MaxQueue: 3},
 		{TargetFPS: 30, MaxQueue: 0},
 		{TargetFPS: 30, MaxQueue: 3, Workers: -1},
+		// A TargetFPS that is not finite, or whose frame interval
+		// truncates to 0 or overflows a time.Duration, would spin Tick's
+		// pacing loop forever. No pipeline is ticked here, so a
+		// regression fails instead of hanging.
+		{TargetFPS: math.NaN(), MaxQueue: 3},
+		{TargetFPS: math.Inf(1), MaxQueue: 3},
+		{TargetFPS: math.Inf(-1), MaxQueue: 3},
+		{TargetFPS: 2e9, MaxQueue: 3},
+		{TargetFPS: math.MaxFloat64, MaxQueue: 3},
+		{TargetFPS: 1e-11, MaxQueue: 3},
+		{TargetFPS: math.SmallestNonzeroFloat64, MaxQueue: 3},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		if _, err := New("test", cfg); err == nil {
+			t.Errorf("bad config %d: New accepted", i)
+		}
+	}
+	// The extremes that still pace: one frame per nanosecond, and one
+	// frame every ~32 years.
+	for _, fps := range []float64{1e9, 1e-9} {
+		if err := (Config{TargetFPS: fps, MaxQueue: 3}).Validate(); err != nil {
+			t.Errorf("TargetFPS %v rejected: %v", fps, err)
 		}
 	}
 }
@@ -92,10 +113,28 @@ func TestFrameDropUnderStarvation(t *testing.T) {
 	if p.DroppedFrames() == 0 {
 		t.Error("starved pipeline dropped nothing")
 	}
-	// In-flight is bounded by MaxQueue: emitted − dropped − completed.
-	inFlight := p.EmittedFrames() - p.DroppedFrames() - p.CompletedFrames()
-	if inFlight > 2 {
-		t.Errorf("in-flight = %d, want <= MaxQueue (2)", inFlight)
+	// Dropped frames are never emitted, so in-flight is emitted −
+	// completed, and the full queue holds exactly MaxQueue.
+	if inFlight := p.EmittedFrames() - p.CompletedFrames(); inFlight != 2 {
+		t.Errorf("in-flight = %d, want MaxQueue (2)", inFlight)
+	}
+}
+
+// TestFullQueueDropsEveryDueFrame: with the queue full, every frame due in
+// a tick is counted dropped, one per interval, and the pacing remainder
+// carries over — here at a 3 ns interval, 333 333 frames per 1 ms tick
+// with 1 ns left over.
+func TestFullQueueDropsEveryDueFrame(t *testing.T) {
+	const perTick = 333_333
+	p := newPipe(t, Config{TargetFPS: 3e8, MaxQueue: 2})
+	p.Tick(0, time.Millisecond, 1e9, 0)
+	if p.EmittedFrames() != 2 || p.DroppedFrames() != perTick-2 || p.sinceEmit != 1 {
+		t.Fatalf("after one tick: emitted %d dropped %d remainder %v, want 2, %d, 1ns",
+			p.EmittedFrames(), p.DroppedFrames(), p.sinceEmit, perTick-2)
+	}
+	p.Tick(time.Millisecond, time.Millisecond, 1e9, 0)
+	if p.DroppedFrames() != 2*perTick-2 || p.sinceEmit != 2 {
+		t.Errorf("after two ticks: dropped %d remainder %v, want %d, 2ns", p.DroppedFrames(), p.sinceEmit, 2*perTick-2)
 	}
 }
 

@@ -94,9 +94,6 @@ func debtLess(a, b *Thread) bool {
 	return a.name < b.name
 }
 
-// ErrBadQuota rejects malformed bandwidth budgets.
-var ErrBadQuota = errors.New("sched: invalid bandwidth budget")
-
 // Unlimited disables the bandwidth pool for a scheduling window.
 const Unlimited = -1.0
 

@@ -43,8 +43,10 @@ func arenaSpec(t *testing.T, plat platform.Platform, placer string, seed int64) 
 
 // TestArenaReuseMatchesFresh runs a heterogeneous sequence of sessions —
 // different platforms, topologies, and placers back to back — through ONE
-// arena and checks every report deep-equals its fresh-allocation twin. This
-// is the arena's core contract: reuse is invisible in the output.
+// arena and checks every report deep-equals its fresh-allocation twin: the
+// same spec run in a new, empty arena, whose first session allocates every
+// buffer anew. This is the arena's core contract: reuse is invisible in
+// the output.
 func TestArenaReuseMatchesFresh(t *testing.T) {
 	runs := []struct {
 		name   string
@@ -60,11 +62,11 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 	}
 	a := NewArena()
 	for _, run := range runs {
-		fresh, doneF, err := arenaSpec(t, run.plat, run.placer, run.seed).RunDone(context.Background())
+		fresh, doneF, err := arenaSpec(t, run.plat, run.placer, run.seed).RunIn(context.Background(), NewArena())
 		if err != nil {
 			t.Fatalf("%s fresh: %v", run.name, err)
 		}
-		pooled, doneP, err := arenaSpec(t, run.plat, run.placer, run.seed).RunDoneIn(context.Background(), a)
+		pooled, doneP, err := arenaSpec(t, run.plat, run.placer, run.seed).RunIn(context.Background(), a)
 		if err != nil {
 			t.Fatalf("%s arena: %v", run.name, err)
 		}
@@ -82,17 +84,17 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 // deep copied at report time.
 func TestArenaReportsSurviveReuse(t *testing.T) {
 	a := NewArena()
-	first, _, err := arenaSpec(t, platform.Nexus6P(), "", 11).RunDoneIn(context.Background(), a)
+	first, _, err := arenaSpec(t, platform.Nexus6P(), "", 11).RunIn(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := arenaSpec(t, platform.Nexus6P(), "", 11).RunDone(context.Background())
+	want, _, err := arenaSpec(t, platform.Nexus6P(), "", 11).RunIn(context.Background(), NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Churn the arena with different-shaped sessions.
 	for seed := int64(20); seed < 23; seed++ {
-		if _, _, err := arenaSpec(t, platform.Nexus5(), PlacerEAS, seed).RunDoneIn(context.Background(), a); err != nil {
+		if _, _, err := arenaSpec(t, platform.Nexus5(), PlacerEAS, seed).RunIn(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,13 +112,13 @@ func TestArenaReportsSurviveReuse(t *testing.T) {
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	a := NewArena()
 	run := func() {
-		if _, _, err := arenaSpec(t, platform.Nexus5(), "", 9).RunDoneIn(context.Background(), a); err != nil {
+		if _, _, err := arenaSpec(t, platform.Nexus5(), "", 9).RunIn(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // warm up: size every buffer
 	fresh := testing.AllocsPerRun(3, func() {
-		if _, _, err := arenaSpec(t, platform.Nexus5(), "", 9).RunDone(context.Background()); err != nil {
+		if _, _, err := arenaSpec(t, platform.Nexus5(), "", 9).RunIn(context.Background(), NewArena()); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -52,12 +52,12 @@ func bigLittleRun(t *testing.T, mgr policy.Manager, seed int64) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  plat,
 		Manager:   mgr,
 		Workloads: []workload.Workload{wl},
 		Seed:      seed,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +173,13 @@ func TestOnlineVecClusterMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:     plat,
 		Manager:      &migrateManager{target: 1},
 		Workloads:    []workload.Workload{wl},
 		InitialCores: 4, // LITTLE only: cores 0-3
 		Seed:         1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,12 @@ func TestHeterogeneousInitialFreqRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(Config{
+	_, err = SessionSpec{
 		Platform:    plat,
 		Manager:     mgr,
 		Workloads:   []workload.Workload{wl},
 		InitialFreq: plat.ClusterSpecs()[1].Table.Max().Freq,
-	})
+	}.New()
 	if err == nil {
 		t.Error("explicit InitialFreq accepted on a heterogeneous platform")
 	}
@@ -229,12 +229,12 @@ func TestPerClusterThermalResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  plat,
 		Manager:   clusteredGov(t, plat, "performance"),
 		Workloads: []workload.Workload{wl},
 		Seed:      11,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +290,12 @@ func TestHomogeneousSingleZoneAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  plat,
 		Manager:   mgr,
 		Workloads: []workload.Workload{wl},
 		Seed:      5,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,10 @@ func (p *pinManager) Decide(in policy.Input) (policy.Decision, error) {
 }
 func (p *pinManager) Reset() {}
 
-// TestFillDefaults locks the zero-value behavior of Config: every optional
-// knob takes its documented default.
+// TestFillDefaults locks the zero-value behavior of SessionSpec: every
+// optional knob takes its documented default.
 func TestFillDefaults(t *testing.T) {
-	c := Config{
+	c := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{busyLoop(t, 0.5, 4)},
@@ -51,19 +51,16 @@ func TestFillDefaults(t *testing.T) {
 	if c.InitialCores != c.Platform.NumCores {
 		t.Errorf("default initial cores = %d, want all %d", c.InitialCores, c.Platform.NumCores)
 	}
-	if c.InitialQuota != 1 {
-		t.Errorf("default quota = %v, want 1", c.InitialQuota)
-	}
-	if c.Monitor.SampleEvery == 0 {
-		t.Error("monitor config not defaulted")
+	if c.Placer != PlacerGreedy {
+		t.Errorf("default placer = %q, want %q", c.Placer, PlacerGreedy)
 	}
 }
 
 // TestFillDefaultsErrors covers the negative paths the general config test
 // does not reach.
 func TestFillDefaultsErrors(t *testing.T) {
-	good := func() Config {
-		return Config{
+	good := func() SessionSpec {
+		return SessionSpec{
 			Platform:  platform.Nexus5(),
 			Manager:   androidDefault(t),
 			Workloads: []workload.Workload{busyLoop(t, 0.5, 4)},
@@ -83,12 +80,6 @@ func TestFillDefaultsErrors(t *testing.T) {
 	}
 
 	c = good()
-	c.InitialQuota = -0.5
-	if err := c.fillDefaults(); err == nil {
-		t.Error("negative initial quota accepted")
-	}
-
-	c = good()
 	c.Tick = 100 * time.Millisecond
 	c.SamplePeriod = 10 * time.Millisecond
 	if err := c.fillDefaults(); err == nil {
@@ -103,25 +94,25 @@ func TestFillDefaultsErrors(t *testing.T) {
 func TestQuotaPoolRefill(t *testing.T) {
 	plat := platform.Nexus5()
 	mgr := &pinManager{freq: plat.Table.Max().Freq, cores: plat.NumCores, quota: 0.5}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  plat,
 		Manager:   mgr,
 		Workloads: []workload.Workload{busyLoop(t, 1.0, 4)},
 		Seed:      3,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Boot pool: InitialQuota (1.0) over a full period.
-	wantBoot := 1.0 * float64(plat.NumCores) * s.cfg.SamplePeriod.Seconds()
+	// Boot pool: the full bandwidth (quota 1.0) over a full period.
+	wantBoot := 1.0 * float64(plat.NumCores) * s.spec.SamplePeriod.Seconds()
 	if s.quotaPool != wantBoot {
 		t.Fatalf("boot pool = %v, want %v", s.quotaPool, wantBoot)
 	}
 
 	// Run one full enforcement period plus one tick: the sample fires,
 	// the 0.5 quota lands, and the pool is refilled to its grant.
-	ticks := int(s.cfg.SamplePeriod/s.cfg.Tick) + 1
+	ticks := int(s.spec.SamplePeriod/s.spec.Tick) + 1
 	for i := 0; i < ticks; i++ {
 		if err := s.Step(); err != nil {
 			t.Fatal(err)
@@ -133,10 +124,10 @@ func TestQuotaPoolRefill(t *testing.T) {
 	if s.quota != 0.5 {
 		t.Fatalf("programmed quota = %v, want 0.5", s.quota)
 	}
-	wantGrant := 0.5 * float64(plat.NumCores) * s.cfg.SamplePeriod.Seconds()
+	wantGrant := 0.5 * float64(plat.NumCores) * s.spec.SamplePeriod.Seconds()
 	// One tick of a saturating 4-thread load has already drained up to
 	// 4 core-ticks from the fresh grant.
-	maxDrain := 4 * s.cfg.Tick.Seconds()
+	maxDrain := 4 * s.spec.Tick.Seconds()
 	if s.quotaPool > wantGrant || s.quotaPool < wantGrant-maxDrain {
 		t.Errorf("pool after refill+1 tick = %v, want within [%v,%v]",
 			s.quotaPool, wantGrant-maxDrain, wantGrant)
@@ -160,12 +151,12 @@ func TestQuotaPoolRefill(t *testing.T) {
 func TestQuotaPoolUnlimited(t *testing.T) {
 	plat := platform.Nexus5()
 	mgr := &pinManager{freq: plat.Table.Max().Freq, cores: plat.NumCores, quota: 1}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  plat,
 		Manager:   mgr,
 		Workloads: []workload.Workload{busyLoop(t, 1.0, 4)},
 		Seed:      3,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,12 @@ func easManager(t *testing.T, plat platform.Platform) policy.Manager {
 
 func TestConfigRejectsUnknownPlacer(t *testing.T) {
 	plat := platform.Nexus5()
-	_, err := New(Config{
+	_, err := SessionSpec{
 		Platform:  plat,
 		Manager:   clusteredMobi(t, plat),
 		Workloads: []workload.Workload{easLoop(t, plat, 0.3, 2)},
 		Placer:    "quantum",
-	})
+	}.New()
 	if err == nil || !strings.Contains(err.Error(), "placer") {
 		t.Fatalf("unknown placer accepted: %v", err)
 	}
@@ -48,13 +48,13 @@ func TestConfigRejectsUnknownPlacer(t *testing.T) {
 func TestEASMatchesGreedyOnHomogeneous(t *testing.T) {
 	run := func(placer string) *Report {
 		plat := platform.Nexus5()
-		s, err := New(Config{
+		s, err := SessionSpec{
 			Platform:  plat,
 			Manager:   clusteredMobi(t, plat),
 			Workloads: []workload.Workload{easLoop(t, plat, 0.6, 4)},
 			Seed:      3,
 			Placer:    placer,
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +81,13 @@ func TestEASMatchesGreedyOnHomogeneous(t *testing.T) {
 func TestClusterEnergyAttribution(t *testing.T) {
 	plat := platform.SD855()
 	dur := 2 * time.Second
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  plat,
 		Manager:   easManager(t, plat),
 		Workloads: []workload.Workload{easLoop(t, plat, 0.5, 4)},
 		Seed:      7,
 		Placer:    PlacerEAS,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +132,13 @@ func TestClusterEnergyAttribution(t *testing.T) {
 // line.
 func TestSD855EndToEnd(t *testing.T) {
 	plat := platform.SD855()
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  plat,
 		Manager:   clusteredMobi(t, plat),
 		Workloads: []workload.Workload{easLoop(t, plat, 0.5, 6)},
 		Seed:      1,
 		Placer:    PlacerEAS,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

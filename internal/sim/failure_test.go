@@ -43,12 +43,12 @@ func (r *rogueManager) Decide(policy.Input) (policy.Decision, error) { return r.
 func (r *rogueManager) Reset()                                       {}
 
 func TestPolicyErrorSurfaces(t *testing.T) {
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   &failingManager{after: 2},
 		Workloads: []workload.Workload{busyLoop(t, 0.5, 4)},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +79,12 @@ func TestRogueDecisionsRejected(t *testing.T) {
 	}
 	for name, dec := range cases {
 		t.Run(name, func(t *testing.T) {
-			s, err := New(Config{
+			s, err := SessionSpec{
 				Platform:  platform.Nexus5(),
 				Manager:   &rogueManager{decision: dec},
 				Workloads: []workload.Workload{busyLoop(t, 0.5, 4)},
 				Seed:      1,
-			})
+			}.New()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,36 +97,46 @@ func TestRogueDecisionsRejected(t *testing.T) {
 
 // TestMinQuotaDoesNotDeadlock: a manager that pins the quota at the floor
 // still lets the simulation make progress (the pool refills each period).
+// The session boots at full bandwidth; the first sample pins the floor, and
+// every check below covers only the 2 s after it.
 func TestMinQuotaDoesNotDeadlock(t *testing.T) {
 	table := soc.MSM8974Table()
 	legal := make([]soc.Hz, 4)
 	for i := range legal {
 		legal[i] = table.Max().Freq
 	}
-	s, err := New(Config{
-		Platform:     platform.Nexus5(),
-		Manager:      &rogueManager{decision: policy.Decision{TargetFreq: legal, OnlineCores: 4, Quota: 0.05}},
-		Workloads:    []workload.Workload{busyLoop(t, 1.0, 4)},
-		Seed:         1,
-		InitialQuota: 0.05, // boot directly at the floor
-	})
+	s, err := SessionSpec{
+		Platform:  platform.Nexus5(),
+		Manager:   &rogueManager{decision: policy.Decision{TargetFreq: legal, OnlineCores: 4, Quota: 0.05}},
+		Workloads: []workload.Workload{busyLoop(t, 1.0, 4)},
+		Seed:      1,
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(2 * time.Second)
+	before, err := s.Run(s.spec.SamplePeriod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ExecutedCycles == 0 {
+	if s.Quota() != 0.05 {
+		t.Fatalf("quota after the first sample = %v, want the 0.05 floor", s.Quota())
+	}
+	after, err := s.Run(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := after.ExecutedCycles - before.ExecutedCycles
+	if executed == 0 {
 		t.Error("quota floor starved the system completely")
 	}
 	// Aggregate utilization must respect the quota (×4 cores ×5% ≈ 0.2
 	// core-seconds per second).
-	maxServed := 0.05 * 4 * rep.Duration.Seconds() * float64(table.Max().Freq) * 1.05
-	if rep.ExecutedCycles > maxServed {
-		t.Errorf("executed %.3g cycles, quota permits at most %.3g", rep.ExecutedCycles, maxServed)
+	window := (after.Duration - before.Duration).Seconds()
+	maxServed := 0.05 * 4 * window * float64(table.Max().Freq) * 1.05
+	if executed > maxServed {
+		t.Errorf("executed %.3g cycles, quota permits at most %.3g", executed, maxServed)
 	}
-	if rep.QuotaThrottledSec == 0 {
+	if after.QuotaThrottledSec-before.QuotaThrottledSec == 0 {
 		t.Error("hard quota with saturating load should report throttled time")
 	}
 }
@@ -144,12 +154,12 @@ func TestOverloadedSoC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5().WithoutThrottle(),
 		Manager:   mgr,
 		Workloads: []workload.Workload{wl},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +179,12 @@ func TestOverloadedSoC(t *testing.T) {
 // run — the monitor and meter must agree with themselves.
 func TestEnergyConservation(t *testing.T) {
 	for _, util := range []float64{0.1, 0.5, 1.0} {
-		s, err := New(Config{
+		s, err := SessionSpec{
 			Platform:  platform.Nexus5(),
 			Manager:   androidDefault(t),
 			Workloads: []workload.Workload{busyLoop(t, util, 4)},
 			Seed:      3,
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,12 +202,12 @@ func TestEnergyConservation(t *testing.T) {
 // TestSeriesRecorded: the report's sampled series cover the session at the
 // sampling period.
 func TestSeriesRecorded(t *testing.T) {
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{busyLoop(t, 0.5, 4)},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,12 +105,12 @@ func quiesceSim(t *testing.T, steps []mgrStep, deposits map[time.Duration]float6
 
 func quiesceSimLoad(t *testing.T, steps []mgrStep, p *pulseLoad) *sim.Sim {
 	t.Helper()
-	s, err := sim.New(sim.Config{
+	s, err := sim.SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   &scriptMgr{steps: steps},
 		Workloads: []workload.Workload{p},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestFusedMatchesNoFuseLockstep(t *testing.T) {
 			t.Fatal(err)
 		}
 		var trace bytes.Buffer
-		s, err := sim.New(sim.Config{
+		s, err := sim.SessionSpec{
 			Platform:  plat,
 			Manager:   mgr,
 			Workloads: []workload.Workload{bl},
@@ -307,7 +307,7 @@ func TestFusedMatchesNoFuseLockstep(t *testing.T) {
 			PowerTrace: func(now, dt time.Duration, systemW float64, clusterW []float64) {
 				traceBits(&trace, now, dt, systemW, clusterW)
 			},
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestFusedMatchesNoFuseUnderQuota(t *testing.T) {
 		t.Helper()
 		var trace bytes.Buffer
 		p := newPulseLoad(4, map[time.Duration]float64{0: 1e12})
-		s, err := sim.New(sim.Config{
+		s, err := sim.SessionSpec{
 			Platform:  platform.Nexus5(),
 			Manager:   &scriptMgr{steps: []mgrStep{{freq: max, cores: 4, quota: 0.02}}},
 			Workloads: []workload.Workload{p},
@@ -362,7 +362,7 @@ func TestFusedMatchesNoFuseUnderQuota(t *testing.T) {
 			PowerTrace: func(now, dt time.Duration, systemW float64, clusterW []float64) {
 				traceBits(&trace, now, dt, systemW, clusterW)
 			},
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func TestFusedMatchesNoFuseUnderHotplugChurn(t *testing.T) {
 		t.Helper()
 		var trace bytes.Buffer
 		p := newPulseLoad(4, map[time.Duration]float64{0: 1e12})
-		s, err := sim.New(sim.Config{
+		s, err := sim.SessionSpec{
 			Platform:  platform.Nexus5(),
 			Manager:   &scriptMgr{steps: steps},
 			Workloads: []workload.Workload{p},
@@ -418,7 +418,7 @@ func TestFusedMatchesNoFuseUnderHotplugChurn(t *testing.T) {
 			PowerTrace: func(now, dt time.Duration, systemW float64, clusterW []float64) {
 				traceBits(&trace, now, dt, systemW, clusterW)
 			},
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func TestFusedMatchesNoFuseUnderThermalTrips(t *testing.T) {
 		t.Helper()
 		var trace bytes.Buffer
 		p := newPulseLoad(4, map[time.Duration]float64{0: 1e13})
-		s, err := sim.New(sim.Config{
+		s, err := sim.SessionSpec{
 			Platform:  platform.Nexus5(),
 			Manager:   &scriptMgr{steps: []mgrStep{{freq: max, cores: 4, quota: 1}}},
 			Workloads: []workload.Workload{p},
@@ -470,7 +470,7 @@ func TestFusedMatchesNoFuseUnderThermalTrips(t *testing.T) {
 			PowerTrace: func(now, dt time.Duration, systemW float64, clusterW []float64) {
 				traceBits(&trace, now, dt, systemW, clusterW)
 			},
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,9 +82,9 @@ type Report struct {
 // outlive sims by design.
 func (s *Sim) report() *Report {
 	r := &Report{
-		Policy:              s.cfg.Manager.Name(),
-		Platform:            s.cfg.Platform.Name,
-		Placer:              s.cfg.Placer,
+		Policy:              s.spec.Manager.Name(),
+		Platform:            s.spec.Platform.Name,
+		Placer:              s.spec.Placer,
 		Duration:            s.now,
 		AvgPowerW:           s.mon.AverageWatts(),
 		PeakPowerW:          s.mon.TraceSummary().Max(),
@@ -98,8 +98,8 @@ func (s *Sim) report() *Report {
 		ExecutedCycles:      s.executed,
 		QuotaThrottledSec:   s.throttledSec,
 		ThermalCappedSec:    s.thermalSec,
-		PerWorkloadCycles:   make(map[string]float64, len(s.cfg.Workloads)),
-		PerWorkloadPending:  make(map[string]float64, len(s.cfg.Workloads)),
+		PerWorkloadCycles:   make(map[string]float64, len(s.spec.Workloads)),
+		PerWorkloadPending:  make(map[string]float64, len(s.spec.Workloads)),
 		FreqSeries:          s.freqSeries.Clone(),
 		CoreSeries:          s.coreSeries.Clone(),
 		UtilSeries:          s.utilSeries.Clone(),
@@ -119,7 +119,7 @@ func (s *Sim) report() *Report {
 		r.AvgClusterTempC = append(r.AvgClusterTempC, s.clusterTempSum[ci].Mean())
 		r.MaxClusterTempC = append(r.MaxClusterTempC, s.clusterTempSum[ci].Max())
 	}
-	for _, w := range s.cfg.Workloads {
+	for _, w := range s.spec.Workloads {
 		r.PerWorkloadCycles[w.Name()] += workload.ExecutedCycles(w)
 		r.PerWorkloadPending[w.Name()] += workload.PendingCycles(w)
 	}

@@ -21,7 +21,7 @@ func scenarioSim(t *testing.T, w workload.Workload, seed int64, noFuse bool, tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sim.Config{
+	s, err := sim.SessionSpec{
 		Platform:  plat,
 		Manager:   mgr,
 		Workloads: []workload.Workload{w},
@@ -30,7 +30,7 @@ func scenarioSim(t *testing.T, w workload.Workload, seed int64, noFuse bool, tra
 		PowerTrace: func(now, dt time.Duration, systemW float64, clusterW []float64) {
 			traceBits(trace, now, dt, systemW, clusterW)
 		},
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@ import (
 	"mobicore/internal/workload"
 )
 
-// TestSessionSpecMatchesHandAssembledConfig: the spec construction path and
-// a hand-built Config must produce byte-identical sessions — the property
-// that lets the experiment helpers and the fleet driver share it.
-func TestSessionSpecMatchesHandAssembledConfig(t *testing.T) {
+// TestSessionSpecRunMatchesHandDriven: SessionSpec.Run (series reserved
+// from Duration) and the same spec built with no Duration and stepped by
+// hand through Sim.Run must produce byte-identical reports — reservation
+// only moves allocations.
+func TestSessionSpecRunMatchesHandDriven(t *testing.T) {
 	dur := 2 * time.Second
 	specRep, err := SessionSpec{
 		Platform:  platform.Nexus5(),
@@ -26,12 +27,12 @@ func TestSessionSpecMatchesHandAssembledConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{busyLoop(t, 0.4, 4)},
 		Seed:      7,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +41,12 @@ func TestSessionSpecMatchesHandAssembledConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(specRep, handRep) {
-		t.Errorf("SessionSpec report differs from hand-assembled Config report:\nspec: %+v\nhand: %+v", specRep, handRep)
+		t.Errorf("SessionSpec.Run report differs from hand-driven report:\nspec: %+v\nhand: %+v", specRep, handRep)
 	}
 }
 
-// TestSessionSpecValidation: a spec lowers through the same fillDefaults
-// gate as a raw Config.
+// TestSessionSpecValidation: Run rejects a spec that fillDefaults rejects,
+// and a spec without a duration.
 func TestSessionSpecValidation(t *testing.T) {
 	_, err := SessionSpec{Platform: platform.Nexus5(), Duration: time.Second}.Run(context.Background())
 	if err == nil {
@@ -64,11 +65,11 @@ func TestSessionSpecValidation(t *testing.T) {
 // TestRunCtxCancel: a canceled context stops the loop between ticks and
 // still hands back the partial report.
 func TestRunCtxCancel(t *testing.T) {
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{busyLoop(t, 0.4, 4)},
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

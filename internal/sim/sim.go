@@ -17,7 +17,6 @@ import (
 
 	"mobicore/internal/metrics"
 	"mobicore/internal/monsoon"
-	"mobicore/internal/platform"
 	"mobicore/internal/policy"
 	"mobicore/internal/power"
 	"mobicore/internal/sched"
@@ -26,134 +25,9 @@ import (
 	"mobicore/internal/workload"
 )
 
-// Config assembles one simulation.
-type Config struct {
-	// Platform selects the device profile; required.
-	Platform platform.Platform
-	// Manager is the CPU management policy under test; required.
-	Manager policy.Manager
-	// Workloads generate demand; at least one is required.
-	Workloads []workload.Workload
-
-	// Tick is the integration step (default 1 ms).
-	Tick time.Duration
-	// SamplePeriod is how often the Manager runs (default 50 ms).
-	SamplePeriod time.Duration
-	// Seed drives all workload randomness; runs with equal seeds and
-	// configs produce identical traces.
-	Seed int64
-
-	// Placer selects the scheduler's placement rule: "greedy" (default)
-	// or "eas" (energy-aware placement driven by the platform's energy
-	// model). On homogeneous platforms the two produce identical
-	// placements; the greedy remains the default everywhere so existing
-	// sessions reproduce bit for bit.
-	Placer string
-
-	// PowerTrace, when non-nil, receives every integration tick's power
-	// sample before the tick commits: the tick's start time, its length,
-	// the total system watts, and each cluster's share (cores + uncore,
-	// platform floor excluded), indexed like the platform's ClusterSpecs.
-	// The cluster slice is scratch reused between ticks — callers that
-	// retain samples must copy it. Integrating systemW·dt over a session
-	// reproduces the report's EnergyJ exactly.
-	PowerTrace func(now, dt time.Duration, systemW float64, clusterW []float64)
-
-	// InitialFreq is the boot frequency (default: table max, as the
-	// kernel boots before a governor takes over). Must be an OPP.
-	InitialFreq soc.Hz
-	// InitialCores is the boot online count (default: all).
-	InitialCores int
-	// InitialQuota is the boot bandwidth (default 1).
-	InitialQuota float64
-
-	// Monitor configures the power meter (default monsoon.DefaultConfig).
-	Monitor monsoon.Config
-
-	// NoFuse disables the quiescent-tick fast path, forcing every tick
-	// through the full scheduling and integration pipeline. Output is
-	// byte-identical either way — the fast path replays a retained window
-	// only when it can prove the slow path would reproduce it bit for bit
-	// — so the knob exists for equivalence tests and debugging, not
-	// correctness. Harnesses that drive Step directly and mutate the CPU
-	// between ticks must set it (the engine cannot observe out-of-band
-	// frequency or hotplug changes).
-	NoFuse bool
-}
-
-func (c *Config) fillDefaults() error {
-	if err := c.Platform.Validate(); err != nil {
-		return err
-	}
-	if c.Manager == nil {
-		return errors.New("sim: config needs a policy manager")
-	}
-	if len(c.Workloads) == 0 {
-		return errors.New("sim: config needs at least one workload")
-	}
-	if c.Tick == 0 {
-		c.Tick = time.Millisecond
-	}
-	if c.Tick <= 0 {
-		return errors.New("sim: tick must be positive")
-	}
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = 50 * time.Millisecond
-	}
-	if c.SamplePeriod < c.Tick {
-		return errors.New("sim: sample period must be >= tick")
-	}
-	if c.Platform.Heterogeneous() {
-		// Each cluster boots at its own table maximum; a single initial
-		// frequency cannot name an operating point in every domain.
-		if c.InitialFreq != 0 {
-			return errors.New("sim: InitialFreq is per-cluster on heterogeneous platforms; leave it 0")
-		}
-	} else {
-		if c.InitialFreq == 0 {
-			c.InitialFreq = c.Platform.Table.Max().Freq
-		}
-		if !c.Platform.Table.Contains(c.InitialFreq) {
-			return fmt.Errorf("sim: initial frequency %v is not an operating point", c.InitialFreq)
-		}
-	}
-	if c.InitialCores == 0 {
-		c.InitialCores = c.Platform.NumCores
-	}
-	if c.InitialCores < 1 || c.InitialCores > c.Platform.NumCores {
-		return fmt.Errorf("sim: initial cores %d outside [1,%d]", c.InitialCores, c.Platform.NumCores)
-	}
-	if c.InitialQuota == 0 {
-		c.InitialQuota = 1
-	}
-	if c.InitialQuota <= 0 || c.InitialQuota > 1 {
-		return errors.New("sim: initial quota must be in (0,1]")
-	}
-	if c.Monitor.SampleEvery == 0 {
-		c.Monitor = monsoon.DefaultConfig()
-	}
-	switch c.Placer {
-	case "":
-		c.Placer = PlacerGreedy
-	case PlacerGreedy, PlacerEAS:
-	default:
-		return fmt.Errorf("sim: unknown placer %q (want %q or %q)", c.Placer, PlacerGreedy, PlacerEAS)
-	}
-	return nil
-}
-
-// Placer names accepted by Config.Placer.
-const (
-	// PlacerGreedy is the original LITTLE-first most-budget greedy.
-	PlacerGreedy = "greedy"
-	// PlacerEAS is find_energy_efficient_cpu-style energy-aware placement
-	// backed by the platform's energy model.
-	PlacerEAS = "eas"
-)
-
 // Sim is one running simulation. Not safe for concurrent use.
 type Sim struct {
-	cfg   Config
+	spec  SessionSpec // defaults filled
 	cpu   *soc.CPU
 	model *power.SystemModel
 	net   *thermal.Network
@@ -184,7 +58,7 @@ type Sim struct {
 	memo      sched.Memo
 	fast      fastState
 	satRate   float64                 // saturation ceiling (cycles/sec): the platform's top ladder frequency
-	hinters   []workload.SteadyHinter // cached SteadyHint views of cfg.Workloads (nil where unimplemented)
+	hinters   []workload.SteadyHinter // cached SteadyHint views of spec.Workloads (nil where unimplemented)
 	fastTicks uint64                  // ticks served by the fast path this session
 
 	// per-tick scratch, reused to keep the hot loop allocation-free
@@ -256,23 +130,21 @@ type fastState struct {
 	avgUtil float64   // online-average utilization added to utilSum
 }
 
-// New builds a simulation from cfg with freshly allocated buffers.
-func New(cfg Config) (*Sim, error) {
-	return newSim(cfg, nil)
-}
-
-// newSim assembles a simulation, reusing the arena's buffers when one is
-// provided. Construction consumes the platform's process-wide precompute
-// (platform.Compiled): the per-cluster power models, energy model, thermal
-// parameters, boot ladder, and core→cluster mapping are shared immutable
-// state, so only the genuinely per-session pieces (the CPU, the thermal
-// zones' integration state, the system model's evaluation scratch) are
-// built here.
-func newSim(cfg Config, a *Arena) (*Sim, error) {
-	if err := cfg.fillDefaults(); err != nil {
+// newSim assembles the spec's simulation in the arena, the one
+// construction path: the previous session's buffers ride along inside the
+// arena's Sim and the reset below keeps only their capacity (an empty
+// arena allocates every buffer anew). Construction consumes the platform's
+// process-wide precompute (platform.Compiled): the per-cluster power
+// models, energy model, thermal parameters, boot ladder, and core→cluster
+// mapping are shared immutable state, so only the genuinely per-session
+// pieces (the CPU, the thermal zones' integration state, the system
+// model's evaluation scratch) are built here. The spec's Duration sizes
+// the sampled series up front.
+func newSim(spec SessionSpec, a *Arena) (*Sim, error) {
+	if err := spec.fillDefaults(); err != nil {
 		return nil, err
 	}
-	comp, err := cfg.Platform.Compiled()
+	comp, err := spec.Platform.Compiled()
 	if err != nil {
 		return nil, err
 	}
@@ -289,30 +161,21 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		return nil, fmt.Errorf("sim: building thermal network: %w", err)
 	}
 
-	s := &Sim{}
-	if a != nil {
-		// The previous session's buffers ride along inside the arena's Sim;
-		// the reset below keeps only their capacity.
-		s = &a.sim
-	}
+	s := &a.sim
 	// Reusable state captured before the wholesale reset below: the
 	// monitor keeps its trace buffer, the scheduler its window scratch,
 	// the series their point buffers (each reset to length zero).
 	mon := s.mon
-	if mon != nil {
-		if err := mon.Reuse(cfg.Monitor); err != nil {
-			return nil, fmt.Errorf("sim: reusing monitor: %w", err)
-		}
-	} else {
-		mon, err = monsoon.New(cfg.Monitor)
-		if err != nil {
-			return nil, fmt.Errorf("sim: building monitor: %w", err)
-		}
+	if mon == nil {
+		mon = new(monsoon.Monitor)
+	}
+	if err := mon.Reuse(monsoon.DefaultConfig()); err != nil {
+		return nil, fmt.Errorf("sim: resetting monitor: %w", err)
 	}
 	sch := s.sch
 	sch.Placer = nil
 
-	n := cfg.Platform.NumCores
+	n := spec.Platform.NumCores
 	nc := len(comp.Specs)
 	views := resize(s.views, nc)
 	for ci, cs := range comp.Specs {
@@ -333,8 +196,8 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 			satRate = fmax
 		}
 	}
-	hinters := resize(s.hinters, len(cfg.Workloads))
-	for i, w := range cfg.Workloads {
+	hinters := resize(s.hinters, len(spec.Workloads))
+	for i, w := range spec.Workloads {
 		h, _ := w.(workload.SteadyHinter)
 		hinters[i] = h
 	}
@@ -344,16 +207,16 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 	// A field added to Sim must be (re)initialized in this literal or it
 	// will leak state between arena cells.
 	*s = Sim{
-		cfg:         cfg,
+		spec:        spec,
 		cpu:         cpu,
 		model:       model,
 		net:         net,
 		sch:         sch,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(rand.NewSource(spec.Seed)),
 		mon:         mon,
 		views:       views,
 		coreCluster: comp.CoreCluster,
-		quota:       cfg.InitialQuota,
+		quota:       1, // boot with the full bandwidth
 		requested:   resize(s.requested, n),
 		applied:     resize(s.applied, n),
 		prGen:       ^uint64(0), // force the first tick to build the pressure view
@@ -393,7 +256,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		clusterTempSeries:   seriesBuf(s.clusterTempSeries, nc),
 		clusterEnergySeries: seriesBuf(s.clusterEnergySeries, nc),
 	}
-	if cfg.Placer == PlacerEAS {
+	if spec.Placer == PlacerEAS {
 		placer, err := sched.NewEASPlacer(comp.EM)
 		if err != nil {
 			return nil, fmt.Errorf("sim: building EAS placer: %w", err)
@@ -401,7 +264,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		s.sch.Placer = placer
 	}
 	s.refillQuota()
-	if err := cpu.SetOnlineCount(cfg.InitialCores); err != nil {
+	if err := cpu.SetOnlineCount(spec.InitialCores); err != nil {
 		return nil, fmt.Errorf("sim: initial hotplug: %w", err)
 	}
 	// Boot frequency: the configured operating point on homogeneous
@@ -409,8 +272,8 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 	// kernel boots every policy domain at its top bin before a governor
 	// takes over).
 	for ci, v := range views {
-		boot := cfg.InitialFreq
-		if cfg.Platform.Heterogeneous() || boot == 0 {
+		boot := spec.InitialFreq // 0 on heterogeneous platforms
+		if boot == 0 {
 			boot = comp.BootFreqs[ci]
 		}
 		if err := cpu.SetClusterFreq(ci, boot); err != nil {
@@ -426,6 +289,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 	for i, c := range s.snap {
 		s.applied[i] = c.Freq
 	}
+	s.reserve(spec.Duration)
 	return s, nil
 }
 
@@ -437,7 +301,7 @@ func (s *Sim) reserve(d time.Duration) {
 		return
 	}
 	// One sample per period plus slack for the final partial window.
-	samples := int(d/s.cfg.SamplePeriod) + 2
+	samples := int(d/s.spec.SamplePeriod) + 2
 	for _, ser := range []*metrics.Series{&s.freqSeries, &s.coreSeries, &s.utilSeries, &s.quotaSeries, &s.tempSeries} {
 		ser.Reserve(samples)
 	}
@@ -446,17 +310,8 @@ func (s *Sim) reserve(d time.Duration) {
 			group[i].Reserve(samples)
 		}
 	}
-	if s.cfg.Monitor.SampleEvery > 0 {
-		s.mon.Reserve(int(d/s.cfg.Monitor.SampleEvery) + 2)
-	}
+	s.mon.Reserve(int(d/monsoon.DefaultConfig().SampleEvery) + 2)
 }
-
-// Reserve preallocates the sampled series and the monitor trace for a run
-// of duration d, so steady-state stepping appends without growth. Sessions
-// built through SessionSpec.NewIn reserve automatically; direct users that
-// drive Step in a loop (benchmark harnesses, custom drivers) call this once
-// up front to keep series growth out of the measured path.
-func (s *Sim) Reserve(d time.Duration) { s.reserve(d) }
 
 // Now returns the current simulation time.
 func (s *Sim) Now() time.Duration { return s.now }
@@ -471,7 +326,7 @@ func (s *Sim) Quota() float64 { return s.quota }
 //
 //mobicore:hotpath
 func (s *Sim) Step() error {
-	dt := s.cfg.Tick
+	dt := s.spec.Tick
 
 	// 1. Demand generation. The thread slice is per-tick scratch — the
 	// scheduler never retains it past the call. Workloads that implement
@@ -480,7 +335,7 @@ func (s *Sim) Step() error {
 	// set-membership scan.
 	threads := s.threads[:0]
 	steady := true
-	for wi, w := range s.cfg.Workloads {
+	for wi, w := range s.spec.Workloads {
 		w.Tick(s.now, dt, s.rng)
 		if h := s.hinters[wi]; h == nil || !h.SteadyHint() {
 			steady = false
@@ -528,7 +383,7 @@ func (s *Sim) Step() error {
 	}
 
 	rec := &s.memo
-	if s.cfg.NoFuse {
+	if s.spec.NoFuse {
 		rec = nil
 	}
 	res, err := s.sch.Schedule(s.cpu, threads, dt, pool, pr, s.busySec, s.snap, rec, s.satRate)
@@ -600,8 +455,8 @@ func (s *Sim) commit(dt time.Duration, res sched.Result, f *fastState) error {
 	if err := s.mon.Observe(s.now, f.watts, dt); err != nil {
 		return fmt.Errorf("sim: power observation: %w", err)
 	}
-	if s.cfg.PowerTrace != nil {
-		s.cfg.PowerTrace(s.now, dt, f.watts, f.per)
+	if s.spec.PowerTrace != nil {
+		s.spec.PowerTrace(s.now, dt, f.watts, f.per)
 	}
 	dts := dt.Seconds()
 	floorShare := f.base / float64(len(f.per))
@@ -643,7 +498,7 @@ func (s *Sim) commit(dt time.Duration, res sched.Result, f *fastState) error {
 	s.winElapsed += dt
 
 	// 5. Policy sampling.
-	if s.now-s.lastSample >= s.cfg.SamplePeriod {
+	if s.now-s.lastSample >= s.spec.SamplePeriod {
 		if err := s.samplePolicy(); err != nil {
 			return err
 		}
@@ -677,7 +532,7 @@ func (s *Sim) samplePolicy() error {
 		Online:   resize(s.inOnline, len(snap)),
 		CurFreq:  resize(s.inCurFreq, len(snap)),
 		Quota:    s.quota,
-		Table:    s.cfg.Platform.Table,
+		Table:    s.spec.Platform.Table,
 		Clusters: s.views,
 		Thermal:  resize(s.inThermal, len(s.views)),
 	}
@@ -703,12 +558,12 @@ func (s *Sim) samplePolicy() error {
 		}
 	}
 
-	dec, err := s.cfg.Manager.Decide(in)
+	dec, err := s.spec.Manager.Decide(in)
 	if err != nil {
-		return fmt.Errorf("sim: policy %s at %v: %w", s.cfg.Manager.Name(), s.now, err)
+		return fmt.Errorf("sim: policy %s at %v: %w", s.spec.Manager.Name(), s.now, err)
 	}
 	if err := dec.ValidateClustered(s.views, len(snap)); err != nil {
-		return fmt.Errorf("sim: policy %s produced invalid decision: %w", s.cfg.Manager.Name(), err)
+		return fmt.Errorf("sim: policy %s produced invalid decision: %w", s.spec.Manager.Name(), err)
 	}
 
 	if dec.OnlineVec != nil {
@@ -802,7 +657,7 @@ func (s *Sim) samplePolicy() error {
 // the quota caps the group's aggregate CPU time as a fraction of the
 // phone's total capacity, not each core's.
 func (s *Sim) refillQuota() {
-	s.quotaPool = s.quota * float64(s.cpu.NumCores()) * s.cfg.SamplePeriod.Seconds()
+	s.quotaPool = s.quota * float64(s.cpu.NumCores()) * s.spec.SamplePeriod.Seconds()
 }
 
 // applyFrequencies programs each online core to its requested frequency,
@@ -850,18 +705,8 @@ func (s *Sim) RunCtx(ctx context.Context, d time.Duration) (*Report, error) {
 	if d <= 0 {
 		return nil, errors.New("sim: run duration must be positive")
 	}
-	end := s.now + d
-	for s.now < end {
-		select {
-		case <-ctx.Done():
-			return s.report(), ctx.Err()
-		default:
-		}
-		if err := s.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return s.report(), nil
+	rep, _, err := s.run(ctx, d, false)
+	return rep, err
 }
 
 // RunUntilDone advances until every workload reports Done or maxDur
@@ -878,9 +723,17 @@ func (s *Sim) RunUntilDoneCtx(ctx context.Context, maxDur time.Duration) (*Repor
 	if maxDur <= 0 {
 		return nil, false, errors.New("sim: max duration must be positive")
 	}
-	end := s.now + maxDur
+	return s.run(ctx, maxDur, true)
+}
+
+// run is the tick loop behind RunCtx and RunUntilDoneCtx: it steps for d,
+// stopping between ticks when ctx is done or, with untilDone, as soon as
+// every workload reports Done. The flag reports a finished session: the
+// whole of d ran, or (untilDone) every workload finished.
+func (s *Sim) run(ctx context.Context, d time.Duration, untilDone bool) (*Report, bool, error) {
+	end := s.now + d
 	for s.now < end {
-		if allDone(s.cfg.Workloads) {
+		if untilDone && allDone(s.spec.Workloads) {
 			return s.report(), true, nil
 		}
 		select {
@@ -892,7 +745,7 @@ func (s *Sim) RunUntilDoneCtx(ctx context.Context, maxDur time.Duration) (*Repor
 			return nil, false, err
 		}
 	}
-	return s.report(), allDone(s.cfg.Workloads), nil
+	return s.report(), !untilDone || allDone(s.spec.Workloads), nil
 }
 
 func allDone(ws []workload.Workload) bool {

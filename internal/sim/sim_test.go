@@ -45,59 +45,54 @@ func mobi(t *testing.T) policy.Manager {
 }
 
 func TestConfigValidation(t *testing.T) {
-	good := Config{
+	good := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{busyLoop(t, 0.5, 4)},
 	}
-	if _, err := New(good); err != nil {
+	if _, err := good.New(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 
 	bad := good
 	bad.Manager = nil
-	if _, err := New(bad); err == nil {
+	if _, err := bad.New(); err == nil {
 		t.Error("nil manager accepted")
 	}
 	bad = good
 	bad.Workloads = nil
-	if _, err := New(bad); err == nil {
+	if _, err := bad.New(); err == nil {
 		t.Error("no workloads accepted")
 	}
 	bad = good
 	bad.Tick = -time.Millisecond
-	if _, err := New(bad); err == nil {
+	if _, err := bad.New(); err == nil {
 		t.Error("negative tick accepted")
 	}
 	bad = good
 	bad.SamplePeriod = time.Microsecond
-	if _, err := New(bad); err == nil {
+	if _, err := bad.New(); err == nil {
 		t.Error("sample period below tick accepted")
 	}
 	bad = good
 	bad.InitialFreq = 301 * soc.MHz
-	if _, err := New(bad); err == nil {
+	if _, err := bad.New(); err == nil {
 		t.Error("non-OPP initial frequency accepted")
 	}
 	bad = good
 	bad.InitialCores = 9
-	if _, err := New(bad); err == nil {
+	if _, err := bad.New(); err == nil {
 		t.Error("too many initial cores accepted")
-	}
-	bad = good
-	bad.InitialQuota = 1.5
-	if _, err := New(bad); err == nil {
-		t.Error("quota > 1 accepted")
 	}
 }
 
 func TestAndroidDefaultControlLoop(t *testing.T) {
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{busyLoop(t, 0.30, 4)},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +121,12 @@ func TestAndroidDefaultControlLoop(t *testing.T) {
 // and a heavy load at high frequency.
 func TestGovernorTracksLoad(t *testing.T) {
 	run := func(util float64) *Report {
-		s, err := New(Config{
+		s, err := SessionSpec{
 			Platform:  platform.Nexus5().WithoutThrottle(),
 			Manager:   androidDefault(t),
 			Workloads: []workload.Workload{busyLoop(t, util, 4)},
 			Seed:      1,
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +152,12 @@ func TestGovernorTracksLoad(t *testing.T) {
 // hand-written benchmark MobiCore draws less than the Android default.
 func TestMobiCoreSavesPowerOnSteadyLoad(t *testing.T) {
 	run := func(mgr policy.Manager) *Report {
-		s, err := New(Config{
+		s, err := SessionSpec{
 			Platform:  platform.Nexus5(),
 			Manager:   mgr,
 			Workloads: []workload.Workload{busyLoop(t, 0.30, 4)},
 			Seed:      7,
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,12 +180,12 @@ func TestMobiCoreSavesPowerOnSteadyLoad(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() *Report {
-		s, err := New(Config{
+		s, err := SessionSpec{
 			Platform:  platform.Nexus5(),
 			Manager:   mobi(t),
 			Workloads: []workload.Workload{busyLoop(t, 0.40, 4)},
 			Seed:      99,
-		})
+		}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,12 +209,12 @@ func TestThermalThrottleEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   perf,
 		Workloads: []workload.Workload{busyLoop(t, 1.0, 4)},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +238,12 @@ func TestWithoutThrottleReachesIRTemp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5().WithoutThrottle(),
 		Manager:   perf,
 		Workloads: []workload.Workload{busyLoop(t, 1.0, 4)},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +262,12 @@ func TestRunUntilDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{scripted},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +284,12 @@ func TestRunUntilDone(t *testing.T) {
 }
 
 func TestReportSummaryRendering(t *testing.T) {
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:  platform.Nexus5(),
 		Manager:   androidDefault(t),
 		Workloads: []workload.Workload{busyLoop(t, 0.5, 4)},
 		Seed:      1,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

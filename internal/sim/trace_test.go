@@ -22,13 +22,13 @@ func traceSim(t *testing.T, plat platform.Platform, hook func(now, dt time.Durat
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := SessionSpec{
 		Platform:   plat,
 		Manager:    mgr,
 		Workloads:  []workload.Workload{wl},
 		Seed:       7,
 		PowerTrace: hook,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package thermal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -34,8 +35,19 @@ type Params struct {
 	StepPeriod time.Duration
 }
 
-// Validate reports the first nonsensical field.
+// Validate reports the first nonsensical field; a NaN or infinite
+// temperature or resistance is nonsensical too.
 func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"AmbientC", p.AmbientC}, {"ResistanceKPerW", p.ResistanceKPerW}, {"TripC", p.TripC}, {"ReleaseC", p.ReleaseC},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("thermal: %s is %v, want a finite value", f.name, f.v)
+		}
+	}
 	switch {
 	case p.ResistanceKPerW <= 0:
 		return errors.New("thermal: ResistanceKPerW must be positive")

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,6 +44,23 @@ func TestParamsValidate(t *testing.T) {
 		{"zero time constant", func(p *Params) { p.TimeConstant = 0 }},
 		{"release above trip", func(p *Params) { p.ReleaseC = p.TripC + 1 }},
 		{"zero step period with trip", func(p *Params) { p.StepPeriod = 0 }},
+	}
+	// NaN fails every range comparison and +Inf passes the lower bounds,
+	// so either once validated and ran a session to a NaN or infinite
+	// temperature.
+	fields := map[string]func(*Params) *float64{
+		"ambient":    func(p *Params) *float64 { return &p.AmbientC },
+		"resistance": func(p *Params) *float64 { return &p.ResistanceKPerW },
+		"trip":       func(p *Params) *float64 { return &p.TripC },
+		"release":    func(p *Params) *float64 { return &p.ReleaseC },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			tests = append(tests, struct {
+				name   string
+				mutate func(*Params)
+			}{fmt.Sprintf("%s %v", name, v), func(p *Params) { *field(p) = v }})
+		}
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -139,7 +139,7 @@ func NewDevice(cfg Config, workloads ...Workload) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := sim.New(sim.Config{
+	s, err := sim.SessionSpec{
 		Platform:     plat,
 		Manager:      mgr,
 		Workloads:    workloads,
@@ -147,7 +147,7 @@ func NewDevice(cfg Config, workloads ...Workload) (*Device, error) {
 		SamplePeriod: cfg.SamplePeriod,
 		Seed:         cfg.Seed,
 		Placer:       cfg.Sched,
-	})
+	}.New()
 	if err != nil {
 		return nil, fmt.Errorf("mobicore: %w", err)
 	}

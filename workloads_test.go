@@ -2,6 +2,7 @@ package mobicore
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -112,4 +113,58 @@ func TestSchedutilThroughFacade(t *testing.T) {
 	if !strings.Contains(rep.Policy, "schedutil") {
 		t.Errorf("policy = %q", rep.Policy)
 	}
+}
+
+// FuzzGameProfile passes arbitrary profile fields through NewCustomGame,
+// the custom-profile path of examples/custom-platform. Workers and
+// MaxQueue are folded into [-8, 8] so no input builds a huge thread slice
+// (negative and zero values still reach validation). Every input must
+// either be rejected by NewCustomGame or run a 200 ms Nexus 5 session to a
+// finite EnergyJ and AvgPowerW.
+func FuzzGameProfile(f *testing.F) {
+	for _, g := range GameNames() {
+		p, err := NewGame(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pr := p.Profile()
+		f.Add(pr.Name, pr.TargetFPS, pr.FrameCycles, pr.ParallelFrac, int8(pr.Workers), pr.SwingAmp, int64(pr.SwingPeriod),
+			int64(pr.BurstEvery), int64(pr.BurstLen), pr.BurstMult, pr.NoiseStd, int8(pr.MaxQueue))
+	}
+	f.Add("nan", math.NaN(), 1e7, 0.5, int8(2), 0.0, int64(0), int64(0), int64(0), 0.0, 0.0, int8(3))
+	f.Add("fast", 2e9, 1e7, 0.5, int8(2), 0.0, int64(0), int64(0), int64(0), 0.0, 0.0, int8(3))
+	f.Add("huge", 60.0, 1e308, 0.0, int8(1), 1.0, int64(time.Second), int64(time.Millisecond), int64(time.Second), 1e308, 0.5, int8(8))
+	f.Fuzz(func(t *testing.T, name string, fps, frameCycles, parallelFrac float64, workers int8, swingAmp float64, swingPeriod,
+		burstEvery, burstLen int64, burstMult, noiseStd float64, maxQueue int8) {
+		g, err := NewCustomGame(GameProfile{
+			Name:         name,
+			TargetFPS:    fps,
+			FrameCycles:  frameCycles,
+			ParallelFrac: parallelFrac,
+			Workers:      int(workers % 9),
+			SwingAmp:     swingAmp,
+			SwingPeriod:  time.Duration(swingPeriod),
+			BurstEvery:   time.Duration(burstEvery),
+			BurstLen:     time.Duration(burstLen),
+			BurstMult:    burstMult,
+			NoiseStd:     noiseStd,
+			MaxQueue:     int(maxQueue % 9),
+		})
+		if err != nil {
+			return
+		}
+		dev, err := NewDevice(Config{Platform: "nexus5", Seed: 1}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := dev.Run(200 * time.Millisecond)
+		if err != nil {
+			t.Fatalf("accepted profile %+v failed to run: %v", g.Profile(), err)
+		}
+		for _, v := range []float64{rep.EnergyJ, rep.AvgPowerW} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted profile %+v ran to EnergyJ %v, AvgPowerW %v", g.Profile(), rep.EnergyJ, rep.AvgPowerW)
+			}
+		}
+	})
 }
