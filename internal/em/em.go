@@ -91,15 +91,26 @@ func (d *Domain) Capacity() float64 { return d.freqs[len(d.freqs)-1] }
 // OPPForRate returns the index of the lowest operating point whose
 // frequency serves a per-core demand rate (cycles/sec) — the point a
 // CPUFREQ_RELATION_L governor would pick. Rates above the ladder clamp to
-// the top. Allocation-free.
+// the top, and so does a NaN rate (sort.SearchFloat64s semantics: the
+// predicate is false for every OPP). Allocation-free.
 //
 //mobicore:hotpath
 func (d *Domain) OPPForRate(rate float64) int {
-	i := sort.SearchFloat64s(d.freqs, rate)
-	if i == len(d.freqs) {
+	// sort.SearchFloat64s inlined: the search closure costs a call per
+	// probe, and placement prices an OPP per candidate domain per thread.
+	lo, hi := 0, len(d.freqs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if !(d.freqs[m] >= rate) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(d.freqs) {
 		return len(d.freqs) - 1
 	}
-	return i
+	return lo
 }
 
 // EnergyPerCycle returns the cost of one cycle executed at the OPP the
@@ -141,6 +152,7 @@ type Model struct {
 	domains    []Domain
 	coreDomain []int // core id -> domain index
 	effOrder   []int // domain indices by ascending capacity (efficient first)
+	coreRank   []int // core id -> its domain's position in effOrder
 }
 
 // New validates the specs and precomputes every per-OPP table. Core ids
@@ -216,6 +228,12 @@ func New(specs []DomainSpec) (*Model, error) {
 	sort.SliceStable(m.effOrder, func(a, b int) bool {
 		return m.domains[m.effOrder[a]].Capacity() < m.domains[m.effOrder[b]].Capacity()
 	})
+	m.coreRank = make([]int, numCores)
+	for r, di := range m.effOrder {
+		for _, id := range m.domains[di].coreIDs {
+			m.coreRank[id] = r
+		}
+	}
 	return m, nil
 }
 
@@ -243,3 +261,8 @@ func (m *Model) DomainOf(id int) int {
 // the LITTLE-first walk order placement uses. The slice is shared and must
 // not be mutated.
 func (m *Model) EfficiencyOrder() []int { return m.effOrder }
+
+// CoreRanks returns each core's efficiency rank: the position of its
+// domain in EfficiencyOrder, indexed by core id. The slice is shared and
+// must not be mutated.
+func (m *Model) CoreRanks() []int { return m.coreRank }

@@ -2,6 +2,8 @@ package em_test
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"mobicore/internal/em"
@@ -107,10 +109,54 @@ func TestOPPForRate(t *testing.T) {
 		want int
 	}{
 		{0, 0}, {100e6, 0}, {400e6, 0}, {401e6, 1}, {700e6, 1}, {900e6, 2}, {5e9, 2},
+		// Edge cases: a NaN rate compares false against every OPP and so
+		// clamps to the top, like sort.SearchFloat64s; -0 and negative
+		// rates pick the floor; ±Inf clamp to the ends.
+		{math.NaN(), 2}, {math.Inf(1), 2}, {math.Inf(-1), 0}, {-1, 0}, {math.Copysign(0, -1), 0},
+		{math.Nextafter(400e6, 0), 0}, {math.Nextafter(400e6, math.Inf(1)), 1},
+		{math.Nextafter(1000e6, 0), 2}, {1000e6, 2}, {math.Nextafter(1000e6, math.Inf(1)), 2},
+		{math.MaxFloat64, 2}, {math.SmallestNonzeroFloat64, 0},
 	}
 	for _, c := range cases {
 		if got := d.OPPForRate(c.rate); got != c.want {
 			t.Errorf("OPPForRate(%v) = %d, want %d", c.rate, got, c.want)
+		}
+	}
+}
+
+// TestOPPForRateMatchesSearchFloat64s pins OPPForRate to the semantics of
+// sort.SearchFloat64s over the domain's ladder, clamped to the top OPP, on
+// every OPP, its neighbours, and a spread of random rates.
+func TestOPPForRateMatchesSearchFloat64s(t *testing.T) {
+	m, err := em.New(testSpecs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for di := 0; di < m.NumDomains(); di++ {
+		d := m.Domain(di)
+		freqs := make([]float64, d.NumOPPs())
+		for i := range freqs {
+			freqs[i] = d.FreqAt(i)
+		}
+		want := func(rate float64) int {
+			i := sort.SearchFloat64s(freqs, rate)
+			if i == len(freqs) {
+				i--
+			}
+			return i
+		}
+		rates := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5e8}
+		for _, f := range freqs {
+			rates = append(rates, f, math.Nextafter(f, 0), math.Nextafter(f, math.Inf(1)))
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 1000; i++ {
+			rates = append(rates, rng.Float64()*2.5e9)
+		}
+		for _, r := range rates {
+			if got, w := d.OPPForRate(r), want(r); got != w {
+				t.Errorf("domain %d: OPPForRate(%v) = %d, sort.SearchFloat64s says %d", di, r, got, w)
+			}
 		}
 	}
 }

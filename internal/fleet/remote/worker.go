@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"mobicore/internal/fleet"
@@ -173,6 +174,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if err != nil {
 		return stats, err
 	}
+	keys, err := spec.Keys()
+	if err != nil {
+		return stats, err
+	}
+	sort.Strings(keys)
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err
@@ -185,16 +191,15 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 			return stats, nil
 		}
 		if claim.Manifest == nil {
-			wait := time.Duration(claim.RetryMS) * time.Millisecond
-			if wait <= 0 {
-				wait = 200 * time.Millisecond
-			}
 			select {
 			case <-ctx.Done():
 				return stats, ctx.Err()
-			case <-time.After(wait):
+			case <-time.After(retryWait(claim.RetryMS)):
 			}
 			continue
+		}
+		if err := checkClaim(claim, keys); err != nil {
+			return stats, err
 		}
 		res, fragment, err := runShard(ctx, spec, cfg, claim)
 		if err != nil {
@@ -209,9 +214,54 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	}
 }
 
+// maxRetryWait caps the poll interval a coordinator may ask for: a wait
+// past one default lease (a minute) only delays the study.
+const maxRetryWait = time.Minute
+
+// retryWait is the worker's poll interval for a claim's RetryMS: 200 ms
+// when the coordinator names none, and never more than maxRetryWait.
+func retryWait(ms int) time.Duration {
+	if ms <= 0 {
+		return 200 * time.Millisecond
+	}
+	if ms >= int(maxRetryWait/time.Millisecond) {
+		return maxRetryWait
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
+// checkClaim proves a claimed assignment before the worker stores or runs
+// any of it. The manifest must be exactly the shard the worker's own plan
+// of the job cuts at that index and count (the coordinator plans with the
+// same shard.Plan), and every cached record must carry its own identity's
+// key and be one of the manifest's cells. keys is the job's cell keys,
+// sorted. A claim that fails here would otherwise run the whole shard only
+// for the coordinator to refuse the upload.
+func checkClaim(claim ClaimResponse, keys []string) error {
+	m := claim.Manifest
+	plan, err := shard.Plan(keys, m.Count)
+	if err != nil {
+		return fmt.Errorf("remote: claimed manifest: %w", err)
+	}
+	if m.Index < 0 || m.Index >= len(plan) || *m != plan[m.Index] {
+		return fmt.Errorf("remote: claimed manifest %+v is not shard %d of this job's %d-shard plan", *m, m.Index, m.Count)
+	}
+	for _, rec := range claim.Cached {
+		if rec.Identity.Key() != rec.Key {
+			return fmt.Errorf("remote: cached record key %s does not match its identity", rec.Key)
+		}
+		i := sort.SearchStrings(keys, rec.Key)
+		if i == len(keys) || keys[i] != rec.Key || !m.Contains(rec.Key) {
+			return fmt.Errorf("remote: cached record %s is not a cell of shard %d", rec.Key, m.Index)
+		}
+	}
+	return nil
+}
+
 // runShard executes one claimed shard in a fresh fragment store and
 // returns the store's JSONL bytes. Cached records from the coordinator
-// seed the store first, so fleet.Run's resume path skips them.
+// seed the store first, so fleet.Run's resume path skips them. The claim
+// must have passed checkClaim.
 func runShard(ctx context.Context, spec fleet.Spec, cfg WorkerConfig, claim ClaimResponse) (*fleet.Result, []byte, error) {
 	dir := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", claim.Manifest.Index))
 	if len(claim.Cached) > 0 {

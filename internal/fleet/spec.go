@@ -131,6 +131,16 @@ type Spec struct {
 // disjoint key-range shards. Every process that expands the same spec
 // computes the same plan — the coordinator/worker contract rests on it.
 func (s Spec) ShardPlan(count int) ([]shard.Manifest, error) {
+	keys, err := s.Keys()
+	if err != nil {
+		return nil, err
+	}
+	return shard.Plan(keys, count)
+}
+
+// Keys expands the spec and returns each cell's identity key, in cell
+// order.
+func (s Spec) Keys() ([]string, error) {
 	cells, err := s.Cells()
 	if err != nil {
 		return nil, err
@@ -139,7 +149,7 @@ func (s Spec) ShardPlan(count int) ([]shard.Manifest, error) {
 	for i, c := range cells {
 		keys[i] = c.identity().Key()
 	}
-	return shard.Plan(keys, count)
+	return keys, nil
 }
 
 // Cell is one fully-resolved session of a fleet.

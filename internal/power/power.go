@@ -153,7 +153,15 @@ func (m *Model) CoreWatts(state soc.CoreState, opp soc.OPP, util float64) float6
 	if state == soc.StateOffline {
 		return m.params.OfflineWatts
 	}
-	leak := m.leakAtOPP(opp)
+	return m.onlineCoreWatts(state, opp, util, m.leakAtOPP(opp))
+}
+
+// onlineCoreWatts is CoreWatts for a core that is not offline, given its
+// leakage at opp (leakAtOPP's value), so a caller that caches the leakage
+// per core prices exactly what CoreWatts would.
+//
+//mobicore:hotpath
+func (m *Model) onlineCoreWatts(state soc.CoreState, opp soc.OPP, util, leak float64) float64 {
 	if state == soc.StateIdle && util == 0 {
 		leak *= m.idleLeakFraction()
 	}

@@ -366,3 +366,72 @@ func TestLeakTableMatchesLiveCurve(t *testing.T) {
 		}
 	}
 }
+
+// TestSystemLeakCacheMatchesUncached drives one SystemModel through a long
+// random sequence of per-core loads — ladder OPPs, off-ladder voltages,
+// NaN voltages, offline, idle and busy cores, OPPs held across calls — and
+// requires every per-cluster share to equal, bit for bit, the same sum
+// assembled from Model.CoreWatts, which searches the ladder on every call.
+func TestSystemLeakCacheMatchesUncached(t *testing.T) {
+	little, big := soc.MSM8974Table(), soc.MustOPPTable([]soc.OPP{
+		{Freq: 500 * soc.MHz, Volt: 0.7}, {Freq: 1500 * soc.MHz, Volt: 0.9}, {Freq: 2400 * soc.MHz, Volt: 1.1},
+	})
+	lm, err := NewModel(nexus5Params(t), little)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := NewModel(nexus5Params(t), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coreCluster := []int{0, 0, 1, 1, 1}
+	sys, err := NewSystemModel(0.08, []*Model{lm, bm}, coreCluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []*Model{lm, bm}
+	rng := rand.New(rand.NewSource(5))
+	loads := make([]CoreLoad, len(coreCluster))
+	per := make([]float64, 2)
+	for call := 0; call < 5000; call++ {
+		for id, ci := range coreCluster {
+			if call > 0 && rng.Intn(3) > 0 {
+				continue // hold this core's load: the cache path
+			}
+			table := models[ci].table
+			opp := table.At(rng.Intn(table.Len()))
+			switch rng.Intn(8) {
+			case 0:
+				opp.Volt += 0.01 // off-ladder voltage
+			case 1:
+				opp.Volt = soc.Volt(math.NaN())
+			case 2:
+				opp.Freq++ // off-ladder frequency
+			}
+			state := []soc.CoreState{soc.StateOffline, soc.StateIdle, soc.StateActive}[rng.Intn(3)]
+			util := []float64{0, 0.3, 1}[rng.Intn(3)]
+			loads[id] = CoreLoad{State: state, OPP: opp, Util: util}
+		}
+		_, got := sys.SystemWattsByCluster(loads, per)
+		for ci, m := range models {
+			want, anyBusy, top := 0.0, 0.0, soc.Hz(0)
+			for id, owner := range coreCluster {
+				if owner != ci {
+					continue
+				}
+				c := loads[id]
+				want += m.CoreWatts(c.State, c.OPP, c.Util)
+				if c.State != soc.StateOffline {
+					anyBusy = math.Max(anyBusy, c.Util)
+					if c.OPP.Freq > top {
+						top = c.OPP.Freq
+					}
+				}
+			}
+			want += m.CacheWatts(anyBusy, top)
+			if math.Float64bits(got[ci]) != math.Float64bits(want) && !(math.IsNaN(got[ci]) && math.IsNaN(want)) {
+				t.Fatalf("call %d cluster %d: cached %v, uncached %v", call, ci, got[ci], want)
+			}
+		}
+	}
+}

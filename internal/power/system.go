@@ -3,6 +3,7 @@ package power
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mobicore/internal/soc"
 )
@@ -20,10 +21,25 @@ type SystemModel struct {
 	coreCluster []int // core id -> cluster index
 
 	// per-call scratch for SystemWattsByCluster and SystemWatts (the
-	// per-tick hot path)
-	anyBusy    []float64
-	topFreq    []soc.Hz
-	scratchPer []float64
+	// per-tick hot path): scratch holds each cluster's busiest-core
+	// utilization, then the per-cluster output SystemWatts hands
+	// SystemWattsByCluster.
+	scratch []float64
+	topFreq []soc.Hz
+
+	// Per-core leakage cache for the multi-cluster path: the operating
+	// point each core was last priced at and its leakage there. A core's
+	// OPP moves only when it is reprogrammed, so most ticks skip the
+	// ladder search in leakAtOPP. Compared bit for bit, so any other OPP,
+	// an off-ladder voltage included, is priced afresh. Nil on a single
+	// cluster, which prices through Model.ClusterWatts.
+	leak []leakEntry
+}
+
+// leakEntry is one core's cached leakage: watts at opp.
+type leakEntry struct {
+	opp   soc.OPP
+	watts float64
 }
 
 // NewSystemModel binds per-cluster models to a core->cluster mapping.
@@ -52,14 +68,21 @@ func NewSystemModel(baseWatts float64, clusters []*Model, coreCluster []int) (*S
 	copy(cs, clusters)
 	cc := make([]int, len(coreCluster))
 	copy(cc, coreCluster)
-	return &SystemModel{
+	m := &SystemModel{
 		baseWatts:   baseWatts,
 		clusters:    cs,
 		coreCluster: cc,
-		anyBusy:     make([]float64, len(cs)),
+		scratch:     make([]float64, 2*len(cs)),
 		topFreq:     make([]soc.Hz, len(cs)),
-		scratchPer:  make([]float64, len(cs)),
-	}, nil
+	}
+	if len(cs) > 1 {
+		m.leak = make([]leakEntry, len(cc))
+		for id, ci := range cc {
+			opp := cs[ci].table.Min()
+			m.leak[id] = leakEntry{opp: opp, watts: cs[ci].leakAtOPP(opp)}
+		}
+	}
+	return m, nil
 }
 
 // NumCores returns the number of cores the model covers.
@@ -81,7 +104,7 @@ func (m *SystemModel) SystemWatts(loads []CoreLoad) float64 {
 		// Homogeneous fast path: no buffer traffic on the hot tick.
 		return m.baseWatts + m.clusters[0].ClusterWatts(loads)
 	}
-	base, per := m.SystemWattsByCluster(loads, m.scratchPer)
+	base, per := m.SystemWattsByCluster(loads, m.scratch[len(m.clusters):])
 	total := base
 	for _, w := range per {
 		total += w
@@ -109,9 +132,10 @@ func (m *SystemModel) SystemWattsByCluster(loads []CoreLoad, perCluster []float6
 		return m.baseWatts, perCluster
 	}
 	// Single pass over cores with per-cluster accumulators; the per-core
-	// and cache terms stay behind Model.CoreWatts/CacheWatts so the
-	// multi-cluster path cannot drift from the homogeneous one.
-	anyBusy, topFreq := m.anyBusy, m.topFreq
+	// and cache terms stay behind Model.CoreWatts (onlineCoreWatts with the
+	// cached leakage) and CacheWatts, so the multi-cluster path cannot
+	// drift from the homogeneous one.
+	anyBusy, topFreq := m.scratch[:len(m.clusters)], m.topFreq
 	for i := range perCluster {
 		perCluster[i] = 0
 		anyBusy[i] = 0
@@ -121,9 +145,15 @@ func (m *SystemModel) SystemWattsByCluster(loads []CoreLoad, perCluster []float6
 		if id >= len(loads) {
 			break
 		}
-		c := loads[id]
-		perCluster[ci] += m.clusters[ci].CoreWatts(c.State, c.OPP, c.Util)
-		if c.State != soc.StateOffline {
+		c, cm := loads[id], m.clusters[ci]
+		if c.State == soc.StateOffline {
+			perCluster[ci] += cm.CoreWatts(c.State, c.OPP, c.Util)
+		} else {
+			k := &m.leak[id]
+			if c.OPP.Freq != k.opp.Freq || math.Float64bits(float64(c.OPP.Volt)) != math.Float64bits(float64(k.opp.Volt)) {
+				k.opp, k.watts = c.OPP, cm.leakAtOPP(c.OPP)
+			}
+			perCluster[ci] += cm.onlineCoreWatts(c.State, c.OPP, c.Util, k.watts)
 			if c.Util > anyBusy[ci] {
 				anyBusy[ci] = c.Util
 			}

@@ -28,10 +28,12 @@ type memoEntry struct {
 // per-thread grants, the busy-seconds vector and the batched cycle commit,
 // plus the input fingerprint needed to prove a later window would reproduce
 // it bit for bit. The simulation's quiescent-tick fast path records a window
-// on each full scheduling pass and replays it (ReplayInto) on every
-// subsequent tick whose inputs still match it (Match), skipping
-// snapshotting, sorting, and placement entirely while leaving thread state,
-// cycle accounting, and every float result byte-identical to the slow path.
+// on the full scheduling passes its recording backoff allows (all of them
+// until a streak of passes goes without a replay, then a few per cycle)
+// and replays it (ReplayInto) on every subsequent tick whose inputs still
+// match it (Match), skipping snapshotting, sorting, and placement entirely
+// while leaving thread state, cycle accounting, and every float result
+// byte-identical to the slow path.
 //
 // Match proves the thread-side inputs (runnable set, debts, affinity,
 // pressure caps, pool headroom) unchanged. The CPU-side inputs —
@@ -42,9 +44,10 @@ type memoEntry struct {
 // neither keeps the window.
 //
 // Every recording pass drops the held window before it records, so the
-// window is valid only when the latest full pass armed it: an owner that
-// caches per-window results alongside (the simulation's integration tail)
-// can overwrite them on every full pass.
+// window is valid only when the latest recording pass armed it. An owner
+// that caches per-window results alongside (the simulation's integration
+// tail) and overwrites them on every full pass must therefore Invalidate
+// the memo on each full pass it does not record.
 //
 // The zero value is an empty memo ready for use. A Memo retains thread
 // pointers and is not safe for concurrent use; each Scheduler owner keeps

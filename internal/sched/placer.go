@@ -9,7 +9,8 @@ import (
 
 // PlaceEnv is the per-window placement view a Placer decides against. The
 // scheduler builds it once per window from the CPU snapshot and the
-// caller's thermal-pressure report; placers must not mutate it.
+// caller's thermal-pressure report; placers must not mutate its fields
+// (Rank keeps its own aggregates current).
 type PlaceEnv struct {
 	// Online flags each core's hotplug state.
 	Online []bool
@@ -17,11 +18,6 @@ type PlaceEnv struct {
 	Budget []float64
 	// Freq is each core's currently programmed frequency in Hz.
 	Freq []float64
-	// RankOf maps core id to its cluster's efficiency rank (nil on
-	// homogeneous CPUs, meaning every core is rank 0); NumRanks counts the
-	// ranks.
-	RankOf   []int
-	NumRanks int
 	// Capped flags cores whose cluster has a thermal frequency cap
 	// engaged. May be nil (no pressure telemetry).
 	Capped []bool
@@ -36,6 +32,64 @@ type PlaceEnv struct {
 	AnyCool bool
 	// WindowSec is the scheduling window length in seconds.
 	WindowSec float64
+
+	// ranks backs Rank, one record per efficiency rank: the CPU's
+	// clusters ordered by ascending top frequency, rank 0 the most
+	// efficient (one rank on a homogeneous CPU). The scheduler marks every
+	// rank stale at the start of a window and the granted core's rank
+	// after every grant.
+	ranks []rankAgg
+}
+
+// rankAgg is one efficiency rank's placement record: its core ids
+// [lo, hi), fixed per CPU, and the aggregates Rank returns, recomputed
+// when stale.
+type rankAgg struct {
+	lo, hi  int
+	busySec float64
+	cand    int
+	stale   bool
+}
+
+// Rank returns efficiency rank r's placement aggregates: busySec, the
+// seconds already granted on the rank's online cores (Σ WindowSec − Budget,
+// summed in core order), and cand, its online core with the most budget
+// above 1e-12 s, lowest id on ties (-1 when none). They are recomputed only
+// when a grant has landed on the rank since they were last read, so a
+// placer reads them instead of rescanning every core per thread, and one
+// that never asks (the greedy under soft affinity) pays nothing.
+//
+//mobicore:hotpath
+func (e *PlaceEnv) Rank(r int) (busySec float64, cand int) {
+	a := &e.ranks[r]
+	if a.stale {
+		e.refresh(a)
+	}
+	return a.busySec, a.cand
+}
+
+// refresh recomputes a rank's aggregates from the current budgets. The
+// busy sum restarts from zero in core order rather than tracking grants
+// with a running total, so it stays bit-identical to a fresh scan: a
+// rounding drift could flip the EAS placer's idle-domain uncore charge.
+//
+//mobicore:hotpath
+func (e *PlaceEnv) refresh(a *rankAgg) {
+	const eps = 1e-12
+	budget := e.Budget[a.lo:a.hi]
+	online := e.Online[a.lo:a.hi]
+	online = online[:len(budget)]
+	busy, cand, candBudget := 0.0, -1, eps
+	for j, b := range budget {
+		if !online[j] {
+			continue
+		}
+		busy += e.WindowSec - b
+		if b > candBudget {
+			cand, candBudget = a.lo+j, b
+		}
+	}
+	a.busySec, a.cand, a.stale = busy, cand, false
 }
 
 // isCapped reports core i's thermal-cap flag.
@@ -97,22 +151,13 @@ func (GreedyPlacer) Name() string { return "greedy" }
 //
 //mobicore:hotpath
 func (GreedyPlacer) Place(env *PlaceEnv, t *Thread) int {
-	const eps = 1e-12
 	if lc := env.affinityCore(t); lc >= 0 {
 		return lc
 	}
 	best := -1
 	var bestCap float64
-	for r := 0; r < env.NumRanks; r++ {
-		cand, candBudget := -1, eps
-		for i := range env.Online {
-			if env.RankOf != nil && env.RankOf[i] != r {
-				continue
-			}
-			if env.Online[i] && env.Budget[i] > candBudget {
-				cand, candBudget = i, env.Budget[i]
-			}
-		}
+	for r := range env.ranks {
+		_, cand := env.Rank(r)
 		if cand < 0 {
 			continue
 		}
@@ -147,6 +192,12 @@ func (GreedyPlacer) Place(env *PlaceEnv, t *Thread) int {
 // domain the previous core always ties for cheapest, so affinity holds
 // whenever the greedy's would, and the fallback candidate is the same
 // most-budget core.
+//
+// The energy model must describe the CPU being scheduled: one domain per
+// cluster, owning exactly that cluster's cores, so that a domain's
+// position in the model's efficiency order is its cluster's rank and the
+// scheduler's per-rank aggregates are the domain's. Schedule checks this
+// once per CPU and fails on a mismatch.
 type EASPlacer struct {
 	model *em.Model
 }
@@ -159,6 +210,26 @@ func NewEASPlacer(model *em.Model) (*EASPlacer, error) {
 	return &EASPlacer{model: model}, nil
 }
 
+// fits reports whether the placer's model describes a CPU of n cores with
+// the given per-core efficiency ranks (nil: one rank): the same cores, and
+// each core's domain at its cluster's rank in the efficiency order.
+func (p *EASPlacer) fits(rankOf []int, n int) bool {
+	ranks := p.model.CoreRanks()
+	if len(ranks) != n {
+		return false
+	}
+	for id, r := range ranks {
+		want := 0
+		if rankOf != nil {
+			want = rankOf[id]
+		}
+		if r != want {
+			return false
+		}
+	}
+	return true
+}
+
 // Name implements Placer.
 func (p *EASPlacer) Name() string { return "eas" }
 
@@ -166,7 +237,6 @@ func (p *EASPlacer) Name() string { return "eas" }
 //
 //mobicore:hotpath
 func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
-	const eps = 1e-12
 	prev := env.affinityCore(t)
 	prevDom := -1
 	if prev >= 0 {
@@ -176,22 +246,16 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 	bestAny := -1
 	var bestAnyCap float64
 	prevFits, prevCost := false, math.Inf(1)
-	for _, di := range p.model.EfficiencyOrder() {
-		dom := p.model.Domain(di)
-		cand, candBudget := -1, eps
-		domBusySec := 0.0
-		for _, id := range dom.CoreIDs() {
-			if id < len(env.Online) && env.Online[id] {
-				domBusySec += env.WindowSec - env.Budget[id]
-				if env.Budget[id] > candBudget {
-					cand, candBudget = id, env.Budget[id]
-				}
-			}
-		}
+	for r, di := range p.model.EfficiencyOrder() {
+		// The domain at efficiency position r is the CPU's rank-r cluster
+		// (see fits), so the scheduler's rank aggregates are the domain's.
+		domBusySec, cand := env.Rank(r)
 		if cand < 0 {
 			continue
 		}
-		capCycles := env.Budget[cand] * env.Freq[cand] * env.thermalScale(cand)
+		dom := p.model.Domain(di)
+		scale := env.thermalScale(cand)
+		capCycles := env.Budget[cand] * env.Freq[cand] * scale
 		if bestAny < 0 || capCycles > bestAnyCap {
 			bestAny, bestAnyCap = cand, capCycles
 		}
@@ -200,7 +264,7 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 		// governor follows demand, so a cool idle cluster clocked at its
 		// floor is still a valid target — exactly how the kernel sizes
 		// candidates by capacity rather than current frequency.
-		fitCycles := env.Budget[cand] * dom.Capacity() * env.thermalScale(cand)
+		fitCycles := env.Budget[cand] * dom.Capacity() * scale
 		if di == prevDom {
 			// Price the previous core itself, not the domain's most-budget
 			// candidate: the thread would resume exactly there.

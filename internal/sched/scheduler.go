@@ -68,13 +68,17 @@ type Scheduler struct {
 	Placer Placer
 
 	// Per-window scratch, reused to keep the per-tick path allocation-free.
+	// The env's Online, Budget and Freq slices and its per-rank records
+	// are scratch too, kept across windows.
 	snap      []soc.CoreSnapshot
-	budget    []float64
-	online    []bool
-	freq      []float64
 	busyNanos []uint64
 	runnable  byDebt
 	env       PlaceEnv
+	// Per-CPU state, rebuilt when the CPU changes (its topology is fixed):
+	// each efficiency rank's core ids (env.ranks), and the EAS placer last
+	// proven to fit the CPU (EASPlacer.fits).
+	cpu    *soc.CPU
+	fitEAS *EASPlacer
 }
 
 // byDebt orders threads largest pending debt first, name breaking ties,
@@ -189,6 +193,25 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 	}
 	res := Result{BusySeconds: busy}
 
+	// Efficiency ranks for cluster-aware placement: clusters ordered by
+	// ascending top frequency, so rank 0 is the LITTLE (cheapest) domain.
+	// Homogeneous CPUs collapse to a single rank (nil slice) and the
+	// greedy placement reduces exactly to the original most-budget greedy.
+	// The ranks are cached on the CPU at construction — this is the
+	// per-tick hot path.
+	rankOf, numRanks := cpu.ClusterRanks()
+	if cpu != s.cpu {
+		s.cpu, s.fitEAS = cpu, nil
+		s.env.ranks = rankSpans(s.env.ranks, rankOf, numRanks, len(snap))
+	}
+	placer := s.placer()
+	if eas, ok := placer.(*EASPlacer); ok && eas != s.fitEAS {
+		if !eas.fits(rankOf, len(snap)) {
+			return Result{}, errors.New("sched: EAS energy model does not describe the CPU's clusters")
+		}
+		s.fitEAS = eas
+	}
+
 	if rec != nil {
 		rec.begin(dt, satRate)
 	}
@@ -196,13 +219,12 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 	pool := poolSec
 	limited := pool >= 0
 
-	budget, online, freq := s.budget, s.online, s.freq
+	budget, online, freq := s.env.Budget, s.env.Online, s.env.Freq
 	if cap(budget) < len(snap) {
 		//mobilint:ignore one-time scratch growth on first window or topology change
 		budget, online, freq = make([]float64, len(snap)), make([]bool, len(snap)), make([]float64, len(snap))
 	}
 	budget, online, freq = budget[:len(snap)], online[:len(snap)], freq[:len(snap)]
-	s.budget, s.online, s.freq = budget, online, freq
 	for i, c := range snap {
 		if c.State != soc.StateOffline {
 			online[i] = true
@@ -214,14 +236,6 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 			freq[i] = 0
 		}
 	}
-
-	// Efficiency ranks for cluster-aware placement: clusters ordered by
-	// ascending top frequency, so rank 0 is the LITTLE (cheapest) domain.
-	// Homogeneous CPUs collapse to a single rank (nil slice) and the
-	// greedy placement reduces exactly to the original most-budget greedy.
-	// The ranks are cached on the CPU at construction — this is the
-	// per-tick hot path.
-	rankOf, numRanks := cpu.ClusterRanks()
 
 	// Soft affinity is suspended for threads whose last core is capped
 	// while a cool online core exists: a persistent thread (a game's
@@ -244,14 +258,15 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 		Online:    online,
 		Budget:    budget,
 		Freq:      freq,
-		RankOf:    rankOf,
-		NumRanks:  numRanks,
 		Capped:    pr.Capped,
 		CapScale:  pr.CapScale,
 		AnyCool:   anyCool,
 		WindowSec: dts,
+		ranks:     s.env.ranks,
 	}
-	placer := s.placer()
+	for r := range s.env.ranks {
+		s.env.ranks[r].stale = true
+	}
 
 	runnable := s.runnable[:0]
 	for _, t := range threads {
@@ -299,6 +314,11 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 			sec = done / freq[core]
 		}
 		budget[core] -= sec
+		if rankOf != nil {
+			s.env.ranks[rankOf[core]].stale = true
+		} else {
+			s.env.ranks[0].stale = true
+		}
 		if limited {
 			pool -= sec
 		}
@@ -369,6 +389,30 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 		rec.finish(res, nanos, pr, limited, pool)
 	}
 	return res, nil
+}
+
+// rankSpans sizes ranks (reusing its backing array when large enough) to
+// numRanks records and sets each rank's core ids to the range [lo, hi) of
+// its lowest and highest core. A rank is one cluster, whose cores
+// soc.NewClusteredCPU numbers contiguously, so the range holds exactly the
+// rank's cores. rankOf nil means one rank of n cores.
+func rankSpans(ranks []rankAgg, rankOf []int, numRanks, n int) []rankAgg {
+	if cap(ranks) < numRanks {
+		ranks = make([]rankAgg, numRanks)
+	}
+	ranks = ranks[:numRanks]
+	for r := range ranks {
+		ranks[r] = rankAgg{lo: n}
+	}
+	for i := 0; i < n; i++ {
+		r := 0
+		if rankOf != nil {
+			r = rankOf[i]
+		}
+		ranks[r].lo = min(ranks[r].lo, i)
+		ranks[r].hi = i + 1
+	}
+	return ranks
 }
 
 // TotalPending sums pending cycles across threads — the backlog.

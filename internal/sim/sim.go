@@ -52,14 +52,16 @@ type Sim struct {
 	// keeps one rule: whenever a core is reprogrammed (applyFrequencies) or
 	// its online state moves (samplePolicy), it invalidates the memo,
 	// trusting the applied-frequency mirror in between. Every full pass
-	// writes the tail, and every recording pass drops the window before it
-	// records, so a valid window always holds the tail of the pass that
-	// armed it. A no-op policy decision keeps the window armed.
+	// writes the tail; a recording pass drops the window before it records
+	// and a pass the recording backoff skips invalidates it, so a valid
+	// window always holds the tail of the pass that armed it. A no-op
+	// policy decision keeps the window armed.
 	memo      sched.Memo
 	fast      fastState
 	satRate   float64                 // saturation ceiling (cycles/sec): the platform's top ladder frequency
 	hinters   []workload.SteadyHinter // cached SteadyHint views of spec.Workloads (nil where unimplemented)
 	fastTicks uint64                  // ticks served by the fast path this session
+	slowRun   int                     // full passes since the last replay (drives the recording backoff)
 
 	// per-tick scratch, reused to keep the hot loop allocation-free
 	snap        []soc.CoreSnapshot // CPU snapshot buffer
@@ -112,6 +114,22 @@ type Sim struct {
 	clusterCoreSeries   []metrics.Series
 	clusterTempSeries   []metrics.Series
 	clusterEnergySeries []metrics.Series // cumulative per-cluster joules, sampled
+}
+
+// The scheduling memo's recording backoff (see recordPass).
+const (
+	memoMissStreak   = 4
+	memoBackoffCycle = 32
+)
+
+// recordPass reports whether the n-th full pass since the last replay (n
+// from 0) records a window: each of the first memoMissStreak, then those
+// numbered by a power of two, then every memoBackoffCycle-th. A workload whose
+// noise defeats the memo stops paying for windows nothing replays; one that
+// goes quiet re-arms within a cycle, and sooner after a short miss streak
+// (a duty cycle's transition, a boot transient).
+func recordPass(n int) bool {
+	return n < memoMissStreak || n%memoBackoffCycle == 0 || (n < memoBackoffCycle && n&(n-1) == 0)
 }
 
 // fastState is the integration tail of one tick: every scalar a full pass
@@ -379,21 +397,27 @@ func (s *Sim) Step() error {
 			return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
 		}
 		s.fastTicks++
+		s.slowRun = 0
 		return s.commit(dt, res, &s.fast)
 	}
 
+	// Recording backoff (recordPass). A pass that skips recording still
+	// overwrites the tail below, so it drops the held window too.
 	rec := &s.memo
-	if s.spec.NoFuse {
+	if s.spec.NoFuse || !recordPass(s.slowRun) {
 		rec = nil
+		s.memo.Invalidate()
 	}
+	s.slowRun++
 	res, err := s.sch.Schedule(s.cpu, threads, dt, pool, pr, s.busySec, s.snap, rec, s.satRate)
 	if err != nil {
 		return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
 	}
 
 	// Full pass: evaluate the power model into the tail, which replays of
-	// a window this pass armed reuse. Overwriting it is safe: the scheduler
-	// dropped any older window before recording. The snapshot mirror is
+	// a window this pass armed reuse. Overwriting it is safe: any older
+	// window was dropped, by the scheduler before recording or above when
+	// the backoff skipped recording. The snapshot mirror is
 	// current: the scheduler wrote each online core's post-run Active/Idle
 	// state into it, and frequencies/online masks only move through
 	// applyFrequencies and samplePolicy, which both refresh it — so no

@@ -218,34 +218,28 @@ func (c *CPU) SetClusterOnlineCount(ci, n int) error {
 	if n == 0 && onlineElsewhere == 0 {
 		return ErrNoOnlineCore
 	}
-	ids := c.clusterCoreIDsLocked(ci)
-	for _, id := range ids { // online from the lowest id
-		if onlineIn >= n {
-			break
-		}
+	lo, hi := c.clusterBounds(ci)
+	for id := lo; id < hi && onlineIn < n; id++ { // online from the lowest id
 		if !c.cores[id].Online() {
 			c.cores[id].state = StateIdle
 			onlineIn++
 		}
 	}
-	for i := len(ids) - 1; i >= 0 && onlineIn > n; i-- { // offline from the highest
-		if c.cores[ids[i]].Online() {
-			c.cores[ids[i]].state = StateOffline
+	for id := hi - 1; id >= lo && onlineIn > n; id-- { // offline from the highest
+		if c.cores[id].Online() {
+			c.cores[id].state = StateOffline
 			onlineIn--
 		}
 	}
 	return nil
 }
 
-// clusterCoreIDsLocked is ClusterCoreIDs without locking or index
-// validation (the caller has already checked ci), for use while c.mu is
-// held.
-func (c *CPU) clusterCoreIDsLocked(ci int) []int {
-	ids := make([]int, 0, c.clusters[ci].NumCores)
-	for id, owner := range c.coreCluster {
-		if owner == ci {
-			ids = append(ids, id)
-		}
+// clusterBounds returns cluster ci's core ids as the half-open range
+// [lo, hi): NewClusteredCPU numbers cores contiguously in cluster order.
+// The caller has already checked ci.
+func (c *CPU) clusterBounds(ci int) (lo, hi int) {
+	for _, cl := range c.clusters[:ci] {
+		lo += cl.NumCores
 	}
-	return ids
+	return lo, lo + c.clusters[ci].NumCores
 }

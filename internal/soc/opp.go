@@ -128,12 +128,31 @@ func (t *OPPTable) Frequencies() []Hz {
 
 // IndexOf returns the position of freq in the table, or -1 if the exact
 // frequency is not a supported operating point.
+//
+//mobicore:hotpath
 func (t *OPPTable) IndexOf(freq Hz) int {
-	i := sort.Search(len(t.points), func(i int) bool { return t.points[i].Freq >= freq })
-	if i < len(t.points) && t.points[i].Freq == freq {
+	if i := t.ceilIndex(freq); i < len(t.points) && t.points[i].Freq == freq {
 		return i
 	}
 	return -1
+}
+
+// ceilIndex returns the position of the lowest operating point >= freq, or
+// Len() when freq lies above the top — sort.Search written out, so the
+// per-tick lookups pay no closure call per probe.
+//
+//mobicore:hotpath
+func (t *OPPTable) ceilIndex(freq Hz) int {
+	lo, hi := 0, len(t.points)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.points[m].Freq < freq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Contains reports whether freq is a supported operating point.
@@ -155,8 +174,7 @@ func (t *OPPTable) VoltageFor(freq Hz) (Volt, error) {
 //
 //mobicore:hotpath
 func (t *OPPTable) CeilFreq(target Hz) OPP {
-	//mobilint:ignore sort.Search predicate does not escape; stack-allocated
-	i := sort.Search(len(t.points), func(i int) bool { return t.points[i].Freq >= target })
+	i := t.ceilIndex(target)
 	if i == len(t.points) {
 		return t.Max()
 	}
@@ -195,7 +213,7 @@ func (t *OPPTable) StepDown(freq Hz, n int) OPP {
 }
 
 func (t *OPPTable) indexOfResolved(freq Hz) int {
-	i := sort.Search(len(t.points), func(i int) bool { return t.points[i].Freq >= freq })
+	i := t.ceilIndex(freq)
 	if i == len(t.points) {
 		return len(t.points) - 1
 	}

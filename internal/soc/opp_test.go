@@ -170,6 +170,33 @@ func TestIndexOfAndVoltageFor(t *testing.T) {
 	}
 }
 
+// TestIndexOfEdgeCases pins IndexOf on the ladder's edges: a hit returns
+// the position, and a miss (between OPPs, zero, below the floor, above the
+// top, the largest Hz) returns -1.
+func TestIndexOfEdgeCases(t *testing.T) {
+	table := testTable(t)
+	lo, hi := table.Min().Freq, table.Max().Freq
+	cases := []struct {
+		freq Hz
+		want int
+	}{
+		{lo, 0}, {hi, table.Len() - 1}, {table.At(1).Freq, 1},
+		{0, -1}, {1, -1}, {lo - 1, -1}, {lo + 1, -1}, {table.At(1).Freq - 1, -1},
+		{hi - 1, -1}, {hi + 1, -1}, {^Hz(0), -1},
+	}
+	for _, c := range cases {
+		if got := table.IndexOf(c.freq); got != c.want {
+			t.Errorf("IndexOf(%d) = %d, want %d", uint64(c.freq), got, c.want)
+		}
+	}
+	one := MustOPPTable([]OPP{{Freq: 5 * MHz, Volt: 1}})
+	for freq, want := range map[Hz]int{5 * MHz: 0, 0: -1, 4 * MHz: -1, 6 * MHz: -1} {
+		if got := one.IndexOf(freq); got != want {
+			t.Errorf("single-OPP IndexOf(%d) = %d, want %d", uint64(freq), got, want)
+		}
+	}
+}
+
 func TestUniformTable(t *testing.T) {
 	table, err := UniformTable(5, 200*MHz, 1000*MHz, 0.95, 1.25)
 	if err != nil {
