@@ -129,3 +129,41 @@ func TestCrossSeedExperimentsMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestAllExperimentsMatchGolden locks the text of every experiment id at
+// the scales TestFusedMatchesNoFuseOnGoldens runs (0.05, and 0.2 for
+// sustained), seed 42, so a change that must keep every output byte can
+// show it did. Regenerate with -update-golden after an intentional
+// physics or formatting change.
+func TestAllExperimentsMatchGolden(t *testing.T) {
+	for _, id := range IDs() {
+		scale := 0.05
+		if id == "sustained" {
+			scale = 0.2
+		}
+		res, err := Run(id, Options{Scale: scale, Seed: 42})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteText(&buf); err != nil {
+			t.Fatalf("%s: rendering: %v", id, err)
+		}
+		golden := filepath.Join("testdata", "all", id+".txt")
+		if *updateGolden {
+			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", id, buf.Bytes(), want)
+		}
+	}
+}
