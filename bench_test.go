@@ -19,7 +19,6 @@ import (
 	"mobicore/internal/hotplug"
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
-	"mobicore/internal/power"
 	"mobicore/internal/scenario"
 	"mobicore/internal/sim"
 	"mobicore/internal/workload"
@@ -225,15 +224,6 @@ func ablationRunOn(b *testing.B, plat platform.Platform, build func(plat platfor
 	return rep.AvgPowerW
 }
 
-func nexus5Model(b *testing.B, plat platform.Platform) *power.Model {
-	b.Helper()
-	m, err := power.NewModel(plat.Power, plat.Table)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
 // BenchmarkAblationQuotaOff isolates Algorithm 4.1.2: MobiCore with the
 // bandwidth controller disabled (quota pinned to 1 via MinQuota=LowUtil
 // gate removal).
@@ -241,12 +231,12 @@ func BenchmarkAblationQuotaOff(b *testing.B) {
 	var withQuota, withoutQuota float64
 	for i := 0; i < b.N; i++ {
 		withQuota = ablationRun(b, func(plat platform.Platform) (policy.Manager, error) {
-			return core.NewWithModel(plat.Table, core.DefaultTunables(), nexus5Model(b, plat))
+			return core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
 		})
 		withoutQuota = ablationRun(b, func(plat platform.Platform) (policy.Manager, error) {
 			tun := core.DefaultTunables()
 			tun.LowUtil = 0.0001 // gate never opens: quota stays 1
-			return core.NewWithModel(plat.Table, tun, nexus5Model(b, plat))
+			return core.NewClusteredForPlatform(plat, tun, core.DefaultClusterTunables(), true)
 		})
 	}
 	b.ReportMetric(withQuota*1000, "quota-on-mW")
@@ -262,7 +252,7 @@ func BenchmarkAblationOffThreshold(b *testing.B) {
 			return ablationRun(b, func(plat platform.Platform) (policy.Manager, error) {
 				tun := core.DefaultTunables()
 				tun.OffThreshold = th
-				return core.New(plat.Table, tun)
+				return core.NewClusteredForPlatform(plat, tun, core.DefaultClusterTunables(), false)
 			})
 		}
 		at5, at10, at20 = run(0.05), run(0.10), run(0.20)
@@ -278,10 +268,10 @@ func BenchmarkAblationLawVsOracle(b *testing.B) {
 	var law, oracle float64
 	for i := 0; i < b.N; i++ {
 		law = ablationRun(b, func(plat platform.Platform) (policy.Manager, error) {
-			return core.New(plat.Table, core.DefaultTunables())
+			return core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), false)
 		})
 		oracle = ablationRun(b, func(plat platform.Platform) (policy.Manager, error) {
-			return core.NewOracle(plat.Table, nexus5Model(b, plat), 0.15)
+			return core.NewClusteredOracleForPlatform(plat, 0.15)
 		})
 	}
 	b.ReportMetric(law*1000, "eq9-mW")
@@ -308,9 +298,9 @@ func BenchmarkAblationRaceToIdle(b *testing.B) {
 				if err != nil {
 					return nil, err
 				}
-				return policy.Compose(gov, plug)
+				return policy.Compose([]cpufreq.Governor{gov}, plug)
 			}
-			return policy.Compose(gov, hotplugAllOn{})
+			return policy.Compose([]cpufreq.Governor{gov}, hotplugAllOn{})
 		})
 	}
 	var offPer, idlePer, offShared, idleShared float64
@@ -342,7 +332,7 @@ func (hotplugAllOn) Reset() {}
 func BenchmarkAblationSamplePeriod(b *testing.B) {
 	plat := platform.Nexus5()
 	run := func(period time.Duration) float64 {
-		mgr, err := core.NewWithModel(plat.Table, core.DefaultTunables(), nexus5Model(b, plat))
+		mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,7 +367,7 @@ func BenchmarkExtensionSchedutil(b *testing.B) {
 	var mobi, sutil float64
 	for i := 0; i < b.N; i++ {
 		mobi = ablationRun(b, func(plat platform.Platform) (policy.Manager, error) {
-			return core.NewWithModel(plat.Table, core.DefaultTunables(), nexus5Model(b, plat))
+			return core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
 		})
 		sutil = ablationRun(b, func(plat platform.Platform) (policy.Manager, error) {
 			gov, err := cpufreq.New("schedutil", plat.Table)
@@ -388,7 +378,7 @@ func BenchmarkExtensionSchedutil(b *testing.B) {
 			if err != nil {
 				return nil, err
 			}
-			return policy.Compose(gov, plug)
+			return policy.Compose([]cpufreq.Governor{gov}, plug)
 		})
 	}
 	b.ReportMetric(mobi*1000, "mobicore-mW")
@@ -465,7 +455,7 @@ func perTickFused(b *testing.B, plat platform.Platform, mgr policy.Manager, thre
 // single cluster) under the full MobiCore manager.
 func BenchmarkPerTickNexus5(b *testing.B) {
 	plat := platform.Nexus5()
-	mgr, err := core.NewWithModel(plat.Table, core.DefaultTunables(), nexus5Model(b, plat))
+	mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -478,7 +468,7 @@ func BenchmarkPerTickNexus5(b *testing.B) {
 // fast path's speedup on a steady duty-cycled workload.
 func BenchmarkPerTickNexus5NoFuse(b *testing.B) {
 	plat := platform.Nexus5()
-	mgr, err := core.NewWithModel(plat.Table, core.DefaultTunables(), nexus5Model(b, plat))
+	mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -514,7 +504,7 @@ func BenchmarkPerTickNexus6P(b *testing.B) {
 // synthetic user's day fuses (screen-off idle should; bursts must not).
 func BenchmarkScenarioTick(b *testing.B) {
 	plat := platform.Nexus5()
-	mgr, err := core.NewWithModel(plat.Table, core.DefaultTunables(), nexus5Model(b, plat))
+	mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -572,7 +562,7 @@ func BenchmarkPlaceGreedySD855(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	plat := platform.Nexus5()
 	for i := 0; i < b.N; i++ {
-		mgr, err := core.NewWithModel(plat.Table, core.DefaultTunables(), nexus5Model(b, plat))
+		mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
 		if err != nil {
 			b.Fatal(err)
 		}

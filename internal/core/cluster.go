@@ -52,13 +52,14 @@ func (t ClusterTunables) Validate() error {
 	return nil
 }
 
-// Clustered runs one MobiCore instance per frequency domain and arbitrates
-// between them: the LITTLE cluster (lowest top frequency) always stays
-// managed, while big clusters are gated by ClusterTunables — parked (all
-// cores offline, domain clock at minimum) until the LITTLE cluster
-// approaches its capacity or pegs a core, then handed to their own
-// MobiCore instance. This is the thesis' unified DVFS+DCS+bandwidth
-// decision generalized to big.LITTLE.
+// Clustered is the MobiCore manager: one MobiCore engine per frequency
+// domain, arbitrated by an energy-aware gate. The LITTLE cluster (lowest
+// top frequency) always stays managed, while big clusters are gated by
+// ClusterTunables — parked (all cores offline, domain clock at minimum)
+// until the LITTLE cluster approaches its capacity or pegs a core, then
+// handed to their own engine. This is the thesis' unified DVFS+DCS+
+// bandwidth decision generalized to big.LITTLE; a homogeneous SoC is the
+// one-domain case, where the gate never acts.
 type Clustered struct {
 	domains []Domain
 	inner   []*MobiCore
@@ -74,14 +75,23 @@ type Clustered struct {
 	emod *em.Model
 
 	bigOn []bool // gate state per domain; hysteresis lives here
+
+	// Per-sample buffers, grown on the first Decide and reused after it.
+	// The decision's TargetFreq and OnlineVec alias targets and online.
+	sub     policy.Input // the domain being decided
+	local   []soc.Hz     // its targets, in domain-local core order
+	demand  []float64
+	pegged  []bool
+	targets []soc.Hz
+	online  []int
 }
 
 var _ policy.Manager = (*Clustered)(nil)
 
-// NewClustered builds the clustered manager. Domains carrying a Model run
-// the §4.2 energy-model search within their cluster; model-free domains
-// fall back to the §5.2 threshold rule. With a single domain the manager
-// degenerates to plain MobiCore.
+// NewClustered builds the MobiCore manager over the given domains, in
+// cluster order. Domains carrying a Model run the §4.2 energy-model search
+// within their cluster; model-free domains fall back to the §5.2
+// threshold rule.
 func NewClustered(tun Tunables, ctun ClusterTunables, domains []Domain) (*Clustered, error) {
 	if len(domains) == 0 {
 		return nil, errors.New("core: NewClustered needs at least one domain")
@@ -116,35 +126,31 @@ func NewClustered(tun Tunables, ctun ClusterTunables, domains []Domain) (*Cluste
 	}, nil
 }
 
-// NewClusteredForPlatform builds the clustered manager from a platform
-// profile — the one construction path shared by the facade, experiments,
-// and benchmarks. withModel attaches each cluster's calibrated energy
-// model for the §4.2 search plus the platform's EM energy model, which the
-// big-cluster gate consults before a load-threshold wake.
+// NewClusteredForPlatform builds the MobiCore manager from a platform
+// profile — the one construction path shared by the policy stacks,
+// experiments, and benchmarks. withModel attaches each cluster's
+// calibrated energy model for the §4.2 search plus the platform's EM
+// energy model, which the big-cluster gate consults before a
+// load-threshold wake. Both come from the platform's shared precompute,
+// so building a manager per fleet cell builds no model.
 func NewClusteredForPlatform(plat platform.Platform, tun Tunables, ctun ClusterTunables, withModel bool) (*Clustered, error) {
-	specs := plat.ClusterSpecs()
-	domains := make([]Domain, len(specs))
-	for i, cs := range specs {
-		d := Domain{Name: cs.Name, Table: cs.Table}
+	comp, err := plat.Compiled()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	domains := make([]Domain, len(comp.Specs))
+	for i, cs := range comp.Specs {
+		domains[i] = Domain{Name: cs.Name, Table: cs.Table}
 		if withModel {
-			model, err := power.NewModel(cs.Power, cs.Table)
-			if err != nil {
-				return nil, fmt.Errorf("core: cluster %s: %w", cs.Name, err)
-			}
-			d.Model = model
+			domains[i].Model = comp.Models[i]
 		}
-		domains[i] = d
 	}
 	c, err := NewClustered(tun, ctun, domains)
 	if err != nil {
 		return nil, err
 	}
 	if withModel {
-		emod, err := plat.EnergyModel()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := c.AttachEnergyModel(emod); err != nil {
+		if err := c.AttachEnergyModel(comp.EM); err != nil {
 			return nil, err
 		}
 	}
@@ -169,12 +175,15 @@ func (c *Clustered) AttachEnergyModel(m *em.Model) error {
 func (c *Clustered) Name() string { return "mobicore" }
 
 // Decide implements policy.Manager: slice the observation per domain, gate
-// the big clusters, and run the per-domain MobiCore passes.
+// the big clusters, and run the per-domain MobiCore passes. The decision's
+// slices are the manager's own buffers, valid until the next Decide.
+//
+//mobicore:hotpath
 func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 	if err := in.Validate(); err != nil {
 		return policy.Decision{}, err
 	}
-	views := in.ClusterViews()
+	views := in.Clusters
 	if len(views) != len(c.domains) {
 		return policy.Decision{}, fmt.Errorf("core: clustered manager built for %d domains, input has %d",
 			len(c.domains), len(views))
@@ -182,8 +191,11 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 
 	// Demand per domain (served cycles/sec) and peg detection drive the
 	// gate; capacity is the domain's full ladder: every core at f_max.
-	demand := make([]float64, len(views))
-	pegged := make([]bool, len(views))
+	demand := policy.Resize(c.demand, len(views))
+	pegged := policy.Resize(c.pegged, len(views))
+	targets := policy.Resize(c.targets, len(in.Util))
+	onlineVec := policy.Resize(c.online, len(views))
+	c.demand, c.pegged, c.targets, c.online = demand, pegged, targets, onlineVec
 	var totalDemand float64
 	for ci, v := range views {
 		for _, id := range v.CoreIDs {
@@ -199,11 +211,10 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 	}
 	littleCap := float64(len(views[c.little].CoreIDs)) * float64(c.domains[c.little].Table.Max().Freq)
 
-	targets := make([]soc.Hz, len(in.Util))
-	onlineVec := make([]int, len(views))
 	quotaCores := 0.0 // Σ domain quota × domain cores: budget in core-units
+	quota := 1.0
 	for ci, v := range views {
-		if ci != c.little && !c.gateBig(ci, demand[c.little], totalDemand, littleCap, pegged[c.little], domainHot(in, ci)) {
+		if ci != c.little && !c.gateBig(ci, demand[c.little], totalDemand, littleCap, pegged[c.little], domainHot(&in, ci)) {
 			// Parked: whole domain offline, clock at the floor so a
 			// later wake starts from the cheapest operating point. A
 			// parked domain contributes nothing to the bandwidth
@@ -215,22 +226,24 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 			onlineVec[ci] = 0
 			continue
 		}
-		dec, err := c.decideDomain(ci, v, in)
-		if err != nil {
-			return policy.Decision{}, err
-		}
+		cores, q := c.decideDomain(ci, &in)
 		for j, id := range v.CoreIDs {
-			targets[id] = dec.TargetFreq[j]
+			targets[id] = c.local[j]
 		}
-		onlineVec[ci] = dec.OnlineCores
-		quotaCores += dec.Quota * float64(len(v.CoreIDs))
+		onlineVec[ci] = cores
+		quotaCores += q * float64(len(v.CoreIDs))
+		quota = q
 	}
-	// Each domain's quota is a fraction of its own capacity, but the sim's
-	// bandwidth pool is a fraction of the whole SoC (quota × n_total), so
-	// re-express the per-domain budgets in whole-SoC units. Taking a max
-	// or min instead would let one domain's slack erase another's
-	// throttle (or vice versa).
-	quota := quotaCores / float64(len(in.Util))
+	if len(views) > 1 {
+		// Each domain's quota is a fraction of its own capacity, but the
+		// sim's bandwidth pool is a fraction of the whole SoC (quota ×
+		// n_total), so re-express the per-domain budgets in whole-SoC
+		// units. Taking a max or min instead would let one domain's
+		// slack erase another's throttle (or vice versa). A single
+		// domain's quota already is the whole SoC's, and is kept exact:
+		// q·n/n need not round back to q.
+		quota = quotaCores / float64(len(in.Util))
+	}
 	if quota <= 0 || quota > 1 {
 		quota = 1
 	}
@@ -342,7 +355,7 @@ func (c *Clustered) priceAwake(skip int, demand, littleCeil float64) (watts, rem
 // domainHot reads the thermal-pressure signal for domain ci: true when its
 // zone has a cap engaged or has exhausted its trip headroom. Inputs without
 // thermal telemetry report cool (unbounded headroom).
-func domainHot(in policy.Input, ci int) bool {
+func domainHot(in *policy.Input, ci int) bool {
 	if ci >= len(in.Thermal) {
 		return false
 	}
@@ -351,30 +364,26 @@ func domainHot(in policy.Input, ci int) bool {
 }
 
 // decideDomain runs domain ci's MobiCore pass on the slice of the
-// observation it owns, with core indices local to the domain.
-func (c *Clustered) decideDomain(ci int, v policy.ClusterView, in policy.Input) (policy.Decision, error) {
-	sub := in.Slice(v)
-	allOffline := true
-	for _, on := range sub.Online {
+// observation it owns, leaving the domain's targets in c.local (core
+// indices local to the domain), and returns its online-core count and
+// quota.
+//
+//mobicore:hotpath
+func (c *Clustered) decideDomain(ci int, in *policy.Input) (cores int, quota float64) {
+	in.Slice(ci, &c.sub)
+	c.local = policy.Resize(c.local, len(c.sub.Util))
+	for _, on := range c.sub.Online {
 		if on {
-			allOffline = false
-			break
+			return c.inner[ci].decide(&c.sub, c.local)
 		}
 	}
-	if allOffline {
-		// Freshly woken domain: no utilization history yet. Bring up one
-		// core at the domain minimum and let the next sample steer it.
-		return policy.Decision{
-			TargetFreq:  uniform(len(v.CoreIDs), v.Table.Min().Freq),
-			OnlineCores: 1,
-			Quota:       in.Quota,
-		}, nil
+	// Freshly woken domain: no utilization history yet. Bring up one
+	// core at the domain minimum and let the next sample steer it.
+	fmin := c.domains[ci].Table.Min().Freq
+	for j := range c.local {
+		c.local[j] = fmin
 	}
-	dec, err := c.inner[ci].Decide(sub)
-	if err != nil {
-		return policy.Decision{}, fmt.Errorf("core: domain %s: %w", c.domains[ci].Name, err)
-	}
-	return dec, nil
+	return 1, in.Quota
 }
 
 // Reset implements policy.Manager.

@@ -37,7 +37,6 @@ func clusterInput(views []policy.ClusterView, littleUtil, bigUtil float64, bigOn
 		Online:   make([]bool, 8),
 		CurFreq:  make([]soc.Hz, 8),
 		Quota:    1,
-		Table:    views[1].Table,
 		Clusters: views,
 	}
 	for _, id := range views[0].CoreIDs {
@@ -65,7 +64,7 @@ func TestClusteredParksBigAtLowDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.ValidateClustered(views, 8); err != nil {
+	if err := dec.Validate(views, 8); err != nil {
 		t.Fatal(err)
 	}
 	if dec.OnlineVec == nil {
@@ -112,7 +111,7 @@ func TestClusteredWakesBigUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.ValidateClustered(views, 8); err != nil {
+	if err := dec.Validate(views, 8); err != nil {
 		t.Fatal(err)
 	}
 	if dec.OnlineVec[1] < 1 {

@@ -41,7 +41,6 @@ func nexus6pInput(views []policy.ClusterView, littleUtil float64) policy.Input {
 		Online:   make([]bool, n),
 		CurFreq:  make([]soc.Hz, n),
 		Quota:    1,
-		Table:    views[1].Table,
 		Clusters: views,
 	}
 	for _, id := range views[0].CoreIDs {

@@ -125,8 +125,10 @@ func (t Tunables) Validate() error {
 	return t.Ondemand.Validate()
 }
 
-// MobiCore is the unified manager. It is deterministic and keeps one sample
-// of history (the previous overall utilization) for burst/slow detection.
+// MobiCore is the per-domain engine of the unified manager: Figure 8 run
+// on one frequency domain's cores. Clustered runs one per domain. It is
+// deterministic and keeps one sample of history (the previous overall
+// utilization) for burst/slow detection.
 type MobiCore struct {
 	table    *soc.OPPTable
 	tun      Tunables
@@ -142,24 +144,9 @@ type MobiCore struct {
 	loadScratch []power.CoreLoad
 }
 
-var _ policy.Manager = (*MobiCore)(nil)
-
-// New builds a MobiCore manager using the §5.2 threshold rule for core
-// re-evaluation (no power model attached).
-func New(table *soc.OPPTable, tun Tunables) (*MobiCore, error) {
-	return build(table, tun, nil)
-}
-
-// NewWithModel builds the full MobiCore of the thesis: core scaling guided
-// by the §4.1 energy model — each period, the (cores, frequency) choice is
-// the model's minimum-power combination that serves the measured demand.
-func NewWithModel(table *soc.OPPTable, tun Tunables, model *power.Model) (*MobiCore, error) {
-	if model == nil {
-		return nil, errors.New("core: NewWithModel requires a model")
-	}
-	return build(table, tun, model)
-}
-
+// build makes one domain's engine. A nil model selects the §5.2
+// threshold rule for core re-evaluation; a model selects the §4.2
+// energy-model search ("the best one is chosen by our model").
 func build(table *soc.OPPTable, tun Tunables, model *power.Model) (*MobiCore, error) {
 	if table == nil || table.Len() == 0 {
 		return nil, soc.ErrEmptyTable
@@ -174,20 +161,13 @@ func build(table *soc.OPPTable, tun Tunables, model *power.Model) (*MobiCore, er
 	return &MobiCore{table: table, tun: tun, ondemand: od, model: model}, nil
 }
 
-// Name implements policy.Manager.
-func (m *MobiCore) Name() string { return "mobicore" }
-
-// Tunables returns the manager's configuration.
-func (m *MobiCore) Tunables() Tunables { return m.tun }
-
-// ModelGuided reports whether the §4.2 energy-model search is attached.
-func (m *MobiCore) ModelGuided() bool { return m.model != nil }
-
-// Decide implements policy.Manager, following Figure 8 step by step.
-func (m *MobiCore) Decide(in policy.Input) (policy.Decision, error) {
-	if err := in.Validate(); err != nil {
-		return policy.Decision{}, err
-	}
+// decide follows Figure 8 step by step on one domain's observation (core
+// indices local to the domain, as Input.Slice writes them). It writes
+// each core's target frequency into targets and returns the online-core
+// count and the domain's bandwidth quota.
+//
+//mobicore:hotpath
+func (m *MobiCore) decide(in *policy.Input, targets []soc.Hz) (cores int, quota float64) {
 	nmax := len(in.Util)
 
 	// Observations: K is the overall utilization of the phone — the
@@ -227,7 +207,7 @@ func (m *MobiCore) Decide(in policy.Input) (policy.Decision, error) {
 	// siblings can read as "low overall utilization" when the workload
 	// is actually clock-starved, and throttling it would stall the very
 	// thread that needs time.
-	quota := m.decideQuota(k)
+	quota = m.decideQuota(k)
 	pegged := maxUtil >= m.tun.PegThreshold
 	if pegged {
 		quota = 1
@@ -254,7 +234,7 @@ func (m *MobiCore) Decide(in policy.Input) (policy.Decision, error) {
 	// Step 3 + 4 combined: choose the (cores, frequency) combination.
 	// Eq. 9's K is scaled by the quota (K = K·q, §4.1.1).
 	kq := k * quota
-	cores := m.chooseCores(in, fOndemand, kq, demand, online, nmax, maxUseful)
+	cores = m.chooseCores(in, fOndemand, kq, demand, online, nmax, maxUseful)
 	freq, cores := m.freqFor(fOndemand, kq, demand, cores, nmax, maxUseful)
 
 	// Per-core targets: the platform has per-core rails (Table 1's
@@ -268,7 +248,9 @@ func (m *MobiCore) Decide(in policy.Input) (policy.Decision, error) {
 	// under MobiCore on Real Racing 3 (§6.3): with "a fixed number of
 	// the active cores sufficient" and no slack to trim, the escalation
 	// path is all that remains.
-	targets := uniform(nmax, freq)
+	for i := range targets {
+		targets[i] = freq
+	}
 	if pegged {
 		esc := freq
 		if fOndemand > esc {
@@ -284,12 +266,7 @@ func (m *MobiCore) Decide(in policy.Input) (policy.Decision, error) {
 			}
 		}
 	}
-
-	return policy.Decision{
-		TargetFreq:  targets,
-		OnlineCores: cores,
-		Quota:       quota,
-	}, nil
+	return cores, quota
 }
 
 // activeUtil is the utilization above which a core counts as carrying a
@@ -329,7 +306,7 @@ func (m *MobiCore) decideQuota(util float64) float64 {
 // moves one step towards the cheapest combination (one step per period —
 // hotplug transitions are expensive, §2.1). Without a model it applies the
 // §5.2 threshold rule: drop cores whose utilization is below 10%.
-func (m *MobiCore) chooseCores(in policy.Input, fOndemand soc.Hz, kq, demand float64, online, nmax, maxUseful int) int {
+func (m *MobiCore) chooseCores(in *policy.Input, fOndemand soc.Hz, kq, demand float64, online, nmax, maxUseful int) int {
 	if m.model == nil {
 		lowUtil := 0
 		for i := range in.Util {
@@ -406,19 +383,11 @@ func (m *MobiCore) freqFor(fOndemand soc.Hz, kq, demand float64, cores, nmax, ma
 	}
 }
 
-// Reset implements policy.Manager.
+// Reset clears the engine's history.
 func (m *MobiCore) Reset() {
 	m.havePrev = false
 	m.prevUtil = 0
 	m.ondemand.Reset()
-}
-
-func uniform(n int, f soc.Hz) []soc.Hz {
-	out := make([]soc.Hz, n)
-	for i := range out {
-		out[i] = f
-	}
-	return out
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mobicore/internal/platform"
 	"mobicore/internal/policy"
 	"mobicore/internal/power"
 	"mobicore/internal/soc"
@@ -38,33 +39,41 @@ func model(t *testing.T) *power.Model {
 	return m
 }
 
-func newMobi(t *testing.T) *MobiCore {
+// newMobi builds the one-domain manager with the §5.2 threshold rule.
+func newMobi(t *testing.T) *Clustered {
 	t.Helper()
-	m, err := New(table(t), DefaultTunables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return newOneDomain(t, nil)
 }
 
-func newMobiModel(t *testing.T) *MobiCore {
+// newMobiModel builds the one-domain manager with the §4.2 model search.
+func newMobiModel(t *testing.T) *Clustered {
 	t.Helper()
-	m, err := NewWithModel(table(t), DefaultTunables(), model(t))
+	return newOneDomain(t, model(t))
+}
+
+func newOneDomain(t *testing.T, m *power.Model) *Clustered {
+	t.Helper()
+	c, err := NewClustered(DefaultTunables(), DefaultClusterTunables(), []Domain{{Name: "cpu", Table: table(t), Model: m}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return c
+}
+
+// cpuViews is the one-domain topology of a 4-core homogeneous SoC.
+func cpuViews() []policy.ClusterView {
+	return []policy.ClusterView{{Name: "cpu", Table: soc.MSM8974Table(), CoreIDs: []int{0, 1, 2, 3}}}
 }
 
 func in4(utils [4]float64, online [4]bool, freq soc.Hz) policy.Input {
 	return policy.Input{
-		Now:     time.Second,
-		Period:  50 * time.Millisecond,
-		Util:    utils[:],
-		Online:  online[:],
-		CurFreq: []soc.Hz{freq, freq, freq, freq},
-		Quota:   1,
-		Table:   soc.MSM8974Table(),
+		Now:      time.Second,
+		Period:   50 * time.Millisecond,
+		Util:     utils[:],
+		Online:   online[:],
+		CurFreq:  []soc.Hz{freq, freq, freq, freq},
+		Quota:    1,
+		Clusters: cpuViews(),
 	}
 }
 
@@ -101,18 +110,25 @@ func TestTunablesValidate(t *testing.T) {
 }
 
 func TestConstructors(t *testing.T) {
-	if _, err := New(nil, DefaultTunables()); err == nil {
+	if _, err := NewClustered(DefaultTunables(), DefaultClusterTunables(), []Domain{{Name: "cpu"}}); err == nil {
 		t.Error("nil table accepted")
 	}
-	if _, err := NewWithModel(table(t), DefaultTunables(), nil); err == nil {
-		t.Error("nil model accepted")
+	bad := DefaultTunables()
+	bad.MinCores = 0
+	if _, err := NewClustered(bad, DefaultClusterTunables(), []Domain{{Name: "cpu", Table: table(t)}}); err == nil {
+		t.Error("invalid tunables accepted")
 	}
-	m := newMobiModel(t)
-	if !m.ModelGuided() {
-		t.Error("model-guided flag lost")
-	}
-	if newMobi(t).ModelGuided() {
-		t.Error("threshold variant claims a model")
+	for _, withModel := range []bool{true, false} {
+		m, err := NewClusteredForPlatform(platform.Nexus5(), DefaultTunables(), DefaultClusterTunables(), withModel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.inner[0].model != nil; got != withModel {
+			t.Errorf("withModel %v: domain model attached = %v", withModel, got)
+		}
+		if got := m.emod != nil; got != withModel {
+			t.Errorf("withModel %v: energy model attached = %v", withModel, got)
+		}
 	}
 }
 
@@ -132,7 +148,7 @@ func TestQuotaAlgorithm(t *testing.T) {
 	}
 	// Falling low load (0.70→0.30, delta −0.40): slow mode — quota
 	// shrinks to (util+headroom)·0.9.
-	tun := m.Tunables()
+	tun := DefaultTunables()
 	if q, want := decide(0.30), (0.30+tun.QuotaHeadroom)*tun.SlowScale; math.Abs(q-want) > 1e-9 {
 		t.Errorf("slow mode quota = %v, want %v", q, want)
 	}
@@ -157,8 +173,8 @@ func TestQuotaFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Quota < m.Tunables().MinQuota {
-			t.Fatalf("quota %v fell below floor %v", dec.Quota, m.Tunables().MinQuota)
+		if dec.Quota < DefaultTunables().MinQuota {
+			t.Fatalf("quota %v fell below floor %v", dec.Quota, DefaultTunables().MinQuota)
 		}
 	}
 }
@@ -170,16 +186,16 @@ func TestThresholdCoreRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.OnlineCores != 2 {
-		t.Errorf("two sub-10%% cores should leave 2 online, got %d", dec.OnlineCores)
+	if dec.OnlineVec[0] != 2 {
+		t.Errorf("two sub-10%% cores should leave 2 online, got %d", dec.OnlineVec[0])
 	}
 	// All idle: MinCores floor.
 	dec, err = m.Decide(in4([4]float64{0, 0, 0, 0}, allOn, 300*soc.MHz))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.OnlineCores != m.Tunables().MinCores {
-		t.Errorf("all-idle cores = %d, want MinCores %d", dec.OnlineCores, m.Tunables().MinCores)
+	if dec.OnlineVec[0] != DefaultTunables().MinCores {
+		t.Errorf("all-idle cores = %d, want MinCores %d", dec.OnlineVec[0], DefaultTunables().MinCores)
 	}
 }
 
@@ -193,10 +209,10 @@ func TestEq9GrowsCoresInsteadOfOverclocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.OnlineCores <= 2 {
-		t.Errorf("saturated 2-core system should grow cores, got %d", dec.OnlineCores)
+	if dec.OnlineVec[0] <= 2 {
+		t.Errorf("saturated 2-core system should grow cores, got %d", dec.OnlineVec[0])
 	}
-	for i := 0; i < dec.OnlineCores; i++ {
+	for i := 0; i < dec.OnlineVec[0]; i++ {
 		if dec.TargetFreq[i] > fmax {
 			t.Errorf("core %d target %v above f_max", i, dec.TargetFreq[i])
 		}
@@ -232,7 +248,7 @@ func TestTrimsBelowOndemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmax := table(t).Max().Freq
-	for i := 0; i < dec.OnlineCores; i++ {
+	for i := 0; i < dec.OnlineVec[0]; i++ {
 		if dec.TargetFreq[i] >= fmax {
 			t.Errorf("core %d = f_max; MobiCore should give the just-needed frequency", i)
 		}
@@ -243,7 +259,7 @@ func TestTrimsBelowOndemand(t *testing.T) {
 // pass validation — the closed-loop safety property.
 func TestDecisionAlwaysValid(t *testing.T) {
 	tbl := table(t)
-	for _, variant := range []*MobiCore{newMobi(t), newMobiModel(t)} {
+	for vi, variant := range []*Clustered{newMobi(t), newMobiModel(t)} {
 		prop := func(rawUtil [4]uint16, rawFreq uint8, onlineMask uint8) bool {
 			var utils [4]float64
 			var online [4]bool
@@ -261,14 +277,15 @@ func TestDecisionAlwaysValid(t *testing.T) {
 				online[0] = true
 			}
 			freq := tbl.At(int(rawFreq) % tbl.Len()).Freq
-			dec, err := variant.Decide(in4(utils, online, freq))
+			in := in4(utils, online, freq)
+			dec, err := variant.Decide(in)
 			if err != nil {
 				return false
 			}
-			return dec.Validate(tbl, 4) == nil
+			return dec.Validate(in.Clusters, 4) == nil
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(9))}); err != nil {
-			t.Errorf("%v (model=%v)", err, variant.ModelGuided())
+			t.Errorf("%v (model=%v)", err, vi == 1)
 		}
 	}
 }
@@ -341,24 +358,95 @@ func TestSweepOperatingPointsFeasibleOnly(t *testing.T) {
 }
 
 func TestOracleManager(t *testing.T) {
-	o, err := NewOracle(table(t), model(t), 0.15)
+	o, err := NewClusteredOracleForPlatform(platform.Nexus5(), 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := o.Decide(in4([4]float64{0.3, 0.3, 0.3, 0.3}, allOn, 960_000*soc.KHz))
+	in := in4([4]float64{0.3, 0.3, 0.3, 0.3}, allOn, 960_000*soc.KHz)
+	dec, err := o.Decide(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.Validate(table(t), 4); err != nil {
+	if err := dec.Validate(in.Clusters, 4); err != nil {
 		t.Errorf("oracle decision invalid: %v", err)
 	}
 	if dec.Quota != 1 {
 		t.Errorf("oracle quota = %v, want 1", dec.Quota)
 	}
-	if _, err := NewOracle(table(t), nil, 0.1); err == nil {
-		t.Error("nil model accepted")
-	}
-	if _, err := NewOracle(table(t), model(t), -1); err == nil {
+	if _, err := NewClusteredOracleForPlatform(platform.Nexus5(), -1); err == nil {
 		t.Error("negative headroom accepted")
+	}
+}
+
+// TestOneClusterOracleMatchesChooseOperatingPoint: on a homogeneous SoC
+// the joint per-cluster search picks the same (cores, OPP) as the §4.2
+// single-domain search at every demand, from idle to beyond the SoC.
+func TestOneClusterOracleMatchesChooseOperatingPoint(t *testing.T) {
+	for _, plat := range []platform.Platform{platform.Nexus5(), platform.NexusS(), platform.LGG3()} {
+		comp, err := plat.Compiled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, tbl, n := comp.Models[0], comp.Tables[0], plat.NumCores
+		top := 1.1 * float64(n) * float64(tbl.Max().Freq)
+		for i := 0; i <= 2000; i++ {
+			demand := top * float64(i) / 2000
+			want, err := ChooseOperatingPoint(m, tbl, demand, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := ChooseClusterOperatingPoints(comp.BaseWatts, comp.Models, comp.Tables, []int{n}, demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0].Cores != want.Cores || got[0].OPP != want.OPP {
+				t.Fatalf("%s demand %v: cluster search (%d, %v), single search (%d, %v)",
+					plat.Name, demand, got[0].Cores, got[0].OPP.Freq, want.Cores, want.OPP.Freq)
+			}
+		}
+	}
+}
+
+// TestOneDomainQuotaExact: a one-domain manager returns its domain's
+// quota bit for bit at any core count — the whole-SoC rescaling q·n/n
+// would not round back to q for n = 3, 5 or 6.
+func TestOneDomainQuotaExact(t *testing.T) {
+	tbl := table(t)
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 3, 4, 5, 6} {
+		mgr := newMobi(t)
+		ref, err := build(tbl, DefaultTunables(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		in := policy.Input{
+			Period:   50 * time.Millisecond,
+			Util:     make([]float64, n),
+			Online:   make([]bool, n),
+			CurFreq:  make([]soc.Hz, n),
+			Quota:    1,
+			Clusters: []policy.ClusterView{{Name: "cpu", Table: tbl, CoreIDs: ids}},
+		}
+		local := make([]soc.Hz, n)
+		for step := 0; step < 400; step++ {
+			in.Now += in.Period
+			for i := range in.Util {
+				in.Util[i] = 0.45 * rng.Float64()
+				in.Online[i] = true
+				in.CurFreq[i] = tbl.At(rng.Intn(tbl.Len())).Freq
+			}
+			dec, err := mgr.Decide(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want := ref.decide(&in, local)
+			if math.Float64bits(dec.Quota) != math.Float64bits(want) {
+				t.Fatalf("%d cores, step %d: quota %v, domain quota %v", n, step, dec.Quota, want)
+			}
+		}
 	}
 }

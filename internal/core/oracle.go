@@ -85,64 +85,6 @@ func SweepOperatingPoints(m *power.Model, table *soc.OPPTable, demandCyclesPerSe
 	return out, nil
 }
 
-// Oracle is the model-driven manager: each period it measures the served
-// demand, adds headroom, and programs the energy-model optimum. It is the
-// reference MobiCore's closed-form law is validated against (ablation 3 in
-// DESIGN.md). Bandwidth is left alone so the comparison isolates operating
-// point selection.
-type Oracle struct {
-	table    *soc.OPPTable
-	model    *power.Model
-	headroom float64
-}
-
-var _ policy.Manager = (*Oracle)(nil)
-
-// NewOracle builds the model-driven manager. headroom inflates measured
-// demand to leave room for growth between samples (e.g. 0.15 for 15%).
-func NewOracle(table *soc.OPPTable, model *power.Model, headroom float64) (*Oracle, error) {
-	if table == nil || table.Len() == 0 {
-		return nil, soc.ErrEmptyTable
-	}
-	if model == nil {
-		return nil, errors.New("core: oracle needs a power model")
-	}
-	if headroom < 0 || headroom > 1 {
-		return nil, errors.New("core: oracle headroom must be in [0,1]")
-	}
-	return &Oracle{table: table, model: model, headroom: headroom}, nil
-}
-
-// Name implements policy.Manager.
-func (o *Oracle) Name() string { return "oracle" }
-
-// Decide implements policy.Manager.
-func (o *Oracle) Decide(in policy.Input) (policy.Decision, error) {
-	if err := in.Validate(); err != nil {
-		return policy.Decision{}, err
-	}
-	// Served demand: cycles/sec actually consumed this period.
-	var demand float64
-	for i := range in.Util {
-		if in.Online[i] {
-			demand += in.Util[i] * float64(in.CurFreq[i])
-		}
-	}
-	demand *= 1 + o.headroom
-	best, err := ChooseOperatingPoint(o.model, o.table, demand, len(in.Util))
-	if err != nil {
-		return policy.Decision{}, err
-	}
-	return policy.Decision{
-		TargetFreq:  uniform(len(in.Util), best.OPP.Freq),
-		OnlineCores: best.Cores,
-		Quota:       1,
-	}, nil
-}
-
-// Reset implements policy.Manager.
-func (o *Oracle) Reset() {}
-
 // ClusterOperatingPoint is one cluster's share of a joint heterogeneous
 // operating point: how many of its cores run and at which OPP. Cores == 0
 // parks the whole domain (OPP is then the domain floor).
@@ -253,42 +195,47 @@ func clusterPredictWatts(m *power.Model, cores int, opp soc.OPP, shareCyclesPerS
 	return float64(cores)*m.CoreWatts(soc.StateActive, opp, util) + off + m.CacheWatts(util, opp.Freq)
 }
 
-// ClusteredOracle is the model-driven reference manager for heterogeneous
-// SoCs: each period it measures served demand, adds headroom, and programs
-// the joint per-cluster optimum from ChooseClusterOperatingPoints. The
-// homogeneous Oracle is the single-cluster special case.
+// ClusteredOracle is the model-driven reference manager: each period it
+// measures served demand, adds headroom, and programs the joint
+// per-cluster optimum from ChooseClusterOperatingPoints. It is the
+// reference MobiCore's closed-form law is validated against; bandwidth is
+// left alone so the comparison isolates operating-point selection. On a
+// homogeneous SoC the search is ChooseOperatingPoint's over one cluster.
 type ClusteredOracle struct {
 	baseWatts float64
 	models    []*power.Model
 	tables    []*soc.OPPTable
 	counts    []int
 	headroom  float64
+
+	// targets and online back the decision's slices, reused across
+	// samples.
+	targets []soc.Hz
+	online  []int
 }
 
 var _ policy.Manager = (*ClusteredOracle)(nil)
 
-// NewClusteredOracleForPlatform builds the cluster-aware oracle from a
-// platform profile, one calibrated model per frequency domain. headroom
-// inflates measured demand to leave room for growth between samples.
+// NewClusteredOracleForPlatform builds the oracle from a platform profile,
+// pricing each frequency domain with the platform's shared calibrated
+// model. headroom inflates measured demand to leave room for growth
+// between samples (e.g. 0.15 for 15%).
 func NewClusteredOracleForPlatform(plat platform.Platform, headroom float64) (*ClusteredOracle, error) {
 	if headroom < 0 || headroom > 1 {
 		return nil, errors.New("core: oracle headroom must be in [0,1]")
 	}
-	specs := plat.ClusterSpecs()
+	comp, err := plat.Compiled()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	o := &ClusteredOracle{
-		baseWatts: plat.Power.BaseWatts,
-		models:    make([]*power.Model, len(specs)),
-		tables:    make([]*soc.OPPTable, len(specs)),
-		counts:    make([]int, len(specs)),
+		baseWatts: comp.BaseWatts,
+		models:    comp.Models,
+		tables:    comp.Tables,
+		counts:    make([]int, len(comp.Specs)),
 		headroom:  headroom,
 	}
-	for ci, cs := range specs {
-		m, err := power.NewModel(cs.Power, cs.Table)
-		if err != nil {
-			return nil, fmt.Errorf("core: cluster %s: %w", cs.Name, err)
-		}
-		o.models[ci] = m
-		o.tables[ci] = cs.Table
+	for ci, cs := range comp.Specs {
 		o.counts[ci] = cs.NumCores
 	}
 	return o, nil
@@ -297,12 +244,13 @@ func NewClusteredOracleForPlatform(plat platform.Platform, headroom float64) (*C
 // Name implements policy.Manager.
 func (o *ClusteredOracle) Name() string { return "oracle" }
 
-// Decide implements policy.Manager.
+// Decide implements policy.Manager. The decision's slices are the
+// oracle's own buffers, valid until the next Decide.
 func (o *ClusteredOracle) Decide(in policy.Input) (policy.Decision, error) {
 	if err := in.Validate(); err != nil {
 		return policy.Decision{}, err
 	}
-	views := in.ClusterViews()
+	views := in.Clusters
 	if len(views) != len(o.models) {
 		return policy.Decision{}, fmt.Errorf("core: cluster oracle built for %d domains, input has %d",
 			len(o.models), len(views))
@@ -318,19 +266,19 @@ func (o *ClusteredOracle) Decide(in policy.Input) (policy.Decision, error) {
 	if err != nil {
 		return policy.Decision{}, err
 	}
-	targets := make([]soc.Hz, len(in.Util))
-	vec := make([]int, len(views))
+	o.targets = policy.Resize(o.targets, len(in.Util))
+	o.online = policy.Resize(o.online, len(views))
 	for ci, v := range views {
-		vec[ci] = choice[ci].Cores
+		o.online[ci] = choice[ci].Cores
 		f := choice[ci].OPP.Freq
 		if choice[ci].Cores == 0 {
 			f = v.Table.Min().Freq // parked domain clocks at its floor
 		}
 		for _, id := range v.CoreIDs {
-			targets[id] = f
+			o.targets[id] = f
 		}
 	}
-	return policy.Decision{TargetFreq: targets, OnlineVec: vec, Quota: 1}, nil
+	return policy.Decision{TargetFreq: o.targets, OnlineVec: o.online, Quota: 1}, nil
 }
 
 // Reset implements policy.Manager.

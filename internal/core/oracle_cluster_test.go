@@ -122,7 +122,6 @@ func TestClusteredOracleDecide(t *testing.T) {
 		Online:   make([]bool, plat.NumCores),
 		CurFreq:  make([]soc.Hz, plat.NumCores),
 		Quota:    1,
-		Table:    plat.Table,
 		Clusters: views,
 	}
 	for _, idc := range views[0].CoreIDs {
@@ -137,7 +136,7 @@ func TestClusteredOracleDecide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.ValidateClustered(views, plat.NumCores); err != nil {
+	if err := dec.Validate(views, plat.NumCores); err != nil {
 		t.Fatalf("clustered oracle produced invalid decision: %v", err)
 	}
 	if dec.OnlineVec == nil {

@@ -5,15 +5,13 @@ import (
 	"io"
 	"time"
 
-	"mobicore/internal/core"
-	"mobicore/internal/cpufreq"
 	"mobicore/internal/fleet"
 	"mobicore/internal/games"
-	"mobicore/internal/hotplug"
 	"mobicore/internal/metrics"
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
 	"mobicore/internal/soc"
+	"mobicore/internal/stack"
 )
 
 // BigLittleRow is one policy's session on the big.LITTLE platform.
@@ -111,13 +109,9 @@ func sparkline(s metrics.Series, scale float64) string {
 // governors, each run per cluster as an independent cpufreq policy domain
 // with the global load hotplug.
 func bigLittlePolicies() []fleet.PolicyFactory {
-	factories := []fleet.PolicyFactory{{Name: "mobicore", New: clusteredMobicoreManager}}
+	factories := []fleet.PolicyFactory{fleet.Policy(stack.MobiCore)}
 	for _, gov := range []string{"ondemand", "interactive", "schedutil"} {
-		gov := gov
-		factories = append(factories, fleet.PolicyFactory{
-			Name: gov,
-			New:  func(p platform.Platform) (policy.Manager, error) { return clusteredGovernorManager(p, gov) },
-		})
+		factories = append(factories, governorFactory(gov))
 	}
 	return factories
 }
@@ -164,20 +158,11 @@ func RunBigLittle(opt Options) (Result, error) {
 	return res, nil
 }
 
-// clusteredMobicoreManager builds the per-cluster MobiCore with each
-// domain's calibrated energy model attached.
-func clusteredMobicoreManager(plat platform.Platform) (policy.Manager, error) {
-	return core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
-}
-
-// clusteredGovernorManager builds "<gov>+load" with one governor instance
-// per cluster.
-func clusteredGovernorManager(plat platform.Platform, gov string) (policy.Manager, error) {
-	plug, err := hotplug.NewLoad(hotplug.DefaultLoadTunables())
-	if err != nil {
-		return nil, err
+// governorFactory is the fleet policy "<gov>+load", labelled gov: one
+// governor instance per cluster with the global load hotplug.
+func governorFactory(gov string) fleet.PolicyFactory {
+	return fleet.PolicyFactory{
+		Name: gov,
+		New:  func(p platform.Platform) (policy.Manager, error) { return stack.Build(gov+"+load", p) },
 	}
-	return policy.ComposeClustered(gov,
-		func(t *soc.OPPTable) (cpufreq.Governor, error) { return cpufreq.New(gov, t) },
-		plug, plat.ClusterTables())
 }

@@ -8,7 +8,6 @@ import (
 	"mobicore/internal/fleet"
 	"mobicore/internal/games"
 	"mobicore/internal/platform"
-	"mobicore/internal/policy"
 	"mobicore/internal/sim"
 )
 
@@ -100,12 +99,7 @@ func RunEASPlace(opt Options) (Result, error) {
 	}
 	fres, err := runFleet(fleet.Spec{
 		Platforms: easplacePlatforms(),
-		Policies: []fleet.PolicyFactory{{
-			Name: "schedutil",
-			New: func(p platform.Platform) (policy.Manager, error) {
-				return clusteredGovernorManager(p, "schedutil")
-			},
-		}},
+		Policies:  []fleet.PolicyFactory{governorFactory("schedutil")},
 		Workloads: workloads,
 		Placers:   []string{sim.PlacerGreedy, sim.PlacerEAS},
 		Seeds:     opt.seedList(),

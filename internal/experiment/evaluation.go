@@ -10,7 +10,7 @@ import (
 	"mobicore/internal/geekbench"
 	"mobicore/internal/metrics"
 	"mobicore/internal/platform"
-	"mobicore/internal/policy"
+	"mobicore/internal/stack"
 )
 
 // Fig9aRow compares the two policies at one utilization point of the
@@ -68,16 +68,12 @@ func RunFig9a(opt Options) (Result, error) {
 	plat := platform.Nexus5()
 	res := &Fig9aResult{}
 	for util := 0.1; util <= 1.001; util += 0.1 {
-		defMgr, err := defaultManager(plat.Table)
-		if err != nil {
-			return nil, fmt.Errorf("fig9a: %w", err)
-		}
-		mobMgr, err := mobicoreManager(plat)
-		if err != nil {
-			return nil, fmt.Errorf("fig9a: %w", err)
-		}
 		var watts [2]float64
-		for i, mgr := range []policyManager{defMgr, mobMgr} {
+		for i, name := range []string{stack.AndroidDefault, stack.MobiCore} {
+			mgr, err := stack.Build(name, plat)
+			if err != nil {
+				return nil, fmt.Errorf("fig9a: %w", err)
+			}
 			wl, err := utilLoop(util, plat.NumCores, plat.Table.Max().Freq)
 			if err != nil {
 				return nil, fmt.Errorf("fig9a: %w", err)
@@ -149,13 +145,7 @@ func RunFig9b(opt Options) (Result, error) {
 		watts float64
 	}
 	runOne := func(mobicore bool) (outcome, error) {
-		var mgr policyManager
-		var err error
-		if mobicore {
-			mgr, err = mobicoreManager(plat)
-		} else {
-			mgr, err = defaultManager(plat.Table)
-		}
+		mgr, err := stack.Build(stackName(mobicore), plat)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -250,13 +240,7 @@ func runGames(opt Options) ([]GameRow, error) {
 	for _, prof := range games.All() {
 		row := GameRow{Game: prof.Name}
 		for _, mobicore := range []bool{false, true} {
-			var mgr policyManager
-			var err error
-			if mobicore {
-				mgr, err = mobicoreManager(plat)
-			} else {
-				mgr, err = defaultManager(plat.Table)
-			}
+			mgr, err := stack.Build(stackName(mobicore), plat)
 			if err != nil {
 				return nil, fmt.Errorf("games %s: %w", prof.Name, err)
 			}
@@ -287,5 +271,11 @@ func runGames(opt Options) ([]GameRow, error) {
 	return rows, nil
 }
 
-// policyManager aliases the manager interface experiments drive.
-type policyManager = policy.Manager
+// stackName names the stack of one side of a MobiCore-versus-default
+// comparison.
+func stackName(mobicore bool) string {
+	if mobicore {
+		return stack.MobiCore
+	}
+	return stack.AndroidDefault
+}

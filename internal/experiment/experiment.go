@@ -12,13 +12,11 @@ import (
 	"io"
 	"time"
 
-	"mobicore/internal/core"
 	"mobicore/internal/fleet"
 	"mobicore/internal/games"
 	"mobicore/internal/natsort"
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
-	"mobicore/internal/power"
 	"mobicore/internal/sim"
 	"mobicore/internal/soc"
 	"mobicore/internal/workload"
@@ -280,21 +278,6 @@ func gameFactory(prof games.Profile) fleet.WorkloadFactory {
 			return []workload.Workload{g}, nil
 		},
 	}
-}
-
-// defaultManager builds the Android-default baseline (ondemand + load
-// hotplug, mpdecision disabled).
-func defaultManager(table *soc.OPPTable) (policy.Manager, error) {
-	return policy.AndroidDefault(table)
-}
-
-// mobicoreManager builds the full MobiCore (energy-model guided).
-func mobicoreManager(plat platform.Platform) (policy.Manager, error) {
-	model, err := power.NewModel(plat.Power, plat.Table)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewWithModel(plat.Table, core.DefaultTunables(), model)
 }
 
 // stressLoop builds a continuous full-utilization busy loop across n

@@ -85,23 +85,24 @@ func (r *Table2Result) WriteText(w io.Writer) error {
 func RunTable2(opt Options) (Result, error) {
 	_ = opt
 	plat := platform.Nexus5()
-	mgr, err := core.New(plat.Table, core.DefaultTunables())
+	tun := core.DefaultTunables()
+	mgr, err := core.NewClusteredForPlatform(plat, tun, core.DefaultClusterTunables(), false)
 	if err != nil {
 		return nil, fmt.Errorf("table2: %w", err)
 	}
+	clusters := []policy.ClusterView{{Name: "cpu", Table: plat.Table, CoreIDs: []int{0, 1, 2, 3}}}
 	trace := []float64{0.70, 0.70, 0.55, 0.35, 0.25, 0.18, 0.18, 0.18, 0.35, 0.80, 0.80}
 	res := &Table2Result{Steps: make([]Table2Step, 0, len(trace))}
-	tun := mgr.Tunables()
 	prev := 0.0
 	for i, util := range trace {
 		in := policy.Input{
-			Now:     time.Duration(i+1) * 50 * time.Millisecond,
-			Period:  50 * time.Millisecond,
-			Util:    []float64{util, util, util, util},
-			Online:  []bool{true, true, true, true},
-			CurFreq: uniformFreqs(plat.Table, 4),
-			Quota:   1,
-			Table:   plat.Table,
+			Now:      time.Duration(i+1) * 50 * time.Millisecond,
+			Period:   50 * time.Millisecond,
+			Util:     []float64{util, util, util, util},
+			Online:   []bool{true, true, true, true},
+			CurFreq:  uniformFreqs(plat.Table, 4),
+			Quota:    1,
+			Clusters: clusters,
 		}
 		dec, err := mgr.Decide(in)
 		if err != nil {

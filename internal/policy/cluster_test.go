@@ -33,31 +33,31 @@ func TestValidateClustered(t *testing.T) {
 		OnlineVec:  []int{2, 0},
 		Quota:      1,
 	}
-	if err := ok.ValidateClustered(views, 4); err != nil {
+	if err := ok.Validate(views, 4); err != nil {
 		t.Fatalf("valid clustered decision rejected: %v", err)
 	}
 
 	bad := ok
 	bad.TargetFreq = []soc.Hz{big.Max().Freq, little.Max().Freq, big.Min().Freq, big.Max().Freq}
-	if err := bad.ValidateClustered(views, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("big-only frequency on a LITTLE core accepted")
 	}
 
 	bad = ok
 	bad.OnlineVec = []int{0, 0}
-	if err := bad.ValidateClustered(views, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("all-parked online vector accepted")
 	}
 
 	bad = ok
 	bad.OnlineVec = []int{3, 0}
-	if err := bad.ValidateClustered(views, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("online count beyond cluster size accepted")
 	}
 
 	bad = ok
 	bad.OnlineVec = []int{2}
-	if err := bad.ValidateClustered(views, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("short online vector accepted")
 	}
 
@@ -67,7 +67,7 @@ func TestValidateClustered(t *testing.T) {
 		OnlineCores: 4,
 		Quota:       1,
 	}
-	if err := flat.ValidateClustered(views, 4); err != nil {
+	if err := flat.Validate(views, 4); err != nil {
 		t.Errorf("flat decision rejected: %v", err)
 	}
 }
@@ -78,9 +78,15 @@ func TestComposeClusteredPerDomainGovernors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := ComposeClustered("performance",
-		func(tab *soc.OPPTable) (cpufreq.Governor, error) { return cpufreq.New("performance", tab) },
-		plug, []*soc.OPPTable{little, big})
+	var govs []cpufreq.Governor
+	for _, tab := range []*soc.OPPTable{little, big} {
+		g, err := cpufreq.New("performance", tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		govs = append(govs, g)
+	}
+	mgr, err := Compose(govs, plug)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +97,21 @@ func TestComposeClusteredPerDomainGovernors(t *testing.T) {
 		Online:   []bool{true, true, true, true},
 		CurFreq:  []soc.Hz{little.Min().Freq, little.Min().Freq, big.Min().Freq, big.Min().Freq},
 		Quota:    1,
-		Table:    big,
 		Clusters: views,
 	}
 	dec, err := mgr.Decide(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.ValidateClustered(views, 4); err != nil {
+	if err := dec.Validate(views, 4); err != nil {
 		t.Fatalf("clustered composite produced invalid decision: %v", err)
+	}
+	one, err := Compose(govs[:1], plug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := one.Decide(in); err == nil {
+		t.Error("one-domain composite accepted a two-cluster input")
 	}
 	// The performance governor pins each domain to its own maximum — the
 	// proof that each cluster got its own governor instance and table.

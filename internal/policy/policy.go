@@ -4,8 +4,9 @@
 // as they both have two different interfaces" (§1.1). This package is that
 // pair of interfaces joined into one: a Manager decides frequency, online
 // cores, and CPU bandwidth quota in a single step. Stock Android behaviour
-// is recovered by composing a cpufreq.Governor with a hotplug.Policy
-// (Compose); MobiCore implements Manager natively in internal/core.
+// is recovered by composing per-domain cpufreq.Governors with a
+// hotplug.Policy (Compose); MobiCore implements Manager natively in
+// internal/core.
 package policy
 
 import (
@@ -19,8 +20,8 @@ import (
 )
 
 // ClusterView describes one frequency domain of the platform as a Manager
-// sees it: the domain's OPP table and the core ids it owns. Homogeneous
-// platforms present a single view covering every core.
+// sees it: the domain's OPP table and the core ids it owns. A homogeneous
+// SoC is one view covering every core.
 type ClusterView struct {
 	Name    string
 	Table   *soc.OPPTable
@@ -50,8 +51,7 @@ type ThermalSignal struct {
 // period. Slices are indexed by core id and must not be mutated. They are
 // also only valid for the duration of the Decide call: the engine pools
 // and refills them between samples, so a manager that needs history must
-// copy values out (Slice already copies; see core/mobicore.go for the
-// scalar-retention idiom).
+// copy values out (see core/mobicore.go for the scalar-retention idiom).
 type Input struct {
 	// Now is the simulation time; Period the time since the last sample.
 	Now    time.Duration
@@ -65,83 +65,72 @@ type Input struct {
 	CurFreq []soc.Hz
 	// Quota is the currently programmed global CPU bandwidth in (0,1].
 	Quota float64
-	// Table is the platform OPP table. On heterogeneous platforms it is
-	// the representative (performance-cluster) table; cluster-aware
-	// managers must resolve tables through Clusters.
-	Table *soc.OPPTable
-	// Clusters lists the platform's frequency domains. Nil means one
-	// domain: Table covering every core.
+	// Clusters lists the platform's frequency domains, efficiency
+	// cluster first; required. A homogeneous SoC is one domain.
 	Clusters []ClusterView
-	// Thermal lists per-domain thermal pressure, indexed like the views
-	// ClusterViews returns. Nil means no thermal telemetry is available
-	// (managers must then assume unbounded headroom).
+	// Thermal lists per-domain thermal pressure, indexed like Clusters.
+	// Nil means no thermal telemetry is available (managers must then
+	// assume unbounded headroom).
 	Thermal []ThermalSignal
 }
 
-// Slice returns the observation restricted to one frequency domain: core
-// indices local to the domain, the domain's table installed, no nested
-// cluster views, and — when the input carries thermal telemetry — the
-// domain's own ThermalSignal as the slice's single entry, so per-domain
-// managers see their cluster's thermal pressure.
-func (in Input) Slice(v ClusterView) Input {
-	sub := Input{
-		Now:     in.Now,
-		Period:  in.Period,
-		Util:    make([]float64, len(v.CoreIDs)),
-		Online:  make([]bool, len(v.CoreIDs)),
-		CurFreq: make([]soc.Hz, len(v.CoreIDs)),
-		Quota:   in.Quota,
-		Table:   v.Table,
+// Slice writes the observation restricted to domain ci into dst, for a
+// manager that runs one pass per domain: core indices local to the
+// domain, no cluster views, and — when the input carries thermal
+// telemetry — the domain's own ThermalSignal as the single entry. dst's
+// Util, Online and CurFreq are reused when large enough, so a manager
+// that keeps dst across samples slices without allocating; dst.Thermal
+// aliases in.Thermal.
+//
+//mobicore:hotpath
+func (in *Input) Slice(ci int, dst *Input) {
+	ids := in.Clusters[ci].CoreIDs
+	dst.Now, dst.Period, dst.Quota = in.Now, in.Period, in.Quota
+	dst.Util = Resize(dst.Util, len(ids))
+	dst.Online = Resize(dst.Online, len(ids))
+	dst.CurFreq = Resize(dst.CurFreq, len(ids))
+	for j, id := range ids {
+		dst.Util[j] = in.Util[id]
+		dst.Online[j] = in.Online[id]
+		dst.CurFreq[j] = in.CurFreq[id]
 	}
-	for j, id := range v.CoreIDs {
-		sub.Util[j] = in.Util[id]
-		sub.Online[j] = in.Online[id]
-		sub.CurFreq[j] = in.CurFreq[id]
+	dst.Clusters, dst.Thermal = nil, nil
+	if ci < len(in.Thermal) {
+		dst.Thermal = in.Thermal[ci : ci+1]
 	}
-	if in.Thermal != nil {
-		if ci := in.domainIndex(v); ci >= 0 && ci < len(in.Thermal) {
-			sub.Thermal = []ThermalSignal{in.Thermal[ci]}
-		}
-	}
-	return sub
 }
 
-// domainIndex locates v among the input's frequency domains. Core ids are
-// disjoint across domains, so the first id identifies the owner uniquely.
-func (in Input) domainIndex(v ClusterView) int {
-	if len(v.CoreIDs) == 0 {
-		return -1
+// Resize returns b with length n and every entry zeroed, reusing b's
+// backing array when it is large enough: the per-sample buffers a
+// manager keeps across Decide calls grow once and are then reused.
+func Resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
-	for ci, w := range in.ClusterViews() {
-		if len(w.CoreIDs) > 0 && w.CoreIDs[0] == v.CoreIDs[0] {
-			return ci
-		}
-	}
-	return -1
-}
-
-// ClusterViews returns the input's frequency domains, synthesizing the
-// single-domain view from Table when Clusters is nil.
-func (in Input) ClusterViews() []ClusterView {
-	if len(in.Clusters) > 0 {
-		return in.Clusters
-	}
-	ids := make([]int, len(in.Util))
-	for i := range ids {
-		ids[i] = i
-	}
-	return []ClusterView{{Name: "cpu", Table: in.Table, CoreIDs: ids}}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // Validate rejects malformed inputs.
 func (in Input) Validate() error {
-	if in.Table == nil || in.Table.Len() == 0 {
-		return errors.New("policy: input missing OPP table")
+	if len(in.Clusters) == 0 {
+		return errors.New("policy: input has no cluster views")
 	}
 	n := len(in.Util)
 	if n == 0 || len(in.Online) != n || len(in.CurFreq) != n {
 		return fmt.Errorf("policy: inconsistent input lengths util=%d online=%d freq=%d",
 			len(in.Util), len(in.Online), len(in.CurFreq))
+	}
+	for ci, v := range in.Clusters {
+		if v.Table == nil || v.Table.Len() == 0 {
+			return fmt.Errorf("policy: cluster %d missing OPP table", ci)
+		}
+		for _, id := range v.CoreIDs {
+			if id < 0 || id >= n {
+				return fmt.Errorf("policy: cluster %d core id %d outside [0,%d)", ci, id, n)
+			}
+		}
 	}
 	if in.Quota <= 0 || in.Quota > 1 {
 		return fmt.Errorf("policy: quota %v outside (0,1]", in.Quota)
@@ -152,8 +141,8 @@ func (in Input) Validate() error {
 		}
 	}
 	if in.Thermal != nil {
-		if want := len(in.ClusterViews()); len(in.Thermal) != want {
-			return fmt.Errorf("policy: %d thermal signals for %d domains", len(in.Thermal), want)
+		if len(in.Thermal) != len(in.Clusters) {
+			return fmt.Errorf("policy: %d thermal signals for %d domains", len(in.Thermal), len(in.Clusters))
 		}
 		for ci, ts := range in.Thermal {
 			// Every zone cap names an operating point, so CapFreq == 0 can
@@ -184,6 +173,8 @@ func (in Input) OverallUtil() float64 {
 }
 
 // Decision is a Manager's complete resource allocation for the next period.
+// Its slices may alias the manager's own buffers: they are valid until the
+// manager's next Decide, so a caller that keeps them must copy them.
 type Decision struct {
 	// TargetFreq is the desired frequency per core id; entries for cores
 	// that end up offline are ignored. Each frequency must be an
@@ -201,22 +192,11 @@ type Decision struct {
 	Quota float64
 }
 
-// Validate checks a decision against the table and core count — the
-// homogeneous single-domain check. Cluster-aware callers use
-// ValidateClustered.
-func (d Decision) Validate(table *soc.OPPTable, numCores int) error {
-	ids := make([]int, numCores)
-	for i := range ids {
-		ids[i] = i
-	}
-	return d.ValidateClustered([]ClusterView{{Name: "cpu", Table: table, CoreIDs: ids}}, numCores)
-}
-
-// ValidateClustered checks a decision against the platform's frequency
-// domains: every per-core target must be an operating point of the owning
+// Validate checks a decision against the platform's frequency domains:
+// every per-core target must be an operating point of the owning
 // cluster's table, and the online allocation (flat or per-cluster) must
 // keep at least one core up.
-func (d Decision) ValidateClustered(views []ClusterView, numCores int) error {
+func (d Decision) Validate(views []ClusterView, numCores int) error {
 	if len(views) == 0 {
 		return errors.New("policy: no cluster views to validate against")
 	}
@@ -272,141 +252,93 @@ type Manager interface {
 	Reset()
 }
 
-// Composite adapts a (governor, hotplug) pair into a Manager — the stock
-// Android arrangement where the two mechanisms run independently. The
-// governor is consulted after the hotplug policy, but neither sees the
-// other's decision, reproducing the lack of coordination the thesis
-// criticizes. Quota is always 1: stock Android leaves bandwidth alone.
-//
-// On a multi-cluster platform (built via ComposeClustered) each cluster is
-// an independent cpufreq policy domain with its own governor instance, as
-// Linux runs one governor per policy; hotplug remains global.
+// Composite adapts per-domain governors and a hotplug policy into a
+// Manager — the stock Android arrangement where the two mechanisms run
+// independently. Each frequency domain is an independent cpufreq policy
+// domain with its own governor instance, as Linux runs one governor per
+// policy; hotplug is global. Neither mechanism sees the other's decision,
+// reproducing the lack of coordination the thesis criticizes. Quota is
+// always 1: stock Android leaves bandwidth alone.
 type Composite struct {
-	name       string
-	domainGovs []cpufreq.Governor // one per frequency domain; len 1 when single-domain
-	plug       hotplug.Policy
+	name string
+	govs []cpufreq.Governor // one per frequency domain, in cluster order
+	plug hotplug.Policy
+
+	sub Input    // the domain being decided, reused across samples
+	out []soc.Hz // per-core targets, scattered from each domain's governor
 }
 
 var _ Manager = (*Composite)(nil)
 
-// Compose builds a single-domain Composite manager.
-func Compose(governor cpufreq.Governor, plug hotplug.Policy) (*Composite, error) {
-	if governor == nil || plug == nil {
-		return nil, errors.New("policy: Compose requires a governor and a hotplug policy")
+// Compose builds a Composite manager from one governor per frequency
+// domain, in cluster order, and a global hotplug policy. It is named
+// after the first governor and the hotplug policy.
+func Compose(govs []cpufreq.Governor, plug hotplug.Policy) (*Composite, error) {
+	if len(govs) == 0 || plug == nil {
+		return nil, errors.New("policy: Compose requires a governor per domain and a hotplug policy")
 	}
-	return &Composite{
-		name:       governor.Name() + "+" + plug.Name(),
-		domainGovs: []cpufreq.Governor{governor},
-		plug:       plug,
-	}, nil
-}
-
-// ComposeClustered builds a Composite manager with one governor instance
-// per frequency domain, constructed by newGov against each domain's table —
-// Linux's one-governor-per-cpufreq-policy arrangement on big.LITTLE.
-func ComposeClustered(govName string, newGov func(*soc.OPPTable) (cpufreq.Governor, error), plug hotplug.Policy, tables []*soc.OPPTable) (*Composite, error) {
-	if newGov == nil || plug == nil {
-		return nil, errors.New("policy: ComposeClustered requires a governor factory and a hotplug policy")
-	}
-	if len(tables) == 0 {
-		return nil, errors.New("policy: ComposeClustered requires at least one cluster table")
-	}
-	govs := make([]cpufreq.Governor, len(tables))
-	for i, t := range tables {
-		g, err := newGov(t)
-		if err != nil {
-			return nil, fmt.Errorf("policy: building %s for cluster %d: %w", govName, i, err)
+	for i, g := range govs {
+		if g == nil {
+			return nil, fmt.Errorf("policy: Compose: nil governor for domain %d", i)
 		}
-		govs[i] = g
 	}
 	return &Composite{
-		name:       govName + "+" + plug.Name(),
-		domainGovs: govs,
-		plug:       plug,
+		name: govs[0].Name() + "+" + plug.Name(),
+		govs: append([]cpufreq.Governor(nil), govs...),
+		plug: plug,
 	}, nil
 }
 
 // Name implements Manager.
 func (c *Composite) Name() string { return c.name }
 
-// Governor exposes the wrapped governor — the first domain's instance when
-// clustered (used by experiments that need to program a userspace speed).
-func (c *Composite) Governor() cpufreq.Governor { return c.domainGovs[0] }
-
-// Decide implements Manager: hotplug and governor each act on the same
-// observation without coordination. With per-domain governors installed,
-// each cluster's governor sees only its own cores and table.
+// Decide implements Manager: hotplug and the governors each act on the
+// same observation without coordination. Each domain's governor sees only
+// its own cores and table.
 func (c *Composite) Decide(in Input) (Decision, error) {
 	if err := in.Validate(); err != nil {
 		return Decision{}, err
+	}
+	if len(in.Clusters) != len(c.govs) {
+		return Decision{}, fmt.Errorf("policy: %s built for %d clusters, input has %d",
+			c.name, len(c.govs), len(in.Clusters))
 	}
 	cores, err := c.plug.TargetCores(hotplug.Input{Now: in.Now, Util: in.Util, Online: in.Online})
 	if err != nil {
 		return Decision{}, fmt.Errorf("policy: hotplug %s: %w", c.plug.Name(), err)
 	}
-	if len(c.domainGovs) > 1 {
-		freqs, err := c.domainTargets(in)
-		if err != nil {
-			return Decision{}, err
-		}
-		return Decision{TargetFreq: freqs, OnlineCores: cores, Quota: 1}, nil
-	}
-	gov := c.domainGovs[0]
-	freqs, err := gov.Target(cpufreq.Input{
-		Now:     in.Now,
-		Period:  in.Period,
-		Util:    in.Util,
-		Online:  in.Online,
-		CurFreq: in.CurFreq,
-		Table:   in.Table,
-	})
-	if err != nil {
-		return Decision{}, fmt.Errorf("policy: governor %s: %w", gov.Name(), err)
-	}
-	return Decision{TargetFreq: freqs, OnlineCores: cores, Quota: 1}, nil
-}
-
-// domainTargets runs each cluster's governor against the slice of the
-// observation it owns and scatters the per-domain targets back to global
-// core ids.
-func (c *Composite) domainTargets(in Input) ([]soc.Hz, error) {
-	views := in.ClusterViews()
-	if len(views) != len(c.domainGovs) {
-		return nil, fmt.Errorf("policy: %s built for %d clusters, input has %d",
-			c.name, len(c.domainGovs), len(views))
-	}
-	out := make([]soc.Hz, len(in.Util))
-	for ci, v := range views {
-		s := in.Slice(v)
-		freqs, err := c.domainGovs[ci].Target(cpufreq.Input{
-			Now:     s.Now,
-			Period:  s.Period,
-			Util:    s.Util,
-			Online:  s.Online,
-			CurFreq: s.CurFreq,
-			Table:   s.Table,
+	c.out = Resize(c.out, len(in.Util))
+	for ci, v := range in.Clusters {
+		in.Slice(ci, &c.sub)
+		freqs, err := c.govs[ci].Target(cpufreq.Input{
+			Now:     c.sub.Now,
+			Period:  c.sub.Period,
+			Util:    c.sub.Util,
+			Online:  c.sub.Online,
+			CurFreq: c.sub.CurFreq,
+			Table:   v.Table,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("policy: governor %s (cluster %s): %w", c.domainGovs[ci].Name(), v.Name, err)
+			return Decision{}, fmt.Errorf("policy: governor %s (cluster %s): %w", c.govs[ci].Name(), v.Name, err)
 		}
 		for j, id := range v.CoreIDs {
-			out[id] = freqs[j]
+			c.out[id] = freqs[j]
 		}
 	}
-	return out, nil
+	return Decision{TargetFreq: c.out, OnlineCores: cores, Quota: 1}, nil
 }
 
 // Reset implements Manager.
 func (c *Composite) Reset() {
-	for _, g := range c.domainGovs {
+	for _, g := range c.govs {
 		g.Reset()
 	}
 	c.plug.Reset()
 }
 
-// AndroidDefault builds the baseline the thesis evaluates against: the
-// ondemand governor combined with the default load-threshold hotplug
-// (mpdecision disabled so DCS can act, §3.1/§6).
+// AndroidDefault builds the baseline the thesis evaluates against on a
+// one-domain SoC: the ondemand governor combined with the default
+// load-threshold hotplug (mpdecision disabled so DCS can act, §3.1/§6).
 func AndroidDefault(table *soc.OPPTable) (*Composite, error) {
 	gov, err := cpufreq.New("ondemand", table)
 	if err != nil {
@@ -416,12 +348,12 @@ func AndroidDefault(table *soc.OPPTable) (*Composite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Compose(gov, plug)
+	return Compose([]cpufreq.Governor{gov}, plug)
 }
 
-// Pinned builds a manager that fixes both the frequency and the online core
-// count — the measurement configuration of Figures 3–7 (userspace governor
-// plus a fixed hotplug).
+// Pinned builds a one-domain manager that fixes both the frequency and the
+// online core count — the measurement configuration of Figures 3–7
+// (userspace governor plus a fixed hotplug).
 func Pinned(table *soc.OPPTable, freq soc.Hz, cores int) (*Composite, error) {
 	gov, err := cpufreq.NewUserspace(table)
 	if err != nil {
@@ -434,5 +366,5 @@ func Pinned(table *soc.OPPTable, freq soc.Hz, cores int) (*Composite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Compose(gov, plug)
+	return Compose([]cpufreq.Governor{gov}, plug)
 }

@@ -17,14 +17,19 @@ func table(t *testing.T) *soc.OPPTable {
 func goodInput(t *testing.T) Input {
 	t.Helper()
 	return Input{
-		Now:     time.Second,
-		Period:  50 * time.Millisecond,
-		Util:    []float64{0.5, 0.5, 0.5, 0.5},
-		Online:  []bool{true, true, true, true},
-		CurFreq: []soc.Hz{300 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz},
-		Quota:   1,
-		Table:   soc.MSM8974Table(),
+		Now:      time.Second,
+		Period:   50 * time.Millisecond,
+		Util:     []float64{0.5, 0.5, 0.5, 0.5},
+		Online:   []bool{true, true, true, true},
+		CurFreq:  []soc.Hz{300 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz},
+		Quota:    1,
+		Clusters: cpuViews(),
 	}
+}
+
+// cpuViews is the one-domain topology of a 4-core homogeneous SoC.
+func cpuViews() []ClusterView {
+	return []ClusterView{{Name: "cpu", Table: soc.MSM8974Table(), CoreIDs: []int{0, 1, 2, 3}}}
 }
 
 func TestInputValidate(t *testing.T) {
@@ -36,7 +41,9 @@ func TestInputValidate(t *testing.T) {
 		name   string
 		mutate func(*Input)
 	}{
-		{"nil table", func(in *Input) { in.Table = nil }},
+		{"nil table", func(in *Input) { in.Clusters[0].Table = nil }},
+		{"no clusters", func(in *Input) { in.Clusters = nil }},
+		{"core id out of range", func(in *Input) { in.Clusters[0].CoreIDs = []int{0, 1, 2, 4} }},
 		{"no cores", func(in *Input) { in.Util = nil }},
 		{"length mismatch", func(in *Input) { in.Online = in.Online[:2] }},
 		{"quota zero", func(in *Input) { in.Quota = 0 }},
@@ -56,38 +63,38 @@ func TestInputValidate(t *testing.T) {
 }
 
 func TestDecisionValidate(t *testing.T) {
-	tbl := table(t)
+	views := cpuViews()
 	good := Decision{
 		TargetFreq:  []soc.Hz{300 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz},
 		OnlineCores: 2,
 		Quota:       1,
 	}
-	if err := good.Validate(tbl, 4); err != nil {
+	if err := good.Validate(views, 4); err != nil {
 		t.Fatalf("good decision rejected: %v", err)
 	}
 	bad := good
 	bad.TargetFreq = good.TargetFreq[:3]
-	if err := bad.Validate(tbl, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("wrong frequency count accepted")
 	}
 	bad = good
 	bad.TargetFreq = []soc.Hz{301 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz, 300 * soc.MHz}
-	if err := bad.Validate(tbl, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("non-OPP frequency accepted")
 	}
 	bad = good
 	bad.OnlineCores = 0
-	if err := bad.Validate(tbl, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("zero cores accepted")
 	}
 	bad = good
 	bad.OnlineCores = 5
-	if err := bad.Validate(tbl, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("too many cores accepted")
 	}
 	bad = good
 	bad.Quota = 0
-	if err := bad.Validate(tbl, 4); err == nil {
+	if err := bad.Validate(views, 4); err == nil {
 		t.Error("zero quota accepted")
 	}
 }
@@ -98,12 +105,15 @@ func TestComposeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Compose(nil, hotplug.MPDecision{}); err == nil {
+		t.Error("no governor accepted")
+	}
+	if _, err := Compose([]cpufreq.Governor{nil}, hotplug.MPDecision{}); err == nil {
 		t.Error("nil governor accepted")
 	}
-	if _, err := Compose(gov, nil); err == nil {
+	if _, err := Compose([]cpufreq.Governor{gov}, nil); err == nil {
 		t.Error("nil hotplug accepted")
 	}
-	c, err := Compose(gov, hotplug.MPDecision{})
+	c, err := Compose([]cpufreq.Governor{gov}, hotplug.MPDecision{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +134,7 @@ func TestCompositeQuotaAlwaysFull(t *testing.T) {
 	if dec.Quota != 1 {
 		t.Errorf("stock Android quota = %v, want 1 (it never touches bandwidth)", dec.Quota)
 	}
-	if err := dec.Validate(table(t), 4); err != nil {
+	if err := dec.Validate(cpuViews(), 4); err != nil {
 		t.Errorf("composite produced invalid decision: %v", err)
 	}
 }
@@ -202,15 +212,15 @@ func TestInputValidateThermal(t *testing.T) {
 	fill := func(n int) []ThermalSignal {
 		out := make([]ThermalSignal, n)
 		for i := range out {
-			out[i] = ThermalSignal{TempC: 30, HeadroomC: 10, CapFreq: in.Table.Max().Freq}
+			out[i] = ThermalSignal{TempC: 30, HeadroomC: 10, CapFreq: in.Clusters[0].Table.Max().Freq}
 		}
 		return out
 	}
-	in.Thermal = fill(len(in.ClusterViews()))
+	in.Thermal = fill(len(in.Clusters))
 	if err := in.Validate(); err != nil {
 		t.Fatalf("matching thermal telemetry rejected: %v", err)
 	}
-	in.Thermal = fill(len(in.ClusterViews()) + 1)
+	in.Thermal = fill(len(in.Clusters) + 1)
 	if err := in.Validate(); err == nil {
 		t.Error("mismatched thermal telemetry accepted")
 	}
@@ -220,7 +230,7 @@ func TestInputValidateThermal(t *testing.T) {
 // would read as "zero headroom" and park big clusters) must be rejected.
 func TestInputValidateRejectsUnfilledThermal(t *testing.T) {
 	in := goodInput(t)
-	in.Thermal = make([]ThermalSignal, len(in.ClusterViews())) // never filled
+	in.Thermal = make([]ThermalSignal, len(in.Clusters)) // never filled
 	if err := in.Validate(); err == nil {
 		t.Error("unfilled thermal signals accepted")
 	}
@@ -241,24 +251,45 @@ func TestSlicePropagatesThermal(t *testing.T) {
 		Online:   []bool{true, true, true, true},
 		CurFreq:  make([]soc.Hz, 4),
 		Quota:    1,
-		Table:    tbl,
 		Clusters: views,
 		Thermal: []ThermalSignal{
 			{TempC: 30, HeadroomC: 40, CapFreq: tbl.Max().Freq},
 			{TempC: 46, HeadroomC: -1, Throttling: true, CapFreq: tbl.Min().Freq},
 		},
 	}
-	sub := in.Slice(views[1])
+	var sub Input
+	in.Slice(1, &sub)
 	if len(sub.Thermal) != 1 || !sub.Thermal[0].Throttling {
 		t.Fatalf("sliced big domain thermal = %+v, want the big cluster's signal", sub.Thermal)
 	}
-	sub = in.Slice(views[0])
+	in.Slice(0, &sub)
 	if len(sub.Thermal) != 1 || sub.Thermal[0].Throttling {
 		t.Fatalf("sliced LITTLE domain thermal = %+v, want the LITTLE cluster's signal", sub.Thermal)
 	}
 	// No telemetry on the parent: none on the slice either.
 	in.Thermal = nil
-	if sub := in.Slice(views[0]); sub.Thermal != nil {
+	if in.Slice(0, &sub); sub.Thermal != nil {
 		t.Error("slice invented thermal telemetry")
+	}
+}
+
+// TestSliceReusesBuffers: slicing into a kept sub-input copies the
+// domain's cores in local order and, once grown, allocates nothing.
+func TestSliceReusesBuffers(t *testing.T) {
+	tbl := table(t)
+	in := Input{
+		Util:     []float64{0.1, 0.2, 0.3, 0.4, 0.5},
+		Online:   []bool{true, false, true, true, false},
+		CurFreq:  []soc.Hz{1, 2, 3, 4, 5},
+		Quota:    0.5,
+		Clusters: []ClusterView{{Name: "a", Table: tbl, CoreIDs: []int{0, 1}}, {Name: "b", Table: tbl, CoreIDs: []int{2, 3, 4}}},
+	}
+	var sub Input
+	in.Slice(1, &sub)
+	if sub.Util[0] != 0.3 || sub.Online[1] != true || sub.CurFreq[2] != 5 || len(sub.Util) != 3 || sub.Quota != 0.5 {
+		t.Fatalf("slice of domain b = %+v", sub)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { in.Slice(0, &sub); in.Slice(1, &sub) }); allocs != 0 {
+		t.Errorf("Slice into a grown sub-input allocates %v times per run", allocs)
 	}
 }

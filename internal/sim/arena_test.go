@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mobicore/internal/platform"
-	"mobicore/internal/policy"
 	"mobicore/internal/workload"
 )
 
@@ -15,16 +14,7 @@ import (
 // workloads — specs are single-use, so every run needs a new one.
 func arenaSpec(t *testing.T, plat platform.Platform, placer string, seed int64) SessionSpec {
 	t.Helper()
-	var mgr policy.Manager
-	if plat.Heterogeneous() {
-		mgr = clusteredGov(t, plat, "ondemand")
-	} else {
-		var err error
-		mgr, err = policy.AndroidDefault(plat.Table)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	mgr := clusteredGov(t, plat, "ondemand")
 	wl, err := workload.NewBusyLoop(workload.BusyLoopConfig{
 		TargetUtil: 0.5, Threads: 4, RefFreq: plat.ClusterSpecs()[0].Table.Max().Freq,
 	})

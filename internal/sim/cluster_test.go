@@ -6,12 +6,11 @@ import (
 	"time"
 
 	"mobicore/internal/core"
-	"mobicore/internal/cpufreq"
-	"mobicore/internal/hotplug"
 	"mobicore/internal/metrics"
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
 	"mobicore/internal/soc"
+	"mobicore/internal/stack"
 	"mobicore/internal/workload"
 )
 
@@ -28,13 +27,7 @@ func clusteredMobi(t *testing.T, plat platform.Platform) policy.Manager {
 // clusteredGov builds "<gov>+load" with one governor instance per cluster.
 func clusteredGov(t *testing.T, plat platform.Platform, gov string) policy.Manager {
 	t.Helper()
-	plug, err := hotplug.NewLoad(hotplug.DefaultLoadTunables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := policy.ComposeClustered(gov,
-		func(tab *soc.OPPTable) (cpufreq.Governor, error) { return cpufreq.New(gov, tab) },
-		plug, plat.ClusterTables())
+	mgr, err := stack.Build(gov+"+load", plat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +140,7 @@ type migrateManager struct {
 
 func (m *migrateManager) Name() string { return "migrate" }
 func (m *migrateManager) Decide(in policy.Input) (policy.Decision, error) {
-	views := in.ClusterViews()
+	views := in.Clusters
 	freqs := make([]soc.Hz, len(in.Util))
 	vec := make([]int, len(views))
 	for ci, v := range views {

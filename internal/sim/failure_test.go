@@ -26,8 +26,10 @@ func (f *failingManager) Decide(in policy.Input) (policy.Decision, error) {
 		return policy.Decision{}, errors.New("synthetic policy failure")
 	}
 	freqs := make([]soc.Hz, len(in.Util))
-	for i := range freqs {
-		freqs[i] = in.Table.Min().Freq
+	for _, v := range in.Clusters {
+		for _, id := range v.CoreIDs {
+			freqs[id] = v.Table.Min().Freq
+		}
 	}
 	return policy.Decision{TargetFreq: freqs, OnlineCores: len(in.Util), Quota: 1}, nil
 }

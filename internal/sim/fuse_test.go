@@ -293,7 +293,7 @@ func TestFusedMatchesNoFuseLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, err := core.New(plat.Table, core.DefaultTunables())
+		mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 func scenarioSim(t *testing.T, w workload.Workload, seed int64, noFuse bool, trace *bytes.Buffer) *sim.Sim {
 	t.Helper()
 	plat := platform.Nexus5()
-	mgr, err := core.New(plat.Table, core.DefaultTunables())
+	mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -538,8 +538,9 @@ func (s *Sim) FastTicks() uint64 { return s.fastTicks }
 // samplePolicy runs the manager against the accumulated window and applies
 // its decision. The Input slices are the sim's pooled per-sample scratch:
 // managers receive them for the duration of Decide only and must not retain
-// them (Input.Slice copies, and every in-tree manager reduces the window to
-// scalars).
+// them (every in-tree manager reduces the window to scalars). The
+// decision's slices are the manager's until its next Decide, so TargetFreq
+// is copied and OnlineVec applied before this returns.
 func (s *Sim) samplePolicy() error {
 	period := s.now - s.lastSample
 	s.lastSample = s.now
@@ -556,7 +557,6 @@ func (s *Sim) samplePolicy() error {
 		Online:   resize(s.inOnline, len(snap)),
 		CurFreq:  resize(s.inCurFreq, len(snap)),
 		Quota:    s.quota,
-		Table:    s.spec.Platform.Table,
 		Clusters: s.views,
 		Thermal:  resize(s.inThermal, len(s.views)),
 	}
@@ -586,7 +586,7 @@ func (s *Sim) samplePolicy() error {
 	if err != nil {
 		return fmt.Errorf("sim: policy %s at %v: %w", s.spec.Manager.Name(), s.now, err)
 	}
-	if err := dec.ValidateClustered(s.views, len(snap)); err != nil {
+	if err := dec.Validate(s.views, len(snap)); err != nil {
 		return fmt.Errorf("sim: policy %s produced invalid decision: %w", s.spec.Manager.Name(), err)
 	}
 

@@ -37,7 +37,7 @@ func androidDefault(t *testing.T) policy.Manager {
 
 func mobi(t *testing.T) policy.Manager {
 	t.Helper()
-	m, err := core.New(soc.MSM8974Table(), core.DefaultTunables())
+	m, err := core.NewClusteredForPlatform(platform.Nexus5(), core.DefaultTunables(), core.DefaultClusterTunables(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package stack resolves policy-stack names to policy.Manager instances:
 // the named managers of the thesis ("mobicore", "android-default",
-// "oracle") and the composable "<governor>+<hotplug>" forms, each built
-// appropriately for homogeneous and heterogeneous (big.LITTLE) platforms.
-// It is the single construction path shared by the public facade, the
+// "oracle") and the composable "<governor>+<hotplug>" forms. Every
+// platform is built the same way, as a list of frequency domains: a
+// homogeneous SoC is a one-cluster SoC. It is the single construction path shared by the public facade, the
 // fleet driver's name-based specs, and the CLIs, so the set of accepted
 // names cannot drift between layers.
 package stack
@@ -16,8 +16,6 @@ import (
 	"mobicore/internal/hotplug"
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
-	"mobicore/internal/power"
-	"mobicore/internal/soc"
 )
 
 // Named policy stacks.
@@ -41,63 +39,34 @@ func Names() []string {
 	return []string{AndroidDefault, MobiCore, MobiCoreThreshold, Oracle}
 }
 
-// Build resolves a policy name against a platform. On heterogeneous
-// platforms MobiCore runs one instance per cluster with an energy-aware
-// gate, and stock governors run one instance per cluster as independent
-// cpufreq policy domains, as Linux does. Each call returns a fresh
-// manager, so one name can seed many concurrent sessions.
+// Build resolves a policy name against a platform. MobiCore runs one
+// engine per cluster behind an energy-aware gate, and stock governors run
+// one instance per cluster as independent cpufreq policy domains, as
+// Linux does. Each call returns a fresh manager, so one name can seed
+// many concurrent sessions.
 func Build(name string, plat platform.Platform) (policy.Manager, error) {
-	if name == "" {
-		name = AndroidDefault
-	}
 	switch name {
-	case AndroidDefault:
-		if plat.Heterogeneous() {
-			return composed("ondemand+load", plat)
-		}
-		return policy.AndroidDefault(plat.Table)
-	case MobiCore:
-		if plat.Heterogeneous() {
-			return clusteredMobiCore(plat, true)
-		}
-		model, err := power.NewModel(plat.Power, plat.Table)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewWithModel(plat.Table, core.DefaultTunables(), model)
-	case MobiCoreThreshold:
-		if plat.Heterogeneous() {
-			return clusteredMobiCore(plat, false)
-		}
-		return core.New(plat.Table, core.DefaultTunables())
+	case "", AndroidDefault:
+		return composed("ondemand+load", plat)
+	case MobiCore, MobiCoreThreshold:
+		return manager(core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), name == MobiCore))
 	case Oracle:
-		if plat.Heterogeneous() {
-			o, err := core.NewClusteredOracleForPlatform(plat, 0.15)
-			if err != nil {
-				return nil, err
-			}
-			return o, nil
-		}
-		model, err := power.NewModel(plat.Power, plat.Table)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewOracle(plat.Table, model, 0.15)
+		return manager(core.NewClusteredOracleForPlatform(plat, 0.15))
 	}
 	return composed(name, plat)
 }
 
-// clusteredMobiCore builds the per-cluster MobiCore manager; withModel
-// attaches each cluster's calibrated energy model for the §4.2 search.
-func clusteredMobiCore(plat platform.Platform, withModel bool) (policy.Manager, error) {
-	mgr, err := core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), withModel)
+// manager returns a constructor's result as a policy.Manager, keeping a
+// failed construction a nil interface rather than a typed nil.
+func manager[M policy.Manager](m M, err error) (policy.Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mgr, nil
+	return m, nil
 }
 
-// composed parses "<governor>+<hotplug>".
+// composed parses "<governor>+<hotplug>" and builds one governor per
+// cluster.
 func composed(name string, plat platform.Platform) (policy.Manager, error) {
 	govName, plugName, ok := strings.Cut(name, "+")
 	if !ok || govName == "" || plugName == "" {
@@ -108,20 +77,14 @@ func composed(name string, plat platform.Platform) (policy.Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if plat.Heterogeneous() {
-		mgr, err := policy.ComposeClustered(govName,
-			func(t *soc.OPPTable) (cpufreq.Governor, error) { return cpufreq.New(govName, t) },
-			plug, plat.ClusterTables())
-		if err != nil {
+	tables := plat.ClusterTables()
+	govs := make([]cpufreq.Governor, len(tables))
+	for i, t := range tables {
+		if govs[i], err = cpufreq.New(govName, t); err != nil {
 			return nil, err
 		}
-		return mgr, nil
 	}
-	gov, err := cpufreq.New(govName, plat.Table)
-	if err != nil {
-		return nil, err
-	}
-	return policy.Compose(gov, plug)
+	return manager(policy.Compose(govs, plug))
 }
 
 // Hotplugs lists the hotplug policy names composable on the right of
