@@ -367,11 +367,13 @@ func TestLeakTableMatchesLiveCurve(t *testing.T) {
 	}
 }
 
-// TestSystemLeakCacheMatchesUncached drives one SystemModel through a long
+// TestSystemLeakCacheMatchesUncached drives a SystemModel through a long
 // random sequence of per-core loads — ladder OPPs, off-ladder voltages,
 // NaN voltages, offline, idle and busy cores, OPPs held across calls — and
 // requires every per-cluster share to equal, bit for bit, the same sum
 // assembled from Model.CoreWatts, which searches the ladder on every call.
+// A one-cluster SoC must also price exactly as Model.ClusterWatts and
+// Model.SystemWatts do.
 func TestSystemLeakCacheMatchesUncached(t *testing.T) {
 	little, big := soc.MSM8974Table(), soc.MustOPPTable([]soc.OPP{
 		{Freq: 500 * soc.MHz, Volt: 0.7}, {Freq: 1500 * soc.MHz, Volt: 0.9}, {Freq: 2400 * soc.MHz, Volt: 1.1},
@@ -384,54 +386,74 @@ func TestSystemLeakCacheMatchesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coreCluster := []int{0, 0, 1, 1, 1}
-	sys, err := NewSystemModel(0.08, []*Model{lm, bm}, coreCluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := []*Model{lm, bm}
-	rng := rand.New(rand.NewSource(5))
-	loads := make([]CoreLoad, len(coreCluster))
-	per := make([]float64, 2)
-	for call := 0; call < 5000; call++ {
-		for id, ci := range coreCluster {
-			if call > 0 && rng.Intn(3) > 0 {
-				continue // hold this core's load: the cache path
-			}
-			table := models[ci].table
-			opp := table.At(rng.Intn(table.Len()))
-			switch rng.Intn(8) {
-			case 0:
-				opp.Volt += 0.01 // off-ladder voltage
-			case 1:
-				opp.Volt = soc.Volt(math.NaN())
-			case 2:
-				opp.Freq++ // off-ladder frequency
-			}
-			state := []soc.CoreState{soc.StateOffline, soc.StateIdle, soc.StateActive}[rng.Intn(3)]
-			util := []float64{0, 0.3, 1}[rng.Intn(3)]
-			loads[id] = CoreLoad{State: state, OPP: opp, Util: util}
+	for _, topo := range []struct {
+		models      []*Model
+		coreCluster []int
+	}{
+		{[]*Model{lm, bm}, []int{0, 0, 1, 1, 1}},
+		{[]*Model{lm}, []int{0, 0, 0, 0}},
+	} {
+		models, coreCluster := topo.models, topo.coreCluster
+		sys, err := NewSystemModel(lm.Params().BaseWatts, models, coreCluster)
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, got := sys.SystemWattsByCluster(loads, per)
-		for ci, m := range models {
-			want, anyBusy, top := 0.0, 0.0, soc.Hz(0)
-			for id, owner := range coreCluster {
-				if owner != ci {
-					continue
+		rng := rand.New(rand.NewSource(5))
+		loads := make([]CoreLoad, len(coreCluster))
+		per := make([]float64, len(models))
+		for call := 0; call < 5000; call++ {
+			for id, ci := range coreCluster {
+				if call > 0 && rng.Intn(3) > 0 {
+					continue // hold this core's load: the cache path
 				}
-				c := loads[id]
-				want += m.CoreWatts(c.State, c.OPP, c.Util)
-				if c.State != soc.StateOffline {
-					anyBusy = math.Max(anyBusy, c.Util)
-					if c.OPP.Freq > top {
-						top = c.OPP.Freq
+				table := models[ci].table
+				opp := table.At(rng.Intn(table.Len()))
+				switch rng.Intn(8) {
+				case 0:
+					opp.Volt += 0.01 // off-ladder voltage
+				case 1:
+					opp.Volt = soc.Volt(math.NaN())
+				case 2:
+					opp.Freq++ // off-ladder frequency
+				}
+				state := []soc.CoreState{soc.StateOffline, soc.StateIdle, soc.StateActive}[rng.Intn(3)]
+				util := []float64{0, 0.3, 1}[rng.Intn(3)]
+				loads[id] = CoreLoad{State: state, OPP: opp, Util: util}
+			}
+			_, got := sys.SystemWattsByCluster(loads, per)
+			for ci, m := range models {
+				want, anyBusy, top := 0.0, 0.0, soc.Hz(0)
+				for id, owner := range coreCluster {
+					if owner != ci {
+						continue
+					}
+					c := loads[id]
+					want += m.CoreWatts(c.State, c.OPP, c.Util)
+					if c.State != soc.StateOffline {
+						anyBusy = math.Max(anyBusy, c.Util)
+						if c.OPP.Freq > top {
+							top = c.OPP.Freq
+						}
 					}
 				}
+				want += m.CacheWatts(anyBusy, top)
+				if !sameBits(got[ci], want) {
+					t.Fatalf("%d clusters, call %d cluster %d: cached %v, uncached %v", len(models), call, ci, got[ci], want)
+				}
 			}
-			want += m.CacheWatts(anyBusy, top)
-			if math.Float64bits(got[ci]) != math.Float64bits(want) && !(math.IsNaN(got[ci]) && math.IsNaN(want)) {
-				t.Fatalf("call %d cluster %d: cached %v, uncached %v", call, ci, got[ci], want)
+			if len(models) == 1 {
+				if w := lm.ClusterWatts(loads); !sameBits(got[0], w) {
+					t.Fatalf("call %d: one-cluster share %v, Model.ClusterWatts %v", call, got[0], w)
+				}
+				if sw, w := sys.SystemWatts(loads), lm.SystemWatts(loads); !sameBits(sw, w) {
+					t.Fatalf("call %d: one-cluster SystemWatts %v, Model.SystemWatts %v", call, sw, w)
+				}
 			}
 		}
 	}
+}
+
+// sameBits compares two watts figures bit for bit, any NaN equal to any.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }

@@ -27,12 +27,11 @@ type SystemModel struct {
 	scratch []float64
 	topFreq []soc.Hz
 
-	// Per-core leakage cache for the multi-cluster path: the operating
-	// point each core was last priced at and its leakage there. A core's
-	// OPP moves only when it is reprogrammed, so most ticks skip the
-	// ladder search in leakAtOPP. Compared bit for bit, so any other OPP,
-	// an off-ladder voltage included, is priced afresh. Nil on a single
-	// cluster, which prices through Model.ClusterWatts.
+	// Per-core leakage cache: the operating point each core was last
+	// priced at and its leakage there. A core's OPP moves only when it is
+	// reprogrammed, so most ticks skip the ladder search in leakAtOPP.
+	// Compared bit for bit, so any other OPP, an off-ladder voltage
+	// included, is priced afresh.
 	leak []leakEntry
 }
 
@@ -74,13 +73,11 @@ func NewSystemModel(baseWatts float64, clusters []*Model, coreCluster []int) (*S
 		coreCluster: cc,
 		scratch:     make([]float64, 2*len(cs)),
 		topFreq:     make([]soc.Hz, len(cs)),
+		leak:        make([]leakEntry, len(cc)),
 	}
-	if len(cs) > 1 {
-		m.leak = make([]leakEntry, len(cc))
-		for id, ci := range cc {
-			opp := cs[ci].table.Min()
-			m.leak[id] = leakEntry{opp: opp, watts: cs[ci].leakAtOPP(opp)}
-		}
+	for id, ci := range cc {
+		opp := cs[ci].table.Min()
+		m.leak[id] = leakEntry{opp: opp, watts: cs[ci].leakAtOPP(opp)}
 	}
 	return m, nil
 }
@@ -100,10 +97,6 @@ func (m *SystemModel) Cluster(ci int) (*Model, error) {
 // SystemWatts evaluates total SoC power for per-core loads indexed by core
 // id: platform base + Σ_clusters (cache + per-core terms).
 func (m *SystemModel) SystemWatts(loads []CoreLoad) float64 {
-	if len(m.clusters) == 1 {
-		// Homogeneous fast path: no buffer traffic on the hot tick.
-		return m.baseWatts + m.clusters[0].ClusterWatts(loads)
-	}
 	base, per := m.SystemWattsByCluster(loads, m.scratch[len(m.clusters):])
 	total := base
 	for _, w := range per {
@@ -126,15 +119,10 @@ func (m *SystemModel) SystemWattsByCluster(loads []CoreLoad, perCluster []float6
 		//mobilint:ignore defensive resize for short buffers; the sim tick always passes a full-size one
 		perCluster = make([]float64, len(m.clusters))
 	}
-	if len(m.clusters) == 1 {
-		// Homogeneous fast path: no per-cluster regrouping on the hot tick.
-		perCluster[0] = m.clusters[0].ClusterWatts(loads)
-		return m.baseWatts, perCluster
-	}
 	// Single pass over cores with per-cluster accumulators; the per-core
 	// and cache terms stay behind Model.CoreWatts (onlineCoreWatts with the
-	// cached leakage) and CacheWatts, so the multi-cluster path cannot
-	// drift from the homogeneous one.
+	// cached leakage) and CacheWatts, so a one-cluster SoC sums exactly as
+	// Model.ClusterWatts does: cores in id order, then the cache.
 	anyBusy, topFreq := m.scratch[:len(m.clusters)], m.topFreq
 	for i := range perCluster {
 		perCluster[i] = 0

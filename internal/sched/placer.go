@@ -245,7 +245,9 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 	bestFit, bestFitDom, bestFitCost := -1, -1, math.Inf(1)
 	bestAny := -1
 	var bestAnyCap float64
-	prevFits, prevCost := false, math.Inf(1)
+	prevFits := false
+	var homeDom *em.Domain
+	var homeBusySec float64
 	for r, di := range p.model.EfficiencyOrder() {
 		// The domain at efficiency position r is the CPU's rank-r cluster
 		// (see fits), so the scheduler's rank aggregates are the domain's.
@@ -266,13 +268,11 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 		// candidates by capacity rather than current frequency.
 		fitCycles := env.Budget[cand] * dom.Capacity() * scale
 		if di == prevDom {
-			// Price the previous core itself, not the domain's most-budget
-			// candidate: the thread would resume exactly there.
-			prevFit := env.Budget[prev] * dom.Capacity() * env.thermalScale(prev)
-			if prevFit >= t.pending {
-				prevFits = true
-				prevCost = p.costPerCycle(dom, p.rateOn(env, prev, t), domBusySec)
-			}
+			// The previous core itself, not the domain's most-budget
+			// candidate, is where the thread would resume; it is priced
+			// below, only if another domain turns out cheapest.
+			prevFits = env.Budget[prev]*dom.Capacity()*env.thermalScale(prev) >= t.pending
+			homeDom, homeBusySec = dom, domBusySec
 		}
 		if fitCycles < t.pending {
 			continue // cannot fully serve; only an overflow candidate
@@ -285,7 +285,7 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 		if prevDom == bestFitDom {
 			return prev // cheapest domain is home: plain soft affinity
 		}
-		if prevFits && prevCost <= bestFitCost {
+		if prevFits && p.costPerCycle(homeDom, p.rateOn(env, prev, t), homeBusySec) <= bestFitCost {
 			return prev // home ties the cheapest alternative: stay put
 		}
 		return bestFit // strictly cheaper elsewhere: migrate
