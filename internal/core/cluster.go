@@ -61,11 +61,9 @@ func (t ClusterTunables) Validate() error {
 // bandwidth decision generalized to big.LITTLE; a homogeneous SoC is the
 // one-domain case, where the gate never acts.
 type Clustered struct {
-	domains []Domain
-	inner   []*MobiCore
-	tun     Tunables
-	ctun    ClusterTunables
-	little  int // index of the most efficient domain (lowest f_max)
+	inner  []*MobiCore // one engine per domain, holding its table and model
+	ctun   ClusterTunables
+	little int // index of the most efficient domain (lowest f_max)
 
 	// emod, when attached, lets the gate consult EM energy deltas: a
 	// load-threshold wake is vetoed while serving the whole demand on the
@@ -99,11 +97,9 @@ func NewClustered(tun Tunables, ctun ClusterTunables, domains []Domain) (*Cluste
 	if err := ctun.Validate(); err != nil {
 		return nil, err
 	}
-	ds := make([]Domain, len(domains))
-	copy(ds, domains)
-	inner := make([]*MobiCore, len(ds))
+	inner := make([]*MobiCore, len(domains))
 	little := 0
-	for i, d := range ds {
+	for i, d := range domains {
 		if d.Table == nil || d.Table.Len() == 0 {
 			return nil, fmt.Errorf("core: domain %d (%s): %w", i, d.Name, soc.ErrEmptyTable)
 		}
@@ -112,17 +108,15 @@ func NewClustered(tun Tunables, ctun ClusterTunables, domains []Domain) (*Cluste
 			return nil, fmt.Errorf("core: domain %s: %w", d.Name, err)
 		}
 		inner[i] = m
-		if d.Table.Max().Freq < ds[little].Table.Max().Freq {
+		if d.Table.Max().Freq < domains[little].Table.Max().Freq {
 			little = i
 		}
 	}
 	return &Clustered{
-		domains: ds,
-		inner:   inner,
-		tun:     tun,
-		ctun:    ctun,
-		little:  little,
-		bigOn:   make([]bool, len(ds)),
+		inner:  inner,
+		ctun:   ctun,
+		little: little,
+		bigOn:  make([]bool, len(domains)),
 	}, nil
 }
 
@@ -164,8 +158,8 @@ func (c *Clustered) AttachEnergyModel(m *em.Model) error {
 	if m == nil {
 		return errors.New("core: nil energy model")
 	}
-	if m.NumDomains() != len(c.domains) {
-		return fmt.Errorf("core: energy model has %d domains, manager has %d", m.NumDomains(), len(c.domains))
+	if m.NumDomains() != len(c.inner) {
+		return fmt.Errorf("core: energy model has %d domains, manager has %d", m.NumDomains(), len(c.inner))
 	}
 	c.emod = m
 	return nil
@@ -184,9 +178,9 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 		return policy.Decision{}, err
 	}
 	views := in.Clusters
-	if len(views) != len(c.domains) {
+	if len(views) != len(c.inner) {
 		return policy.Decision{}, fmt.Errorf("core: clustered manager built for %d domains, input has %d",
-			len(c.domains), len(views))
+			len(c.inner), len(views))
 	}
 
 	// Demand per domain (served cycles/sec) and peg detection drive the
@@ -203,13 +197,13 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 				continue
 			}
 			demand[ci] += in.Util[id] * float64(in.CurFreq[id])
-			if in.Util[id] >= c.tun.PegThreshold {
+			if in.Util[id] >= c.inner[ci].tun.PegThreshold {
 				pegged[ci] = true
 			}
 		}
 		totalDemand += demand[ci]
 	}
-	littleCap := float64(len(views[c.little].CoreIDs)) * float64(c.domains[c.little].Table.Max().Freq)
+	littleCap := float64(len(views[c.little].CoreIDs)) * float64(c.inner[c.little].table.Max().Freq)
 
 	quotaCores := 0.0 // Σ domain quota × domain cores: budget in core-units
 	quota := 1.0
@@ -219,7 +213,7 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 			// later wake starts from the cheapest operating point. A
 			// parked domain contributes nothing to the bandwidth
 			// budget — its cores cannot execute anyway.
-			fmin := c.domains[ci].Table.Min().Freq
+			fmin := c.inner[ci].table.Min().Freq
 			for _, id := range v.CoreIDs {
 				targets[id] = fmin
 			}
@@ -379,7 +373,7 @@ func (c *Clustered) decideDomain(ci int, in *policy.Input) (cores int, quota flo
 	}
 	// Freshly woken domain: no utilization history yet. Bring up one
 	// core at the domain minimum and let the next sample steer it.
-	fmin := c.domains[ci].Table.Min().Freq
+	fmin := c.inner[ci].table.Min().Freq
 	for j := range c.local {
 		c.local[j] = fmin
 	}

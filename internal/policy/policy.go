@@ -65,8 +65,8 @@ type Input struct {
 	CurFreq []soc.Hz
 	// Quota is the currently programmed global CPU bandwidth in (0,1].
 	Quota float64
-	// Clusters lists the platform's frequency domains, efficiency
-	// cluster first; required. A homogeneous SoC is one domain.
+	// Clusters lists the platform's frequency domains in cluster order;
+	// required. A homogeneous SoC is one domain covering every core.
 	Clusters []ClusterView
 	// Thermal lists per-domain thermal pressure, indexed like Clusters.
 	// Nil means no thermal telemetry is available (managers must then
@@ -271,8 +271,9 @@ type Composite struct {
 var _ Manager = (*Composite)(nil)
 
 // Compose builds a Composite manager from one governor per frequency
-// domain, in cluster order, and a global hotplug policy. It is named
-// after the first governor and the hotplug policy.
+// domain, in cluster order, and a global hotplug policy. The Composite
+// keeps govs. It is named after the first governor and the hotplug
+// policy.
 func Compose(govs []cpufreq.Governor, plug hotplug.Policy) (*Composite, error) {
 	if len(govs) == 0 || plug == nil {
 		return nil, errors.New("policy: Compose requires a governor per domain and a hotplug policy")
@@ -284,7 +285,7 @@ func Compose(govs []cpufreq.Governor, plug hotplug.Policy) (*Composite, error) {
 	}
 	return &Composite{
 		name: govs[0].Name() + "+" + plug.Name(),
-		govs: append([]cpufreq.Governor(nil), govs...),
+		govs: govs,
 		plug: plug,
 	}, nil
 }

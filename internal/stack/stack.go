@@ -2,9 +2,9 @@
 // the named managers of the thesis ("mobicore", "android-default",
 // "oracle") and the composable "<governor>+<hotplug>" forms. Every
 // platform is built the same way, as a list of frequency domains: a
-// homogeneous SoC is a one-cluster SoC. It is the single construction path shared by the public facade, the
-// fleet driver's name-based specs, and the CLIs, so the set of accepted
-// names cannot drift between layers.
+// homogeneous SoC is a one-cluster SoC. It is the single construction
+// path shared by the public facade, the fleet driver's name-based specs,
+// and the CLIs, so the set of accepted names cannot drift between layers.
 package stack
 
 import (
@@ -77,9 +77,12 @@ func composed(name string, plat platform.Platform) (policy.Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables := plat.ClusterTables()
-	govs := make([]cpufreq.Governor, len(tables))
-	for i, t := range tables {
+	comp, err := plat.Compiled()
+	if err != nil {
+		return nil, err
+	}
+	govs := make([]cpufreq.Governor, len(comp.Tables))
+	for i, t := range comp.Tables {
 		if govs[i], err = cpufreq.New(govName, t); err != nil {
 			return nil, err
 		}
