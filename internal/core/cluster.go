@@ -76,8 +76,6 @@ type Clustered struct {
 
 	// Per-sample buffers, grown on the first Decide and reused after it.
 	// The decision's TargetFreq and OnlineVec alias targets and online.
-	sub     policy.Input // the domain being decided
-	local   []soc.Hz     // its targets, in domain-local core order
 	demand  []float64
 	pegged  []bool
 	targets []soc.Hz
@@ -168,8 +166,8 @@ func (c *Clustered) AttachEnergyModel(m *em.Model) error {
 // Name implements policy.Manager.
 func (c *Clustered) Name() string { return "mobicore" }
 
-// Decide implements policy.Manager: slice the observation per domain, gate
-// the big clusters, and run the per-domain MobiCore passes. The decision's
+// Decide implements policy.Manager: gate the big clusters and run each
+// awake domain's MobiCore pass over its own cores. The decision's
 // slices are the manager's own buffers, valid until the next Decide.
 //
 //mobicore:hotpath
@@ -220,10 +218,7 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 			onlineVec[ci] = 0
 			continue
 		}
-		cores, q := c.decideDomain(ci, &in)
-		for j, id := range v.CoreIDs {
-			targets[id] = c.local[j]
-		}
+		cores, q := c.decideDomain(ci, v.CoreIDs, &in)
 		onlineVec[ci] = cores
 		quotaCores += q * float64(len(v.CoreIDs))
 		quota = q
@@ -357,25 +352,22 @@ func domainHot(in *policy.Input, ci int) bool {
 	return t.Throttling || t.HeadroomC <= 0
 }
 
-// decideDomain runs domain ci's MobiCore pass on the slice of the
-// observation it owns, leaving the domain's targets in c.local (core
-// indices local to the domain), and returns its online-core count and
-// quota.
+// decideDomain runs domain ci's MobiCore pass over its cores ids, writing
+// their targets into c.targets, and returns the domain's online-core count
+// and quota.
 //
 //mobicore:hotpath
-func (c *Clustered) decideDomain(ci int, in *policy.Input) (cores int, quota float64) {
-	in.Slice(ci, &c.sub)
-	c.local = policy.Resize(c.local, len(c.sub.Util))
-	for _, on := range c.sub.Online {
-		if on {
-			return c.inner[ci].decide(&c.sub, c.local)
+func (c *Clustered) decideDomain(ci int, ids []int, in *policy.Input) (cores int, quota float64) {
+	for _, id := range ids {
+		if in.Online[id] {
+			return c.inner[ci].decide(in, ids, c.targets)
 		}
 	}
 	// Freshly woken domain: no utilization history yet. Bring up one
 	// core at the domain minimum and let the next sample steer it.
 	fmin := c.inner[ci].table.Min().Freq
-	for j := range c.local {
-		c.local[j] = fmin
+	for _, id := range ids {
+		c.targets[id] = fmin
 	}
 	return 1, in.Quota
 }

@@ -161,14 +161,14 @@ func build(table *soc.OPPTable, tun Tunables, model *power.Model) (*MobiCore, er
 	return &MobiCore{table: table, tun: tun, ondemand: od, model: model}, nil
 }
 
-// decide follows Figure 8 step by step on one domain's observation (core
-// indices local to the domain, as Input.Slice writes them). It writes
-// each core's target frequency into targets and returns the online-core
-// count and the domain's bandwidth quota.
+// decide follows Figure 8 step by step on one domain: the cores ids of
+// the whole-SoC observation in. It writes each of those cores' target
+// frequency into targets (indexed by core id) and returns the domain's
+// online-core count and bandwidth quota.
 //
 //mobicore:hotpath
-func (m *MobiCore) decide(in *policy.Input, targets []soc.Hz) (cores int, quota float64) {
-	nmax := len(in.Util)
+func (m *MobiCore) decide(in *policy.Input, ids []int, targets []soc.Hz) (cores int, quota float64) {
+	nmax := len(ids)
 
 	// Observations: K is the overall utilization of the phone — the
 	// average over all cores, offline cores contributing zero (§2.2).
@@ -177,7 +177,7 @@ func (m *MobiCore) decide(in *policy.Input, targets []soc.Hz) (cores int, quota 
 	var sumUtil, maxUtil, demand float64
 	var curMaxFreq soc.Hz
 	online := 0
-	for i := range in.Util {
+	for _, i := range ids {
 		if !in.Online[i] {
 			continue
 		}
@@ -218,7 +218,7 @@ func (m *MobiCore) decide(in *policy.Input, targets []soc.Hz) (cores int, quota 
 	// (cores doing non-trivial work) is the observable proxy for thread
 	// concurrency and caps the search.
 	active := 0
-	for i := range in.Util {
+	for _, i := range ids {
 		if in.Online[i] && in.Util[i] > activeUtil {
 			active++
 		}
@@ -234,7 +234,7 @@ func (m *MobiCore) decide(in *policy.Input, targets []soc.Hz) (cores int, quota 
 	// Step 3 + 4 combined: choose the (cores, frequency) combination.
 	// Eq. 9's K is scaled by the quota (K = K·q, §4.1.1).
 	kq := k * quota
-	cores = m.chooseCores(in, fOndemand, kq, demand, online, nmax, maxUseful)
+	cores = m.chooseCores(in, ids, fOndemand, kq, demand, online, maxUseful)
 	freq, cores := m.freqFor(fOndemand, kq, demand, cores, nmax, maxUseful)
 
 	// Per-core targets: the platform has per-core rails (Table 1's
@@ -248,7 +248,7 @@ func (m *MobiCore) decide(in *policy.Input, targets []soc.Hz) (cores int, quota 
 	// under MobiCore on Real Racing 3 (§6.3): with "a fixed number of
 	// the active cores sufficient" and no slack to trim, the escalation
 	// path is all that remains.
-	for i := range targets {
+	for _, i := range ids {
 		targets[i] = freq
 	}
 	if pegged {
@@ -256,7 +256,7 @@ func (m *MobiCore) decide(in *policy.Input, targets []soc.Hz) (cores int, quota 
 		if fOndemand > esc {
 			esc = fOndemand
 		}
-		for i := range in.Util {
+		for _, i := range ids {
 			if in.Online[i] && in.Util[i] >= m.tun.PegThreshold {
 				t := esc
 				if in.CurFreq[i] > t {
@@ -306,10 +306,11 @@ func (m *MobiCore) decideQuota(util float64) float64 {
 // moves one step towards the cheapest combination (one step per period —
 // hotplug transitions are expensive, §2.1). Without a model it applies the
 // §5.2 threshold rule: drop cores whose utilization is below 10%.
-func (m *MobiCore) chooseCores(in *policy.Input, fOndemand soc.Hz, kq, demand float64, online, nmax, maxUseful int) int {
+func (m *MobiCore) chooseCores(in *policy.Input, ids []int, fOndemand soc.Hz, kq, demand float64, online, maxUseful int) int {
+	nmax := len(ids)
 	if m.model == nil {
 		lowUtil := 0
-		for i := range in.Util {
+		for _, i := range ids {
 			if in.Online[i] && in.Util[i] < m.tun.OffThreshold {
 				lowUtil++
 			}

@@ -443,7 +443,7 @@ func TestOneDomainQuotaExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, want := ref.decide(&in, local)
+			_, want := ref.decide(&in, ids, local)
 			if math.Float64bits(dec.Quota) != math.Float64bits(want) {
 				t.Fatalf("%d cores, step %d: quota %v, domain quota %v", n, step, dec.Quota, want)
 			}
