@@ -204,7 +204,7 @@ func (c *Clustered) Decide(in policy.Input) (policy.Decision, error) {
 	littleCap := float64(len(views[c.little].CoreIDs)) * float64(c.inner[c.little].table.Max().Freq)
 
 	quotaCores := 0.0 // Σ domain quota × domain cores: budget in core-units
-	quota := 1.0
+	quota := 1.0      // the last awake domain's own quota
 	for ci, v := range views {
 		if ci != c.little && !c.gateBig(ci, demand[c.little], totalDemand, littleCap, pegged[c.little], domainHot(&in, ci)) {
 			// Parked: whole domain offline, clock at the floor so a
