@@ -32,9 +32,9 @@
 //	mobifleet -platforms nexus6p -policies all -seeds 100 -dur 30s -store out/
 //	mobifleet -platforms nexus6p -policies all -seeds 100 -dur 30s -store out/ -resume -csv out/cells.csv
 //
-// -store persists every completed cell to <store>/cells.jsonl keyed by a
-// canonical identity hash (merged across invocations, byte-stable at any
-// parallelism); -resume answers already-stored cells from the store and
+// -store persists every completed cell keyed by a canonical identity hash
+// (merged across invocations; once the matrix is complete,
+// <store>/cells.jsonl holds it, byte-stable at any parallelism); -resume answers already-stored cells from the store and
 // executes only the missing ones — a fully-cached matrix executes zero
 // sessions and reproduces the cold run's CSV byte for byte. -traces adds
 // per-cell gzip JSONL power traces under <store>/traces. -csv exports the

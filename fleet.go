@@ -39,9 +39,10 @@ type FleetConfig struct {
 	Parallel int
 
 	// Store names a directory for the persistent result store: every
-	// completed cell is merged into <Store>/cells.jsonl keyed by its
-	// canonical identity hash, so sweeps compose across invocations.
-	// Empty disables persistence.
+	// completed cell is merged into the store keyed by its canonical
+	// identity hash, so sweeps compose across invocations; once it holds
+	// the whole matrix, <Store>/cells.jsonl holds every record sorted by
+	// key. Empty disables persistence.
 	Store string
 	// Resume loads cached cells from Store before running, executing only
 	// the cells the store does not hold yet. Requires Store. A fully-

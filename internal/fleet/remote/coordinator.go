@@ -167,8 +167,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	for _, m := range manifests {
 		c.total += m.Cells
 	}
-	for i, m := range manifests {
-		if c.storedInRange(m) == m.Cells {
+	for i, n := range c.storedPerShard() {
+		if n == manifests[i].Cells {
 			c.states[i].phase = shardDone
 		}
 	}
@@ -181,21 +181,28 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// storedInRange counts store records inside a shard's key range.
-func (c *Coordinator) storedInRange(m shard.Manifest) int {
-	n := 0
+// storedPerShard counts the store's records inside each shard's key
+// range. The shards are consecutive ranges of the sorted keyspace, so one
+// pass over the sorted keys bins them all.
+func (c *Coordinator) storedPerShard() []int {
+	counts := make([]int, len(c.manifests))
+	i := 0
 	for _, key := range c.st.Keys() {
-		if m.Contains(key) {
-			n++
+		for i < len(c.manifests) && c.manifests[i].Hi != "" && key >= c.manifests[i].Hi {
+			i++
+		}
+		if i < len(c.manifests) && c.manifests[i].Contains(key) {
+			counts[i]++
 		}
 	}
-	return n
+	return counts
 }
 
 // Done is closed once every shard has completed and flushed.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
-// Close flushes and releases the store. Idempotent.
+// Close compacts and releases the store, so its cells file holds every
+// record. Idempotent.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,7 +210,7 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	if err := c.st.Flush(); err != nil {
+	if err := c.st.Compact(); err != nil {
 		c.st.Close()
 		return err
 	}
@@ -345,7 +352,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := c.st.Flush(); err != nil {
+	// The last shard completes the study: compact, so the cells file holds
+	// every record.
+	flush := c.st.Flush
+	if c.lastPending(idx) {
+		flush = c.st.Compact
+	}
+	if err := flush(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -375,6 +388,17 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, st)
+}
+
+// lastPending reports whether every shard but idx is done. Callers hold
+// mu.
+func (c *Coordinator) lastPending(idx int) bool {
+	for i, s := range c.states {
+		if i != idx && s.phase != shardDone {
+			return false
+		}
+	}
+	return true
 }
 
 // checkAllDone closes the done channel once every shard completed. Callers

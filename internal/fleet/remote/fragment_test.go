@@ -173,8 +173,9 @@ func FuzzCompleteFragment(f *testing.F) {
 
 // BenchmarkCoordinatorFragments times a coordinator accepting the 32
 // fragments of a 3072-cell study, in shard order, into a fresh store: the
-// store grows to 3072 records, and every fragment's Flush copies the
-// lines of the ones before it.
+// store grows to 3072 records; a fragment's Flush appends it to the log
+// or, when the log would reach the cells file's size, rewrites the cells
+// file, and the last fragment compacts.
 func BenchmarkCoordinatorFragments(b *testing.B) {
 	job := JobSpec{
 		Platforms:  []string{"nexus5"},

@@ -258,6 +258,19 @@ func checkClaim(claim ClaimResponse, keys []string) error {
 	return nil
 }
 
+// compact rewrites the cells file of the store in dir.
+func compact(dir string) error {
+	st, err := store.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := st.Compact(); err != nil {
+		st.Close()
+		return err
+	}
+	return st.Close()
+}
+
 // runShard executes one claimed shard in a fresh fragment store and
 // returns the store's JSONL bytes. Cached records from the coordinator
 // seed the store first, so fleet.Run's resume path skips them. The claim
@@ -290,6 +303,11 @@ func runShard(ctx context.Context, spec fleet.Spec, cfg WorkerConfig, claim Clai
 	run.Parallel = cfg.Parallel
 	res, err := fleet.Run(ctx, run)
 	if err != nil {
+		return nil, nil, err
+	}
+	// The fragment is the cells file, which holds the records the log
+	// holds only after a rewrite.
+	if err := compact(dir); err != nil {
 		return nil, nil, err
 	}
 	fragment, err := os.ReadFile(filepath.Join(dir, store.CellsFile))

@@ -106,10 +106,12 @@ func isCancellation(err error) bool {
 // seeded from its cell, so output is byte-identical at any parallelism.
 //
 // With StoreDir set, completed cells are merged into the persistent result
-// store (sorted by identity key, so the store's bytes are independent of
-// parallelism and invocation count); with Resume also set, cells already
-// in the store are loaded instead of executed. Partial runs flush what
-// completed, so an interrupted sweep resumes where it stopped.
+// store; with Resume also set, cells already in the store are loaded
+// instead of executed. Partial runs flush what completed, so an
+// interrupted sweep resumes where it stopped. A run that leaves the store
+// holding every cell of the unsharded matrix compacts it, so cells.jsonl
+// then holds every record sorted by identity key, its bytes independent
+// of parallelism, sharding and invocation count.
 //
 // When ctx is canceled mid-run the completed cells come back in a partial
 // Result (Incomplete set) alongside ctx's error, so callers can report
@@ -130,6 +132,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		ids[i] = c.identity()
 		keys[i] = ids[i].Key()
 	}
+
+	allKeys := keys
 
 	// Restrict the matrix to one key-range shard. A handed-in manifest is
 	// verified against the locally expanded cell set first — a worker must
@@ -248,7 +252,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 	// Persist whatever completed before reporting anything else: a failed
 	// or interrupted sweep must still be resumable from the cells it
-	// finished.
+	// finished. Once the store holds the whole matrix, the study is
+	// complete and the cells file is rewritten to hold every record.
 	var storeErr error
 	if st != nil {
 		for _, r := range results {
@@ -256,7 +261,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 				st.Put(r.rec)
 			}
 		}
-		storeErr = st.Flush()
+		if holdsAll(st, allKeys) {
+			storeErr = st.Compact()
+		} else {
+			storeErr = st.Flush()
+		}
 	}
 
 	// A genuine cell failure wins over cancellation noise; the lowest
@@ -294,6 +303,19 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return out, errors.New("fleet: run incomplete")
 	}
 	return out, nil
+}
+
+// holdsAll reports whether the store holds a record for every key. It
+// stops at the first missing key, so on an unfinished study it costs a few
+// map lookups. (Comparing Len with len(keys) first would be wrong: a
+// matrix may repeat a key.)
+func holdsAll(st *store.Store, keys []string) bool {
+	for _, k := range keys {
+		if !st.Has(k) {
+			return false
+		}
+	}
+	return true
 }
 
 // cellScratch is one worker's cross-cell reuse state: the session arena

@@ -3,8 +3,13 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"mobicore/internal/fleet/store"
 )
 
 // TestShardedRunsMatchSerial: running the matrix as disjoint key-range
@@ -73,6 +78,72 @@ func TestShardedRunsMatchSerial(t *testing.T) {
 	if !bytes.Equal(wholeCSV, mergedCSV) {
 		t.Error("merged shard store CSV differs from the unsharded store CSV")
 	}
+}
+
+// TestShardsIntoOneStoreMatchSerial: running the matrix as sequential
+// key-range shards into one store — the path a sharded study on one
+// machine takes — holds exactly the records of the shards run so far after
+// each shard, some shard's flush appends to the log, and after the last
+// shard the cells file and CSV are byte-identical to the unsharded run's.
+func TestShardsIntoOneStoreMatchSerial(t *testing.T) {
+	whole := t.TempDir()
+	spec := matrixSpec(2)
+	spec.StoreDir = whole
+	if _, err := Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	wholeJSONL, wholeCSV := readStoreFiles(t, whole)
+	serial := storeRecords(t, whole)
+
+	const shards = 6
+	dir := t.TempDir()
+	var union []store.Record
+	appended := false
+	for i := range shards {
+		s := matrixSpec(2)
+		s.StoreDir = dir
+		s.ShardIndex, s.ShardCount = i, shards
+		res, err := Run(context.Background(), s)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		union = union[:0]
+		for _, rec := range serial {
+			if res.Shard.Hi == "" || rec.Key < res.Shard.Hi {
+				union = append(union, rec)
+			}
+		}
+		if got := storeRecords(t, dir); !slices.Equal(got, union) {
+			t.Fatalf("after shard %d the store holds %d records, want the %d of shards 0..%d", i, len(got), len(union), i)
+		}
+		if _, err := os.Stat(filepath.Join(dir, store.LogFile)); err == nil {
+			appended = true
+		}
+	}
+	if !appended {
+		t.Error("no shard's flush appended to the log")
+	}
+	if _, err := os.Stat(filepath.Join(dir, store.LogFile)); !os.IsNotExist(err) {
+		t.Errorf("the completed study left its log behind: %v", err)
+	}
+	gotJSONL, gotCSV := readStoreFiles(t, dir)
+	if !bytes.Equal(gotJSONL, wholeJSONL) {
+		t.Error("sequential shards into one store differ from the unsharded store")
+	}
+	if !bytes.Equal(gotCSV, wholeCSV) {
+		t.Error("sequential shards' store CSV differs from the unsharded store CSV")
+	}
+}
+
+// storeRecords returns every record of the store in dir.
+func storeRecords(t *testing.T, dir string) []store.Record {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	return st.Records()
 }
 
 // TestShardManifestRejectsWrongSpec: a manifest cut from one matrix must

@@ -94,10 +94,13 @@ type Spec struct {
 	Parallel int
 
 	// StoreDir names the persistent result store: every completed cell is
-	// written to <StoreDir>/cells.jsonl keyed by its canonical identity
-	// hash, merged with whatever the store already holds and rewritten
-	// sorted by key — so sweeps compose across invocations and the file's
-	// bytes never depend on execution order or parallelism. Empty disables
+	// persisted keyed by its canonical identity hash and merged with
+	// whatever the store already holds, so sweeps compose across
+	// invocations. A run's flush appends its new records to
+	// <StoreDir>/cells.log or rewrites <StoreDir>/cells.jsonl (see package
+	// store); once the store holds the whole matrix, cells.jsonl is
+	// rewritten with every record sorted by key, so its bytes never depend
+	// on execution order, parallelism or sharding. Empty disables
 	// persistence.
 	StoreDir string
 	// Resume loads cached cells from StoreDir before running: cells whose

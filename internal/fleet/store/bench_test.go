@@ -23,7 +23,8 @@ func benchRecords(n int) []Record {
 	return recs
 }
 
-// BenchmarkFlush times one Flush of a 3000-record store, syncs included.
+// BenchmarkFlush times one Flush of a 3000-record store with nothing new
+// to append, which rewrites the cells file, syncs included.
 func BenchmarkFlush(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {
@@ -127,9 +128,10 @@ func shardCycle(b *testing.B, untrusted bool) {
 }
 
 // BenchmarkShardCycle times one shard invocation on a store whose sum
-// file matches, so Flush copies the unchanged lines.
+// file matches, so Flush appends to the log until the log reaches the
+// cells file's size and then rewrites: the mean is the amortized cost.
 func BenchmarkShardCycle(b *testing.B) { shardCycle(b, false) }
 
 // BenchmarkOpenUntrusted times the same invocation on a store without a
-// sum file, so Flush decodes and re-encodes every line.
+// sum file, so every Flush rewrites, decoding and re-encoding every line.
 func BenchmarkOpenUntrusted(b *testing.B) { shardCycle(b, true) }

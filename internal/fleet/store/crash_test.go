@@ -31,12 +31,14 @@ func crashRecord(i int) Record {
 }
 
 // runCrashChild is the child's loop: starting from what the store holds,
-// it opens the store, puts the next record, flushes, closes, and reports
-// the record count it flushed, until killed or a deadline passes.
+// it opens the store, puts the next record, flushes — an append to the log
+// three times in four, a rewrite of the cells file the fourth — closes,
+// and reports the record count it flushed, until killed or a deadline
+// passes.
 func runCrashChild(dir string) {
 	out := bufio.NewWriter(os.Stdout)
 	deadline := time.Now().Add(time.Minute)
-	for time.Now().Before(deadline) {
+	for iter := 0; time.Now().Before(deadline); iter++ {
 		s, err := Open(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -45,7 +47,11 @@ func runCrashChild(dir string) {
 		for i, n := s.Len(), max(crashBase, s.Len()+1); i < n; i++ {
 			s.Put(crashRecord(i))
 		}
-		if err := s.Flush(); err != nil {
+		flush := s.Flush
+		if iter%4 == 3 {
+			flush = s.Compact
+		}
+		if err := flush(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -60,11 +66,12 @@ func runCrashChild(dir string) {
 	os.Exit(0)
 }
 
-// TestCrashDurability kills a writer process at random moments and checks
-// what a cold Open finds afterwards: always exactly one complete record
-// set the child flushed — never a torn file, never fewer records than the
-// child last reported flushed — with its stale temp files ignored, and
-// that a Flush then writes that set's canonical bytes.
+// TestCrashDurability kills a writer process at random moments, inside a
+// log append or a rewrite, and checks what a cold Open finds afterwards:
+// always exactly one complete record set the child flushed — never a torn
+// file, never fewer records than the child last reported flushed — with
+// its stale temp files and any torn last log frame ignored, and that a
+// Flush then writes that set's canonical bytes.
 func TestCrashDurability(t *testing.T) {
 	if dir := os.Getenv(crashChildEnv); dir != "" {
 		runCrashChild(dir)
@@ -83,6 +90,7 @@ func TestCrashDurability(t *testing.T) {
 	t.Logf("kill schedule seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	reported := 0 // the most records any child reported flushed
+	logs := 0     // kills after which the store held a log
 	for kill := range 24 {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestCrashDurability$")
 		cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
@@ -119,6 +127,9 @@ func TestCrashDurability(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, LockFile)); err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
 		}
+		if _, err := os.Stat(filepath.Join(dir, LogFile)); err == nil {
+			logs++
+		}
 		s, err := Open(dir)
 		if err != nil {
 			t.Fatalf("kill %d: cold Open after the kill: %v", kill, err)
@@ -153,5 +164,5 @@ func TestCrashDurability(t *testing.T) {
 		}
 	}
 	stale, _ := filepath.Glob(filepath.Join(dir, CellsFile+".tmp-*"))
-	t.Logf("%d records after 24 kills; %d stale temp files ignored", reported, len(stale))
+	t.Logf("%d records after 24 kills; %d stale temp files ignored; %d kills left a log", reported, len(stale), logs)
 }

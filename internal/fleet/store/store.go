@@ -1,63 +1,88 @@
 // Package store is the fleet driver's persistent result store: one JSONL
 // record per completed cell, keyed by a canonical identity hash, so sweeps
 // compose across sequential invocations. A re-run of the same Spec loads
-// its cached cells from the store and executes only the missing ones; the
-// merged store is rewritten sorted by key, so the file's bytes depend only
-// on which cells exist — never on execution order, parallelism, or how
-// many invocations it took to fill the matrix.
+// its cached cells from the store and executes only the missing ones.
 //
-// Each line is byte-for-byte encoding/json's encoding of a Record. The
-// package writes and parses that form itself, without reflection (see
-// codec.go); a record or line outside it falls back to encoding/json, so
-// what the store accepts, rejects and returns is what encoding/json would.
+// A store directory holds three files. cells.jsonl is the canonical main
+// file: one line per record, sorted by key, so its bytes depend only on
+// which cells exist — never on execution order, parallelism, or how many
+// invocations it took to fill the matrix. cells.log is an append-only
+// delta log of the records flushed since the main file was last
+// rewritten. cells.jsonl.sum holds the CRC-32C and length of the main file
+// the last rewrite wrote.
 //
-// The store assumes one writer at a time: Open indexes the file, Put
-// merges in memory, and Flush rewrites the whole file. Open enforces that
-// with a lock file (created O_CREATE|O_EXCL, removed by Close): a second
-// process opening a held store fails with a clear error instead of
-// silently dropping the first one's records on the last rename. Sharding
-// a sweep across processes uses disjoint store directories — one per
-// shard — combined afterwards with Merge, which refuses conflicting
-// records for the same key.
+// Each main-file line is byte-for-byte encoding/json's encoding of a
+// Record. The package writes and parses that form itself, without
+// reflection (see codec.go); a record or line outside it falls back to
+// encoding/json, so what the store accepts, rejects and returns is what
+// encoding/json would. Each log line is a frame: the CRC-32C of the
+// record's line as 8 hex digits, a space, the line, a newline.
 //
-// Open reads the cells file once and keeps an index, not records: the
+// The store assumes one writer at a time: Open indexes the files, Put
+// merges in memory, and Flush persists what was Put since the last Flush.
+// Open enforces that with a lock file (created O_CREATE|O_EXCL, removed by
+// Close): a second process opening a held store fails with a clear error
+// instead of silently dropping the first one's records. Sharding a sweep
+// across processes uses disjoint store directories — one per shard —
+// combined afterwards with Merge, which refuses conflicting records for
+// the same key.
+//
+// Open reads the main file once and keeps an index, not records: the
 // offset, length and key of each line in the canonical layout, which it
 // checks token by token without converting a value (only a number that
 // might overflow goes to strconv). Any other line is decoded at Open and
 // held decoded, and so is a whole file whose keys are out of order, which
-// Flush never writes. So Open accepts and rejects exactly what
-// DecodeRecord does, with the same line-numbered errors, and what stays
-// in memory is an index entry per line plus the records Put since. Get
-// reads one line back with ReadAt; Records, WriteCSV and Flush read the
-// file once, front to back. Every such read must hash to what Open read:
-// a cells file changed since Open — written by another process while the
-// lock was held — fails the read, and Flush then leaves the file alone.
+// this package never writes. So Open accepts and rejects exactly what
+// DecodeRecord does, with the same line-numbered errors. Then Open reads
+// the log: every frame whose CRC matches loads, indexed the same way, and
+// a later record replaces an earlier one with the same key, as a later
+// main-file line does. A torn or CRC-bad last frame is what a writer
+// killed mid-append leaves; Open drops it and truncates it away. A bad
+// frame before another frame is a line-numbered error. Get reads one line
+// or frame back with ReadAt; Records, WriteCSV and a rewrite read the main
+// file once, front to back, and the log once. Every such read must hash to
+// what Open read (and, for the log, what appends added since): a file
+// changed since Open — written by another process while the lock was
+// held — fails the read, and Flush then leaves the main file alone.
 //
-// Flush copies a line byte for byte only when the sum file,
-// cells.jsonl.sum, holds the CRC-32C and length of the file Open read —
-// the file the last Flush wrote. Without that proof (an older store, a
-// hand edit, another tool's file) Flush decodes each line and encodes it
-// again, so such a file is normalized: a hand-written
-// 0.10000000000000001 is written back as 0.1. A CRC collision could only
-// keep a line that Open validated and that decodes to the same record in
-// another byte form.
+// Flush appends when there are records new since the last Flush, the sum
+// file vouched for the main file, and the log with the new frames stays
+// smaller than the main file. An append checks that the main file still
+// hashes to what Open read, writes the frames in one write, fsyncs the
+// log, and fsyncs the directory when it created the log. Otherwise Flush
+// rewrites, as Compact always does. Bounding the log by the main file
+// keeps the bytes a growing store writes within a small multiple of its
+// final size, and an Open's log scan within its main-file scan.
 //
-// Flush writes a temp file, fsyncs it, renames it over the cells file and
-// fsyncs the directory. A reader therefore sees the previous complete file
-// or the new one, never a partial one; and once Flush returns, the new
-// file survives a crash or power loss, as far as the file system honours
-// fsync and atomic rename. Then it replaces the sum file, also by rename
-// but without fsync: a crash can leave the sum stale, missing or torn,
-// none of which matches the cells file, so the next Flush re-encodes. A
-// crash during Flush leaves the previous file in place plus stale
-// cells.jsonl.tmp-* or cells.jsonl.sum.tmp-* files, which Open ignores.
-// The store holds the cells file open between Open and Close, and Flush
-// renames over it, as POSIX file systems allow.
+// A rewrite writes every record, sorted by key, to a temp file, fsyncs it,
+// renames it over the main file, fsyncs the directory, replaces the sum
+// file, and removes the log. It copies a main line byte for byte only when
+// the sum file held the CRC-32C and length of the file Open read. Without
+// that proof (an older store, a hand edit, another tool's file) it decodes
+// each line and encodes it again, so such a file is normalized: a
+// hand-written 0.10000000000000001 is written back as 0.1. Log records are
+// always encoded again. A CRC collision could only keep a line that Open
+// validated and that decodes to the same record in another byte form.
+//
+// Crash states. A reader sees the previous complete main file or the new
+// one, never a partial one; once Flush or Compact returns, what it wrote
+// survives a crash or power loss, as far as the file system honours fsync
+// and atomic rename. A crash during a rewrite leaves the previous main
+// file plus stale cells.jsonl.tmp-* or cells.jsonl.sum.tmp-* files, which
+// Open ignores. The sum file is replaced by rename but not fsynced: a
+// crash can leave it stale, missing or torn, none of which matches the
+// main file, so the next Flush rewrites. A crash after the rename and
+// before the log's removal leaves log records that repeat main-file
+// records, which Open accepts. A crash during an append leaves at most a
+// torn last frame. The store holds the main file open between Open and
+// Close, and a rewrite renames over it, as POSIX file systems allow.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/hex"
 	"errors"
@@ -84,8 +109,13 @@ const CellsFile = "cells.jsonl"
 const LockFile = "store.lock"
 
 // SumFile is the name of the file holding the CRC-32C and length of the
-// cells file the last Flush wrote.
+// cells file the last rewrite wrote.
 const SumFile = CellsFile + ".sum"
+
+// LogFile is the name of the append-only delta log inside a store
+// directory: one CRC-framed line per record flushed since the last
+// rewrite of the cells file.
+const LogFile = "cells.log"
 
 // Identity is the canonical coordinate of one fleet cell — everything that
 // selects a deterministic session. Two cells with equal identities run the
@@ -163,30 +193,46 @@ type Record struct {
 }
 
 // Store is one store directory opened for reading and merging. Open
-// indexes the existing lines; Put adds or replaces records in memory;
-// Flush rewrites the JSONL file sorted by key (atomically, via a temp file
-// rename); Close releases the writer lock. Not safe for concurrent use —
-// the fleet driver mutates it only from its single assembly goroutine.
+// indexes the existing records; Put adds or replaces records in memory;
+// Flush appends the new ones to the log or rewrites the cells file sorted
+// by key, and Compact always rewrites; Close releases the writer lock. Not
+// safe for concurrent use — the fleet driver mutates it only from its
+// single assembly goroutine.
 type Store struct {
 	dir    string
 	locked bool
+	// cellsPath and logPath are the paths of the cells file and the log.
+	cellsPath, logPath string
 
-	// file is the cells file Open read or Flush wrote, held open for
-	// reads; nil when there was none. sum and size are the CRC-32C and
-	// length of its bytes.
+	// file is the cells file Open read or the last rewrite wrote, held
+	// open for reads; nil when there was none. sum and size are the
+	// CRC-32C and length of its bytes.
 	file *os.File
 	sum  uint32
 	size int64
 
 	// lines indexes, by key, the records still held only as lines of
-	// file; recs holds every other record, decoded. No key is in both.
+	// file; logged indexes, by key, those held only as frames of log;
+	// recs holds every other record, decoded. No key is in two of them.
 	// The indexed lines' keys rise with their offsets, so a walk in key
 	// order reads file front to back.
-	lines map[string]span
-	recs  map[string]Record
+	lines  map[string]span
+	logged map[string]span
+	recs   map[string]Record
 	// trusted says the sum file vouched for file, so its lines are in the
-	// encoder's byte form and Flush may copy them.
+	// encoder's byte form and a rewrite may copy them.
 	trusted bool
+	// pending lists the keys Put since the last Flush, in Put order; a
+	// key Put twice is listed twice.
+	pending []string
+	// log is the delta log, held open for reads and appends; nil when
+	// there is none. logSum and logSize are the CRC-32C and length of its
+	// frames. torn says a failed append may have left a partial frame, or
+	// a rewrite failed to remove the log, so the next Flush rewrites.
+	log     *os.File
+	logSum  uint32
+	logSize int64
+	torn    bool
 	// err is the first failed read of file; Flush and Close report it.
 	err error
 }
@@ -199,16 +245,17 @@ type span struct {
 }
 
 // Open creates the store directory if needed, takes the single-writer
-// lock, and indexes the existing cells file (see the package comment).
-// Every line is checked as DecodeRecord would check it: a line in the
-// canonical layout is scanned without converting its values and indexed
-// by key, any other line is decoded now. A missing cells file is an empty store; a
-// malformed line is an error (the store is a cache of expensive runs —
-// silently dropping records would silently re-run them). A held lock is
-// an error too: before the lock existed, two concurrent writers would
-// each rewrite the file from their own view and the last rename silently
-// dropped the other's records. Callers must Close the store to release
-// the lock.
+// lock, and indexes the existing cells file and log (see the package
+// comment). Every line is checked as DecodeRecord would check it: a line
+// in the canonical layout is scanned without converting its values and
+// indexed by key, any other line is decoded now. A missing cells file or
+// log holds no records; a malformed line is an error (the store is a cache
+// of expensive runs — silently dropping records would silently re-run
+// them), except a torn or CRC-bad last log frame, which Open truncates
+// away. A held lock is an error too: before the lock existed, two
+// concurrent writers would each rewrite the file from their own view and
+// the last rename silently dropped the other's records. Callers must Close
+// the store to release the lock.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
@@ -219,8 +266,20 @@ func Open(dir string) (*Store, error) {
 	if err := lock(dir); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, lines: map[string]span{}, recs: map[string]Record{}, locked: true}
+	s := &Store{
+		dir:       dir,
+		locked:    true,
+		cellsPath: filepath.Join(dir, CellsFile),
+		logPath:   filepath.Join(dir, LogFile),
+		lines:     map[string]span{},
+		logged:    map[string]span{},
+		recs:      map[string]Record{},
+	}
 	if err := s.load(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if err := s.loadLog(); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -257,6 +316,10 @@ func (s *Store) Close() error {
 		s.file.Close() // read-only
 		s.file = nil
 	}
+	if s.log != nil {
+		s.log.Close() // every append was synced
+		s.log = nil
+	}
 	if err := os.Remove(filepath.Join(s.dir, LockFile)); err != nil {
 		return fmt.Errorf("store: unlocking %s: %w", s.dir, err)
 	}
@@ -266,7 +329,7 @@ func (s *Store) Close() error {
 // load indexes the cells file, hashing every byte it reads, and trusts
 // the indexed lines when the sum file matches that hash.
 func (s *Store) load() error {
-	path := s.path()
+	path := s.cellsPath
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		s.trusted = true
@@ -335,31 +398,177 @@ func sumText(sum uint32, size int64) string {
 	return fmt.Sprintf("crc32c %08x %d\n", sum, size)
 }
 
-func (s *Store) path() string { return filepath.Join(s.dir, CellsFile) }
+// loadLog indexes the log's frames over what load indexed, a later record
+// replacing an earlier one, and truncates a torn or CRC-bad last frame
+// away. Like load it keeps an index entry, not the bytes, of a canonical
+// record, and it hashes the frames it keeps so later reads can prove the
+// log unchanged.
+func (s *Store) loadLog() error {
+	path := s.logPath
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: opening %s: %w", path, err)
+	}
+	s.log = f
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	// As in load, start is the offset of the token Scan last returned. A
+	// line keeps any '\r', and a last line without '\n' comes back with
+	// terminated false.
+	var start, next int64
+	terminated := true
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		var (
+			advance int
+			token   []byte
+		)
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			advance, token = i+1, data[:i]
+		} else if atEOF && len(data) > 0 {
+			advance, token, terminated = len(data), data, false
+		}
+		start, next = next, next+int64(advance)
+		return advance, token, nil
+	})
+	bad := int64(-1) // the offset of a frame that failed its check
+	for line := 1; sc.Scan(); line++ {
+		if bad >= 0 {
+			return fmt.Errorf("store: %s line %d: frame fails its CRC-32C check and is not the last", path, line-1)
+		}
+		frame := sc.Bytes()
+		body, ok := unframe(frame)
+		if !ok || !terminated {
+			bad = start
+			continue
+		}
+		if err := s.addLogged(body, span{start, len(frame)}); err != nil {
+			return fmt.Errorf("store: %s line %d: %w", path, line, err)
+		}
+		s.logSum = crc32.Update(crc32.Update(s.logSum, castagnoli, frame), castagnoli, []byte{'\n'})
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("store: reading %s: %w", path, err)
+	}
+	s.logSize = next
+	if bad >= 0 {
+		if err := f.Truncate(bad); err != nil {
+			return fmt.Errorf("store: truncating the torn last frame of %s: %w", path, err)
+		}
+		s.logSize = bad
+	}
+	return nil
+}
+
+// addLogged indexes the record line of the log frame at sp: a line in the
+// canonical layout by key, any other line decoded.
+func (s *Store) addLogged(line []byte, sp span) error {
+	if key, ok := scanCanonical(line); ok && len(key) > 0 {
+		k := string(key)
+		delete(s.lines, k)
+		delete(s.recs, k)
+		s.logged[k] = sp
+		return nil
+	}
+	rec, err := DecodeRecord(line)
+	if err != nil {
+		return err
+	}
+	if rec.Key == "" {
+		return errors.New("record without key")
+	}
+	delete(s.lines, rec.Key)
+	delete(s.logged, rec.Key)
+	s.recs[rec.Key] = rec
+	return nil
+}
+
+// readLog reads the log's frames back, which must hash to what Open read
+// and the appends since wrote.
+func (s *Store) readLog() ([]byte, error) {
+	b := make([]byte, s.logSize)
+	if _, err := s.log.ReadAt(b, 0); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, s.fail(s.changed(s.logPath))
+		}
+		return nil, s.fail(fmt.Errorf("store: reading %s: %w", s.logPath, err))
+	}
+	if crc32.Checksum(b, castagnoli) != s.logSum {
+		return nil, s.fail(s.changed(s.logPath))
+	}
+	return b, nil
+}
+
+// frameHeader is the length of a log frame's header: the CRC-32C of its
+// line as 8 hex digits and a space.
+const frameHeader = 9
+
+// appendFrame appends a log frame holding line: its CRC-32C as 8 hex
+// digits, a space, the line, a newline.
+func appendFrame(b, line []byte) []byte {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(line, castagnoli))
+	b = append(hex.AppendEncode(b, sum[:]), ' ')
+	return append(append(b, line...), '\n')
+}
+
+// unframe returns the line a log frame, without its newline, holds, and
+// whether the frame is well formed and the line matches its CRC-32C.
+func unframe(frame []byte) ([]byte, bool) {
+	var sum [4]byte
+	if len(frame) < frameHeader || frame[frameHeader-1] != ' ' {
+		return nil, false
+	}
+	if _, err := hex.Decode(sum[:], frame[:frameHeader-1]); err != nil {
+		return nil, false
+	}
+	line := frame[frameHeader:]
+	return line, binary.BigEndian.Uint32(sum[:]) == crc32.Checksum(line, castagnoli)
+}
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Len returns the number of records held.
-func (s *Store) Len() int { return len(s.lines) + len(s.recs) }
+func (s *Store) Len() int { return len(s.lines) + len(s.logged) + len(s.recs) }
+
+// Has reports whether a record for key is held, without reading it.
+func (s *Store) Has(key string) bool {
+	_, inLines := s.lines[key]
+	_, inLog := s.logged[key]
+	_, inRecs := s.recs[key]
+	return inLines || inLog || inRecs
+}
 
 // Get returns the record for a key, if present. An indexed record is
-// read back with one ReadAt; a failed read returns false, and Flush and
-// Close report it.
+// read back with one ReadAt of its cells-file line or log frame; a failed
+// read returns false, and Flush and Close report it.
 func (s *Store) Get(key string) (Record, bool) {
 	if rec, ok := s.recs[key]; ok {
 		return rec, true
 	}
+	f, path := s.file, s.cellsPath
 	sp, ok := s.lines[key]
 	if !ok {
-		return Record{}, false
+		if sp, ok = s.logged[key]; !ok {
+			return Record{}, false
+		}
+		f, path = s.log, s.logPath
 	}
 	line := make([]byte, sp.n)
-	if _, err := s.file.ReadAt(line, sp.off); err != nil {
-		s.fail(fmt.Errorf("store: reading %s: %w", s.path(), err))
+	if _, err := f.ReadAt(line, sp.off); err != nil {
+		s.fail(fmt.Errorf("store: reading %s: %w", path, err))
 		return Record{}, false
 	}
-	rec, err := s.decode(key, line)
+	if f == s.log {
+		if line, ok = unframe(line); !ok {
+			s.fail(s.changed(path))
+			return Record{}, false
+		}
+	}
+	rec, err := s.decode(path, key, line)
 	return rec, err == nil
 }
 
@@ -368,6 +577,8 @@ func (s *Store) Get(key string) (Record, bool) {
 func (s *Store) Put(rec Record) {
 	s.recs[rec.Key] = rec
 	delete(s.lines, rec.Key)
+	delete(s.logged, rec.Key)
+	s.pending = append(s.pending, rec.Key)
 }
 
 // PutChecked adds a record, verifying the idempotence Put assumes: a key
@@ -390,14 +601,14 @@ func (s *Store) PutChecked(rec Record) (added bool, err error) {
 	return true, nil
 }
 
-// Records returns every record sorted by key — the file order of Flush —
-// reading the cells file once. After a failed read it returns nil, and
-// Flush and Close report the error.
+// Records returns every record sorted by key — the file order of a
+// rewrite — reading the cells file and the log once each. After a failed
+// read it returns nil, and Flush and Close report the error.
 func (s *Store) Records() []Record {
 	out := make([]Record, 0, s.Len())
 	err := s.walk(func(key string, rec Record, line []byte) (err error) {
 		if line != nil {
-			rec, err = s.decode(key, line)
+			rec, err = s.decode(s.cellsPath, key, line)
 		}
 		out = append(out, rec)
 		return err
@@ -408,11 +619,14 @@ func (s *Store) Records() []Record {
 	return out
 }
 
-// Keys returns every key in sorted order — the file order of Flush and
-// WriteCSV.
+// Keys returns every key in sorted order — the file order of a rewrite
+// and WriteCSV.
 func (s *Store) Keys() []string {
 	keys := make([]string, 0, s.Len())
 	for k := range s.lines {
+		keys = append(keys, k)
+	}
+	for k := range s.logged {
 		keys = append(keys, k)
 	}
 	for k := range s.recs {
@@ -422,20 +636,21 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// decode decodes the indexed line of key. Open found the line canonical,
-// so a line that no longer decodes to its key means the file changed
-// under the lock.
-func (s *Store) decode(key string, line []byte) (Record, error) {
+// decode decodes the indexed line of key read from the file at path.
+// Open found the line canonical, so a line that no longer decodes to its
+// key means the file changed under the lock.
+func (s *Store) decode(path, key string, line []byte) (Record, error) {
 	var r Record
 	if !decodeCanonical(line, &r) || r.Key != key {
-		return Record{}, s.fail(s.changed())
+		return Record{}, s.fail(s.changed(path))
 	}
 	return r, nil
 }
 
-// changed is the error for a cells file that is not the one Open read.
-func (s *Store) changed() error {
-	return fmt.Errorf("store: %s changed since Open: another process wrote it while this one held %s", s.path(), LockFile)
+// changed is the error for a cells file or log that is not the one Open
+// read.
+func (s *Store) changed(path string) error {
+	return fmt.Errorf("store: %s changed since Open: another process wrote it while this one held %s", path, LockFile)
 }
 
 // fail records the first failed read and returns it.
@@ -447,30 +662,44 @@ func (s *Store) fail(err error) error {
 }
 
 // walk calls fn for every record in key order, with either the bytes of
-// its indexed line, valid only during the call, or (line nil) the
-// decoded record. The lines come from one front-to-back read of the
-// cells file, which must hash to what Open read. The first error stops
-// the walk.
+// its indexed cells-file line, valid only during the call, or (line nil)
+// the decoded record. The lines come from one front-to-back read of the
+// cells file, which must hash to what Open read; logged records are
+// decoded from one read of the log, which must hash to what Open read and
+// the appends since wrote. The first error stops the walk.
 func (s *Store) walk(fn func(key string, rec Record, line []byte) error) error {
 	if s.err != nil {
 		return s.err
 	}
-	var r *lineReader
+	var (
+		r   *lineReader
+		log []byte
+	)
 	for _, key := range s.Keys() {
-		if rec, ok := s.recs[key]; ok {
-			if err := fn(key, rec, nil); err != nil {
-				return err
+		var (
+			rec  Record
+			line []byte
+			err  error
+		)
+		if sp, ok := s.lines[key]; ok {
+			if r == nil {
+				r = s.newLineReader()
 			}
-			continue
+			line, err = r.read(sp)
+		} else if sp, ok := s.logged[key]; ok {
+			if log == nil {
+				log, err = s.readLog()
+			}
+			if err == nil {
+				rec, err = s.decode(s.logPath, key, log[sp.off+frameHeader:sp.off+int64(sp.n)])
+			}
+		} else {
+			rec = s.recs[key]
 		}
-		if r == nil {
-			r = s.newLineReader()
-		}
-		line, err := r.read(s.lines[key])
 		if err != nil {
 			return err
 		}
-		if err := fn(key, Record{}, line); err != nil {
+		if err := fn(key, rec, line); err != nil {
 			return err
 		}
 	}
@@ -495,7 +724,7 @@ func (s *Store) decodeLines() error {
 		if err != nil {
 			return err
 		}
-		rec, err := s.decode(key, line)
+		rec, err := s.decode(s.cellsPath, key, line)
 		if err != nil {
 			return err
 		}
@@ -547,7 +776,7 @@ func (r *lineReader) finish() error {
 		return r.error(err)
 	}
 	if r.h.Sum32() != r.s.sum || r.pos+n != r.s.size {
-		return r.s.fail(r.s.changed())
+		return r.s.fail(r.s.changed(r.s.cellsPath))
 	}
 	return nil
 }
@@ -556,24 +785,96 @@ func (r *lineReader) finish() error {
 // Open.
 func (r *lineReader) error(err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return r.s.fail(r.s.changed())
+		return r.s.fail(r.s.changed(r.s.cellsPath))
 	}
-	return r.s.fail(fmt.Errorf("store: reading %s: %w", r.s.path(), err))
+	return r.s.fail(fmt.Errorf("store: reading %s: %w", r.s.cellsPath, err))
 }
 
-// Flush rewrites the cells file: one JSON line per record, sorted by key.
-// A line Open indexed is copied byte for byte when the sum file vouched
-// for it, and decoded and re-encoded otherwise; every other record is
-// encoded by appendRecord. The old file must still hash to what Open
-// read, or Flush fails and leaves it alone. The lines go to a temp file,
-// which is fsynced and renamed into place before the directory is
-// fsynced, so readers never observe a torn store and a returned Flush
-// survives a crash (see the package comment). Then the sum file is
-// replaced, and the store re-indexes against the new file and drops its
-// decoded records, except the few only encoding/json could write. The bytes depend only on the record set — a parallel
-// run, a serial run, and a resumed run that filled the same cells all
-// flush byte-identical files.
+// Flush persists the records Put since the last Flush. It appends them
+// to the log, in key order, when there are any, the sum file vouched for
+// the cells file, and the log with them stays smaller than the cells
+// file; otherwise it rewrites, as Compact does. An append first checks
+// that the cells file still hashes to what Open read, then writes the
+// frames in one write and fsyncs the log, and the directory when the log
+// is new. Either way a returned Flush survives a crash (see the package
+// comment).
 func (s *Store) Flush() error {
+	if len(s.pending) == 0 || !s.trusted || s.torn || s.logSize >= s.size {
+		return s.Compact()
+	}
+	slices.Sort(s.pending)
+	s.pending = slices.Compact(s.pending)
+	var frames, enc []byte
+	for _, key := range s.pending {
+		var err error
+		if enc, err = appendRecord(enc[:0], s.recs[key]); err != nil {
+			return fmt.Errorf("store: encoding record %s: %w", key, err)
+		}
+		if frames == nil {
+			// A study's records encode to similar lengths: sized from the
+			// first, the buffer rarely grows.
+			frames = make([]byte, 0, len(s.pending)*(frameHeader+len(enc)+1)*5/4)
+		}
+		frames = appendFrame(frames, enc)
+	}
+	if s.logSize+int64(len(frames)) >= s.size {
+		return s.Compact()
+	}
+	if err := s.appendLog(frames); err != nil {
+		return err
+	}
+	s.pending = s.pending[:0]
+	return nil
+}
+
+// appendLog appends frames to the log, creating it if needed, after
+// checking that the cells file is the one Open read. A failed write or
+// sync may leave a partial frame, so it marks the log torn.
+func (s *Store) appendLog(frames []byte) error {
+	if s.err != nil {
+		return s.err
+	}
+	if err := s.newLineReader().finish(); err != nil {
+		return err
+	}
+	path := s.logPath
+	created := s.log == nil
+	if created {
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			return fmt.Errorf("store: creating %s: %w", path, err)
+		}
+		s.log = f
+	}
+	_, err := s.log.Write(frames)
+	if err == nil {
+		err = s.log.Sync()
+	}
+	if err == nil && created {
+		err = syncDir(s.dir)
+	}
+	if err != nil {
+		s.torn = true
+		return fmt.Errorf("store: appending to %s: %w", path, err)
+	}
+	s.logSum = crc32.Update(s.logSum, castagnoli, frames)
+	s.logSize += int64(len(frames))
+	return nil
+}
+
+// Compact rewrites the cells file: one JSON line per record, sorted by
+// key. A line Open indexed is copied byte for byte when the sum file
+// vouched for it, and decoded and re-encoded otherwise; every other
+// record is encoded by appendRecord. The old file must still hash to what
+// Open read, or Compact fails and leaves it alone. The lines go to a temp
+// file, which is fsynced and renamed into place before the directory is
+// fsynced, so readers never observe a torn store and a returned Compact
+// survives a crash. Then the sum file is replaced, the log is removed,
+// and the store re-indexes against the new file and drops its decoded
+// records, except the few only encoding/json could write. The bytes
+// depend only on the record set — a parallel run, a serial run, and a
+// resumed run that filled the same cells all write byte-identical files.
+func (s *Store) Compact() error {
 	tmp, err := os.CreateTemp(s.dir, CellsFile+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: creating temp file: %w", err)
@@ -589,7 +890,7 @@ func (s *Store) Flush() error {
 	)
 	err = s.walk(func(key string, rec Record, line []byte) (err error) {
 		if line != nil && !s.trusted {
-			if rec, err = s.decode(key, line); err != nil {
+			if rec, err = s.decode(s.cellsPath, key, line); err != nil {
 				return err
 			}
 			line = nil
@@ -631,7 +932,7 @@ func (s *Store) Flush() error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: closing temp file: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), s.path()); err != nil {
+	if err := os.Rename(tmp.Name(), s.cellsPath); err != nil {
 		return fmt.Errorf("store: installing cells file: %w", err)
 	}
 	if err := syncDir(s.dir); err != nil {
@@ -640,16 +941,30 @@ func (s *Store) Flush() error {
 	if err := writeSum(s.dir, sumText(h.Sum32(), off)); err != nil {
 		return err
 	}
-	f, err := os.Open(s.path())
+	f, err := os.Open(s.cellsPath)
 	if err != nil {
-		return fmt.Errorf("store: reopening %s: %w", s.path(), err)
+		return fmt.Errorf("store: reopening %s: %w", s.cellsPath, err)
 	}
 	if s.file != nil {
 		s.file.Close() // read-only
 	}
 	s.file, s.sum, s.size = f, h.Sum32(), off
 	s.lines, s.recs = lines, recs
+	clear(s.logged)
 	s.trusted = true
+	s.pending = s.pending[:0]
+	// Every logged record is in the new file now; a crash before the log
+	// is gone leaves records the file repeats, which Open accepts.
+	if s.log != nil {
+		s.log.Close() // every append was synced
+		s.log = nil
+	}
+	s.logSum, s.logSize = 0, 0
+	if err := os.Remove(s.logPath); err != nil && !errors.Is(err, os.ErrNotExist) {
+		s.torn = true // a log left in place must not be appended to
+		return fmt.Errorf("store: removing %s: %w", s.logPath, err)
+	}
+	s.torn = false
 	return nil
 }
 
@@ -735,7 +1050,7 @@ func (s *Store) WriteCSV(w io.Writer) error {
 	}
 	err := s.walk(func(key string, rec Record, line []byte) (err error) {
 		if line != nil {
-			if rec, err = s.decode(key, line); err != nil {
+			if rec, err = s.decode(s.cellsPath, key, line); err != nil {
 				return err
 			}
 		}
@@ -802,7 +1117,7 @@ func Merge(dst string, srcs ...string) (added int, err error) {
 			return 0, err
 		}
 	}
-	if err := d.Flush(); err != nil {
+	if err := d.Compact(); err != nil {
 		return 0, err
 	}
 	return added, nil

@@ -20,8 +20,9 @@ import (
 )
 
 // ClusterView describes one frequency domain of the platform as a Manager
-// sees it: the domain's OPP table and the core ids it owns. A homogeneous
-// SoC is one view covering every core.
+// sees it: the domain's OPP table and the core ids it owns, one ascending
+// run of consecutive ids (as platform.Compiled numbers them). A
+// homogeneous SoC is one view covering every core.
 type ClusterView struct {
 	Name    string
 	Table   *soc.OPPTable
@@ -74,32 +75,6 @@ type Input struct {
 	Thermal []ThermalSignal
 }
 
-// Slice writes the observation restricted to domain ci into dst, for a
-// manager that runs one pass per domain: core indices local to the
-// domain, no cluster views, and — when the input carries thermal
-// telemetry — the domain's own ThermalSignal as the single entry. dst's
-// Util, Online and CurFreq are reused when large enough, so a manager
-// that keeps dst across samples slices without allocating; dst.Thermal
-// aliases in.Thermal.
-//
-//mobicore:hotpath
-func (in *Input) Slice(ci int, dst *Input) {
-	ids := in.Clusters[ci].CoreIDs
-	dst.Now, dst.Period, dst.Quota = in.Now, in.Period, in.Quota
-	dst.Util = Resize(dst.Util, len(ids))
-	dst.Online = Resize(dst.Online, len(ids))
-	dst.CurFreq = Resize(dst.CurFreq, len(ids))
-	for j, id := range ids {
-		dst.Util[j] = in.Util[id]
-		dst.Online[j] = in.Online[id]
-		dst.CurFreq[j] = in.CurFreq[id]
-	}
-	dst.Clusters, dst.Thermal = nil, nil
-	if ci < len(in.Thermal) {
-		dst.Thermal = in.Thermal[ci : ci+1]
-	}
-}
-
 // Resize returns b with length n and every entry zeroed, reusing b's
 // backing array when it is large enough: the per-sample buffers a
 // manager keeps across Decide calls grow once and are then reused.
@@ -110,6 +85,15 @@ func Resize[T any](b []T, n int) []T {
 	b = b[:n]
 	clear(b)
 	return b
+}
+
+// span returns the half-open range of core ids the view owns; Validate
+// has checked they are one ascending run.
+func (v ClusterView) span() (lo, hi int) {
+	if len(v.CoreIDs) == 0 {
+		return 0, 0
+	}
+	return v.CoreIDs[0], v.CoreIDs[0] + len(v.CoreIDs)
 }
 
 // Validate rejects malformed inputs.
@@ -126,9 +110,12 @@ func (in Input) Validate() error {
 		if v.Table == nil || v.Table.Len() == 0 {
 			return fmt.Errorf("policy: cluster %d missing OPP table", ci)
 		}
-		for _, id := range v.CoreIDs {
+		for j, id := range v.CoreIDs {
 			if id < 0 || id >= n {
 				return fmt.Errorf("policy: cluster %d core id %d outside [0,%d)", ci, id, n)
+			}
+			if j > 0 && id != v.CoreIDs[j-1]+1 {
+				return fmt.Errorf("policy: cluster %d core ids %v are not one ascending run", ci, v.CoreIDs)
 			}
 		}
 	}
@@ -264,8 +251,7 @@ type Composite struct {
 	govs []cpufreq.Governor // one per frequency domain, in cluster order
 	plug hotplug.Policy
 
-	sub Input    // the domain being decided, reused across samples
-	out []soc.Hz // per-core targets, scattered from each domain's governor
+	out []soc.Hz // per-core targets, gathered from each domain's governor
 }
 
 var _ Manager = (*Composite)(nil)
@@ -295,7 +281,8 @@ func (c *Composite) Name() string { return c.name }
 
 // Decide implements Manager: hotplug and the governors each act on the
 // same observation without coordination. Each domain's governor sees only
-// its own cores and table.
+// its own cores and table: a domain's cores are one run of ids, so its
+// governor reads the input's sub-slices directly.
 func (c *Composite) Decide(in Input) (Decision, error) {
 	if err := in.Validate(); err != nil {
 		return Decision{}, err
@@ -310,21 +297,19 @@ func (c *Composite) Decide(in Input) (Decision, error) {
 	}
 	c.out = Resize(c.out, len(in.Util))
 	for ci, v := range in.Clusters {
-		in.Slice(ci, &c.sub)
+		lo, hi := v.span()
 		freqs, err := c.govs[ci].Target(cpufreq.Input{
-			Now:     c.sub.Now,
-			Period:  c.sub.Period,
-			Util:    c.sub.Util,
-			Online:  c.sub.Online,
-			CurFreq: c.sub.CurFreq,
+			Now:     in.Now,
+			Period:  in.Period,
+			Util:    in.Util[lo:hi],
+			Online:  in.Online[lo:hi],
+			CurFreq: in.CurFreq[lo:hi],
 			Table:   v.Table,
 		})
 		if err != nil {
 			return Decision{}, fmt.Errorf("policy: governor %s (cluster %s): %w", c.govs[ci].Name(), v.Name, err)
 		}
-		for j, id := range v.CoreIDs {
-			c.out[id] = freqs[j]
-		}
+		copy(c.out[lo:hi], freqs)
 	}
 	return Decision{TargetFreq: c.out, OnlineCores: cores, Quota: 1}, nil
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -44,6 +45,7 @@ func TestInputValidate(t *testing.T) {
 		{"nil table", func(in *Input) { in.Clusters[0].Table = nil }},
 		{"no clusters", func(in *Input) { in.Clusters = nil }},
 		{"core id out of range", func(in *Input) { in.Clusters[0].CoreIDs = []int{0, 1, 2, 4} }},
+		{"core ids not one run", func(in *Input) { in.Clusters[0].CoreIDs = []int{0, 2, 1, 3} }},
 		{"no cores", func(in *Input) { in.Util = nil }},
 		{"length mismatch", func(in *Input) { in.Online = in.Online[:2] }},
 		{"quota zero", func(in *Input) { in.Quota = 0 }},
@@ -236,60 +238,56 @@ func TestInputValidateRejectsUnfilledThermal(t *testing.T) {
 	}
 }
 
-// TestSlicePropagatesThermal: a sliced domain input carries its own
-// cluster's thermal signal, so per-domain managers see thermal pressure.
-func TestSlicePropagatesThermal(t *testing.T) {
+// recordingGov is a governor that keeps the input of its last Target and
+// answers each core's current frequency.
+type recordingGov struct{ in cpufreq.Input }
+
+func (g *recordingGov) Name() string { return "recording" }
+func (g *recordingGov) Reset()       {}
+func (g *recordingGov) Target(in cpufreq.Input) ([]soc.Hz, error) {
+	g.in = in
+	return in.CurFreq, nil
+}
+
+// TestCompositeHandsEachGovernorItsDomain: each domain's governor reads
+// the input's own sub-slices for the domain's run of core ids — the same
+// backing arrays, no copy — with the domain's table, and its targets land
+// on those cores.
+func TestCompositeHandsEachGovernorItsDomain(t *testing.T) {
 	tbl := table(t)
-	views := []ClusterView{
-		{Name: "LITTLE", Table: tbl, CoreIDs: []int{0, 1}},
-		{Name: "big", Table: tbl, CoreIDs: []int{2, 3}},
-	}
 	in := Input{
 		Now:      time.Second,
 		Period:   50 * time.Millisecond,
-		Util:     make([]float64, 4),
-		Online:   []bool{true, true, true, true},
-		CurFreq:  make([]soc.Hz, 4),
-		Quota:    1,
-		Clusters: views,
-		Thermal: []ThermalSignal{
-			{TempC: 30, HeadroomC: 40, CapFreq: tbl.Max().Freq},
-			{TempC: 46, HeadroomC: -1, Throttling: true, CapFreq: tbl.Min().Freq},
-		},
-	}
-	var sub Input
-	in.Slice(1, &sub)
-	if len(sub.Thermal) != 1 || !sub.Thermal[0].Throttling {
-		t.Fatalf("sliced big domain thermal = %+v, want the big cluster's signal", sub.Thermal)
-	}
-	in.Slice(0, &sub)
-	if len(sub.Thermal) != 1 || sub.Thermal[0].Throttling {
-		t.Fatalf("sliced LITTLE domain thermal = %+v, want the LITTLE cluster's signal", sub.Thermal)
-	}
-	// No telemetry on the parent: none on the slice either.
-	in.Thermal = nil
-	if in.Slice(0, &sub); sub.Thermal != nil {
-		t.Error("slice invented thermal telemetry")
-	}
-}
-
-// TestSliceReusesBuffers: slicing into a kept sub-input copies the
-// domain's cores in local order and, once grown, allocates nothing.
-func TestSliceReusesBuffers(t *testing.T) {
-	tbl := table(t)
-	in := Input{
 		Util:     []float64{0.1, 0.2, 0.3, 0.4, 0.5},
 		Online:   []bool{true, false, true, true, false},
 		CurFreq:  []soc.Hz{1, 2, 3, 4, 5},
-		Quota:    0.5,
+		Quota:    1,
 		Clusters: []ClusterView{{Name: "a", Table: tbl, CoreIDs: []int{0, 1}}, {Name: "b", Table: tbl, CoreIDs: []int{2, 3, 4}}},
 	}
-	var sub Input
-	in.Slice(1, &sub)
-	if sub.Util[0] != 0.3 || sub.Online[1] != true || sub.CurFreq[2] != 5 || len(sub.Util) != 3 || sub.Quota != 0.5 {
-		t.Fatalf("slice of domain b = %+v", sub)
+	plug, err := hotplug.NewFixed(5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { in.Slice(0, &sub); in.Slice(1, &sub) }); allocs != 0 {
-		t.Errorf("Slice into a grown sub-input allocates %v times per run", allocs)
+	govs := []*recordingGov{{}, {}}
+	mgr, err := Compose([]cpufreq.Governor{govs[0], govs[1]}, plug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := mgr.Decide(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, v := range in.Clusters {
+		got := govs[ci].in
+		lo, hi := v.CoreIDs[0], v.CoreIDs[len(v.CoreIDs)-1]+1
+		if len(got.Util) != hi-lo || &got.Util[0] != &in.Util[lo] || &got.Online[0] != &in.Online[lo] || &got.CurFreq[0] != &in.CurFreq[lo] {
+			t.Errorf("governor %s got %+v, not the input's cores [%d,%d)", v.Name, got, lo, hi)
+		}
+		if got.Table != v.Table || got.Now != in.Now || got.Period != in.Period {
+			t.Errorf("governor %s got table %p, now %v, period %v", v.Name, got.Table, got.Now, got.Period)
+		}
+	}
+	if !slices.Equal(dec.TargetFreq, in.CurFreq) {
+		t.Errorf("targets %v, want each domain's answers on its cores %v", dec.TargetFreq, in.CurFreq)
 	}
 }
