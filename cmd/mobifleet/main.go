@@ -19,6 +19,11 @@
 // which is how a fleet sweep of thousands of users stays exactly
 // reproducible cell by cell.
 //
+// The matrix flags (-platforms -policies -scheds -seeds -seed -dur
+// -workload -util -threads -game -iterations -scenario) come from
+// internal/fleet/study, which registers the same set for mobifleetd: the
+// same flags name the same cells and store keys in both commands.
+//
 // -seeds N runs every cell at N consecutive seeds starting from -seed;
 // the report aggregates mean/stddev/min/max/p50/p95 — plus the mean's 95%
 // confidence interval — of energy, FPS, drop rate, and throttle residency
@@ -70,9 +75,10 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"mobicore"
+	"mobicore/internal/fleet"
+	"mobicore/internal/fleet/study"
 	"mobicore/internal/natsort"
 	"mobicore/internal/profile"
 )
@@ -83,19 +89,7 @@ func main() {
 
 func run() int {
 	var (
-		platforms = flag.String("platforms", "nexus5", "comma-separated device profiles, or \"all\"")
-		policies  = flag.String("policies", "android-default", "comma-separated CPU management policies, or \"all\"")
-		scheds    = flag.String("scheds", "greedy", "comma-separated placement rules: greedy, eas, or \"all\"")
-		seeds     = flag.Int("seeds", 1, "number of consecutive seeds per cell")
-		seed      = flag.Int64("seed", 1, "first workload randomness seed")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		dur       = flag.Duration("dur", 30*time.Second, "session duration (simulated) per cell")
-		wlName    = flag.String("workload", "busyloop", "workload: busyloop, game, geekbench, scenario")
-		util      = flag.Float64("util", 0.5, "busyloop target utilization [0,1]")
-		threads   = flag.Int("threads", 4, "busyloop/geekbench thread count")
-		gameName  = flag.String("game", "Subway Surf", "game title for -workload game")
-		iters     = flag.Int("iterations", 3, "geekbench iterations per thread")
-		scenName  = flag.String("scenario", "dayinlife", "scenario profile for -workload scenario (generator mode: each seed is a distinct synthetic user)")
 		traceFile = flag.String("trace", "", "replay one recorded scenario trace (JSONL) as the workload")
 		traceDir  = flag.String("trace-dir", "", "replay every *.jsonl scenario trace in this directory, one workload column per trace")
 		asJSON    = flag.Bool("json", false, "emit the fleet result as a JSON document")
@@ -112,6 +106,7 @@ func run() int {
 		gate      = flag.Float64("gate", 0, "with -diff: exit 3 when energy moved more than this percent with a CI excluding zero")
 		merge     = flag.Bool("merge", false, "merge stores given as positional args: -merge dst src...")
 	)
+	matrix := study.Register(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := profile.Start(*cpuProf)
@@ -128,7 +123,7 @@ func run() int {
 
 	if *list {
 		fmt.Println("platforms: ", mobicore.Platforms())
-		fmt.Println("policies:  ", mobicore.Policies(), `plus "<governor>+<hotplug>"; "all" =`, allPolicies())
+		fmt.Println("policies:  ", mobicore.Policies(), `plus "<governor>+<hotplug>"; "all" =`, study.AllPolicies())
 		fmt.Println("hotplugs:  ", mobicore.Hotplugs())
 		fmt.Println("scheds:    ", mobicore.Scheds())
 		fmt.Println("games:     ", mobicore.GameNames())
@@ -209,43 +204,38 @@ func run() int {
 		return 0
 	}
 
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "mobifleet: -seeds must be at least 1")
-		return 1
-	}
-
-	wls, err := workloadFactories(*wlName, *scenName, *util, *threads, *gameName, *iters, *traceFile, *traceDir)
+	job, err := matrix.Job()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mobifleet:", err)
 		return 1
 	}
-	seedList := make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = *seed + int64(i)
+	spec, err := job.FleetSpec()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mobifleet:", err)
+		return 1
 	}
-	cfg := mobicore.FleetConfig{
-		Platforms: expandList(*platforms, mobicore.Platforms()),
-		Policies:  expandList(*policies, allPolicies()),
-		Scheds:    expandList(*scheds, mobicore.Scheds()),
-		Seeds:     seedList,
-		Duration:  *dur,
-		Parallel:  *parallel,
-		Store:     *storeDir,
-		Resume:    *resume,
-		Traces:    *traces,
+	if spec.Workloads, err = replayColumns(spec.Workloads, *traceFile, *traceDir); err != nil {
+		fmt.Fprintln(os.Stderr, "mobifleet:", err)
+		return 1
+	}
+	spec.Parallel, spec.StoreDir, spec.Resume = *parallel, *storeDir, *resume
+	if *traces {
+		if *storeDir == "" {
+			fmt.Fprintln(os.Stderr, "mobifleet: -traces requires -store")
+			return 1
+		}
+		spec.TraceDir = filepath.Join(*storeDir, "traces")
 	}
 	if *shardSpec != "" {
-		idx, count, err := parseShard(*shardSpec)
-		if err != nil {
+		if spec.ShardIndex, spec.ShardCount, err = parseShard(*shardSpec); err != nil {
 			fmt.Fprintln(os.Stderr, "mobifleet:", err)
 			return 1
 		}
-		cfg.ShardIndex, cfg.ShardCount = idx, count
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	res, err := mobicore.RunFleet(ctx, cfg, wls...)
+	res, err := fleet.Run(ctx, spec)
 	canceled := errors.Is(err, context.Canceled)
 	if err != nil && !canceled {
 		fmt.Fprintln(os.Stderr, "mobifleet:", err)
@@ -294,21 +284,9 @@ func writeCSV(res *mobicore.FleetResult, path string) error {
 	return f.Close()
 }
 
-// allPolicies is what "-policies all" expands to: the named stacks, the
-// stock per-cluster governor stacks the paper's comparisons run against
-// (ondemand+load is android-default, so it is not repeated), and the two
-// blunt baselines the scenario experiments rank — max pinning with hotplug
-// disabled and ondemand with the load-packing offliner.
-func allPolicies() []string {
-	return append(mobicore.Policies(),
-		"conservative+load", "interactive+load", "schedutil+load",
-		"pin-max+mpdecision", "ondemand+offline")
-}
-
-// workloadFactories resolves the workload flags into the fleet's workload
-// dimension: recorded-trace replays (one column per trace) when -trace or
-// -trace-dir is set, otherwise the single recipe -workload names.
-func workloadFactories(name, scen string, util float64, threads int, game string, iters int, traceFile, traceDir string) ([]mobicore.FleetWorkload, error) {
+// replayColumns swaps the workload column for recorded-trace replays
+// (one column per trace) when -trace or -trace-dir is set.
+func replayColumns(wls []fleet.WorkloadFactory, traceFile, traceDir string) ([]fleet.WorkloadFactory, error) {
 	if traceDir != "" {
 		entries, err := os.ReadDir(traceDir)
 		if err != nil {
@@ -321,7 +299,7 @@ func workloadFactories(name, scen string, util float64, threads int, game string
 			}
 		}
 		natsort.Strings(names)
-		out := make([]mobicore.FleetWorkload, 0, len(names))
+		out := make([]fleet.WorkloadFactory, 0, len(names))
 		for _, n := range names {
 			wl, err := traceFactory(filepath.Join(traceDir, n))
 			if err != nil {
@@ -339,13 +317,9 @@ func workloadFactories(name, scen string, util float64, threads int, game string
 		if err != nil {
 			return nil, err
 		}
-		return []mobicore.FleetWorkload{wl}, nil
+		return []fleet.WorkloadFactory{wl}, nil
 	}
-	wl, err := workloadFactory(name, scen, util, threads, game, iters)
-	if err != nil {
-		return nil, err
-	}
-	return []mobicore.FleetWorkload{wl}, nil
+	return wls, nil
 }
 
 // traceFactory builds a replay workload column from one recorded scenario
@@ -371,61 +345,6 @@ func traceFactory(path string) (mobicore.FleetWorkload, error) {
 	}), nil
 }
 
-// workloadFactory builds the per-cell workload recipe from the flags.
-func workloadFactory(name, scen string, util float64, threads int, game string, iters int) (mobicore.FleetWorkload, error) {
-	switch name {
-	case "busyloop":
-		// Validate once, up front, instead of once per cell.
-		if _, err := mobicore.NewBusyLoop(util, threads); err != nil {
-			return mobicore.FleetWorkload{}, err
-		}
-		return mobicore.NewFleetWorkload(fmt.Sprintf("busyloop-%.0f%%x%d", util*100, threads),
-			func() ([]mobicore.Workload, error) {
-				w, err := mobicore.NewBusyLoop(util, threads)
-				if err != nil {
-					return nil, err
-				}
-				return []mobicore.Workload{w}, nil
-			}), nil
-	case "game":
-		if _, err := mobicore.NewGame(game); err != nil {
-			return mobicore.FleetWorkload{}, err
-		}
-		return mobicore.NewFleetWorkload(game, func() ([]mobicore.Workload, error) {
-			g, err := mobicore.NewGame(game)
-			if err != nil {
-				return nil, err
-			}
-			return []mobicore.Workload{g}, nil
-		}), nil
-	case "geekbench":
-		if _, err := mobicore.NewGeekBenchRun(threads, iters); err != nil {
-			return mobicore.FleetWorkload{}, err
-		}
-		return mobicore.NewFleetWorkload(fmt.Sprintf("geekbench-x%d", threads),
-			func() ([]mobicore.Workload, error) {
-				gb, err := mobicore.NewGeekBenchRun(threads, iters)
-				if err != nil {
-					return nil, err
-				}
-				return []mobicore.Workload{gb}, nil
-			}), nil
-	case "scenario":
-		if _, err := mobicore.NewScenario(scen); err != nil {
-			return mobicore.FleetWorkload{}, err
-		}
-		return mobicore.NewFleetWorkload("scenario-"+scen,
-			func() ([]mobicore.Workload, error) {
-				w, err := mobicore.NewScenario(scen)
-				if err != nil {
-					return nil, err
-				}
-				return []mobicore.Workload{w}, nil
-			}), nil
-	}
-	return mobicore.FleetWorkload{}, fmt.Errorf("unknown workload %q (want busyloop, game, geekbench, scenario)", name)
-}
-
 // parseShard parses "-shard i/n" into a 0-based index and a shard count.
 func parseShard(s string) (idx, count int, err error) {
 	i := strings.IndexByte(s, '/')
@@ -438,26 +357,4 @@ func parseShard(s string) (idx, count int, err error) {
 		return 0, 0, fmt.Errorf("-shard wants \"i/n\" with 0 <= i < n, got %q", s)
 	}
 	return idx, count, nil
-}
-
-// splitList parses a comma-separated flag value.
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// expandList is splitList with "all" expanding to the full set in natural
-// order (nexus5 before nexus6p, seed labels numeric).
-func expandList(s string, all []string) []string {
-	if strings.TrimSpace(s) == "all" {
-		out := append([]string(nil), all...)
-		natsort.Strings(out)
-		return out
-	}
-	return splitList(s)
 }

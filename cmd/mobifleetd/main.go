@@ -9,6 +9,13 @@
 //	    -platforms nexus5,nexus6p -policies android-default,mobicore \
 //	    -seeds 50 -dur 30s
 //
+// The matrix flags (-platforms -policies -scheds -seeds -seed -dur
+// -workload -util -threads -game -iterations -scenario) are mobifleet's,
+// registered by the same internal/fleet/study code, so the same flags name
+// the same cells and store keys in both commands:
+//
+//	mobifleetd -store out/ -platforms all -policies all -workload scenario -seeds 20
+//
 // Worker mode executes shards for a coordinator until the study is done:
 //
 //	mobifleetd -worker http://127.0.0.1:7077 -dir /tmp/w1 -name w1
@@ -37,13 +44,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"mobicore"
 	"mobicore/internal/fleet/remote"
-	"mobicore/internal/natsort"
+	"mobicore/internal/fleet/study"
 )
 
 func main() {
@@ -61,19 +66,8 @@ func run() int {
 		storeDir = flag.String("store", "", "coordinator result store directory")
 		shards   = flag.Int("shards", 4, "number of key-range shards to cut the matrix into")
 		lease    = flag.Duration("lease", time.Minute, "shard lease timeout before re-issuing to another worker")
-
-		platforms = flag.String("platforms", "nexus5", "comma-separated device profiles, or \"all\"")
-		policies  = flag.String("policies", "android-default", "comma-separated CPU management policies, or \"all\"")
-		scheds    = flag.String("scheds", "greedy", "comma-separated placement rules: greedy, eas, or \"all\"")
-		seeds     = flag.Int("seeds", 1, "number of consecutive seeds per cell")
-		seed      = flag.Int64("seed", 1, "first workload randomness seed")
-		dur       = flag.Duration("dur", 30*time.Second, "session duration (simulated) per cell")
-		wlName    = flag.String("workload", "busyloop", "workload: busyloop, game, geekbench")
-		util      = flag.Float64("util", 0.5, "busyloop target utilization [0,1]")
-		threads   = flag.Int("threads", 4, "busyloop/geekbench thread count")
-		gameName  = flag.String("game", "Subway Surf", "game title for -workload game")
-		iters     = flag.Int("iterations", 3, "geekbench iterations per thread")
 	)
+	matrix := study.Register(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -87,16 +81,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "mobifleetd: coordinator mode needs -store")
 		return 1
 	}
-	job := remote.JobSpec{
-		Platforms:  expandList(*platforms, mobicore.Platforms()),
-		Policies:   expandList(*policies, allPolicies()),
-		Placers:    expandList(*scheds, mobicore.Scheds()),
-		Seeds:      seedRange(*seed, *seeds),
-		DurationNS: int64(*dur),
-	}
-	job.Workloads, _ = workloadSpec(*wlName, *util, *threads, *gameName, *iters)
-	if job.Workloads == nil {
-		fmt.Fprintf(os.Stderr, "mobifleetd: unknown workload %q (want busyloop, game, geekbench)\n", *wlName)
+	job, err := matrix.Job()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mobifleetd:", err)
 		return 1
 	}
 	coord, err := remote.NewCoordinator(remote.CoordinatorConfig{
@@ -173,51 +160,4 @@ func runWorker(ctx context.Context, url, dir, name string, parallel int) int {
 		return 130
 	}
 	return 0
-}
-
-// workloadSpec lowers the CLI workload flags to wire form; nil for an
-// unknown recipe name.
-func workloadSpec(name string, util float64, threads int, game string, iters int) ([]remote.WorkloadSpec, bool) {
-	switch name {
-	case "busyloop":
-		return []remote.WorkloadSpec{{Kind: "busyloop", Util: util, Threads: threads}}, true
-	case "game":
-		return []remote.WorkloadSpec{{Kind: "game", Game: game}}, true
-	case "geekbench":
-		return []remote.WorkloadSpec{{Kind: "geekbench", Threads: threads, Iterations: iters}}, true
-	}
-	return nil, false
-}
-
-func seedRange(first int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = first + int64(i)
-	}
-	return out
-}
-
-// allPolicies mirrors mobifleet's "-policies all" expansion.
-func allPolicies() []string {
-	return append(mobicore.Policies(),
-		"conservative+load", "interactive+load", "schedutil+load")
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func expandList(s string, all []string) []string {
-	if strings.TrimSpace(s) == "all" {
-		out := append([]string(nil), all...)
-		natsort.Strings(out)
-		return out
-	}
-	return splitList(s)
 }

@@ -7,8 +7,7 @@ import (
 	"time"
 
 	"mobicore/internal/fleet"
-	"mobicore/internal/platform"
-	"mobicore/internal/policy"
+	"mobicore/internal/fleet/study"
 )
 
 // FleetConfig declares a batch simulation matrix by name: the cross-product
@@ -113,28 +112,13 @@ func RunFleet(ctx context.Context, cfg FleetConfig, workloads ...FleetWorkload) 
 	if len(platNames) == 0 {
 		platNames = []string{"nexus5"}
 	}
-	plats := make([]platform.Platform, 0, len(platNames))
-	for _, name := range platNames {
-		p, err := lookupPlatform(name)
-		if err != nil {
-			return nil, err
-		}
-		plats = append(plats, p)
-	}
 	polNames := cfg.Policies
 	if len(polNames) == 0 {
 		polNames = []string{PolicyAndroidDefault}
 	}
-	pols := make([]fleet.PolicyFactory, 0, len(polNames))
-	for _, name := range polNames {
-		// Resolve eagerly against every platform so an unknown policy
-		// name fails before any session runs.
-		for _, p := range plats {
-			if _, err := buildPolicy(name, p); err != nil {
-				return nil, err
-			}
-		}
-		pols = append(pols, fleetPolicy(name))
+	plats, pols, err := study.Resolve(platNames, polNames)
+	if err != nil {
+		return nil, fmt.Errorf("mobicore: %w", err)
 	}
 	if cfg.Traces && cfg.Store == "" {
 		return nil, fmt.Errorf("mobicore: FleetConfig.Traces requires Store")
@@ -193,13 +177,4 @@ func DiffFleetStores(storeA, storeB string) (*FleetDiff, error) {
 // new to dst.
 func MergeFleetStores(dst string, srcs ...string) (int, error) {
 	return fleet.MergeStores(dst, srcs...)
-}
-
-// fleetPolicy adapts a policy name to a fleet factory through the facade's
-// resolution (so display-name platforms and the full name set work).
-func fleetPolicy(name string) fleet.PolicyFactory {
-	return fleet.PolicyFactory{
-		Name: name,
-		New:  func(p platform.Platform) (policy.Manager, error) { return buildPolicy(name, p) },
-	}
 }

@@ -233,7 +233,8 @@ func (g GameRow) LoadReduction() float64 {
 }
 
 // runGames plays every title for the paper's 2-minute session under both
-// policies. Results are cached per Options so Figures 10–13 share sessions.
+// policies. Nothing is cached: each of Figures 10–13 calls it and replays
+// the same ten 2-minute sessions.
 func runGames(opt Options) ([]GameRow, error) {
 	plat := platform.Nexus5()
 	rows := make([]GameRow, 0, 5)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mobicore/internal/fleet/study"
 )
 
 // BenchmarkShardScaling measures distributed-study throughput against the
@@ -19,11 +21,11 @@ import (
 // (HTTP/JSON, manifest verification, per-shard store flushes) stays small
 // against the simulation work.
 func BenchmarkShardScaling(b *testing.B) {
-	job := JobSpec{
+	job := study.JobSpec{
 		Platforms:  []string{"nexus5"},
 		Policies:   []string{"android-default", "mobicore"},
 		Seeds:      seedRange(1, 16),
-		Workloads:  []WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
+		Workloads:  []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
 		DurationNS: int64(4 * time.Second),
 	}
 	const cells = 32

@@ -14,23 +14,24 @@ import (
 	"time"
 
 	"mobicore/internal/fleet/store"
+	"mobicore/internal/fleet/study"
 )
 
 // claimJob is a 2-cell job: small enough to run on every fuzz input that
 // gets past the claim checks.
-func claimJob() JobSpec {
-	return JobSpec{
+func claimJob() study.JobSpec {
+	return study.JobSpec{
 		Platforms:  []string{"nexus5"},
 		Policies:   []string{"android-default"},
 		Seeds:      []int64{1, 2},
-		Workloads:  []WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 2}},
+		Workloads:  []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 2}},
 		DurationNS: int64(10 * time.Millisecond),
 	}
 }
 
 // claimBody is a live coordinator's claim reply for job planned in shards
 // shards over a store holding recs.
-func claimBody(t testing.TB, job JobSpec, shards int, recs []store.Record) []byte {
+func claimBody(t testing.TB, job study.JobSpec, shards int, recs []store.Record) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir)

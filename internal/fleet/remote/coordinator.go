@@ -1,3 +1,17 @@
+// Package remote turns the fleet driver into a horizontally scaled study
+// service: a coordinator process owns a study (a name-based study.JobSpec
+// and a result store), cuts its cell matrix into key-range shards
+// (internal/fleet/shard), and serves them over HTTP/JSON; worker processes
+// — on the same machine or across a fleet of them — claim shards, verify
+// the manifest against their own expansion of the spec, execute only the
+// cells the coordinator's store does not already hold, and stream their
+// JSONL store fragments back. The transport is stdlib net/http only.
+//
+// Determinism survives distribution: shards are disjoint key ranges of one
+// keyspace, records are keyed by the canonical identity hash, and the
+// store flushes sorted by key — so the coordinator's merged cells.jsonl is
+// byte-identical to a single-process run of the same spec, however many
+// workers executed it, in whatever order their fragments arrived.
 package remote
 
 import (
@@ -13,12 +27,13 @@ import (
 	"mobicore/internal/fleet"
 	"mobicore/internal/fleet/shard"
 	"mobicore/internal/fleet/store"
+	"mobicore/internal/fleet/study"
 )
 
 // CoordinatorConfig describes one distributed study.
 type CoordinatorConfig struct {
 	// Job is the study matrix, in wire form.
-	Job JobSpec
+	Job study.JobSpec
 	// StoreDir is the coordinator's result store. It is opened (and
 	// locked) for the coordinator's lifetime; completed shard fragments
 	// merge into it and flush after every shard, so a restarted
@@ -39,10 +54,10 @@ type CoordinatorConfig struct {
 // JobInfo is the GET /v1/job response: everything a worker needs to lower
 // the job and verify shard manifests against its own expansion.
 type JobInfo struct {
-	Job        JobSpec `json:"job"`
-	SpecHash   string  `json:"spec_hash"`
-	Shards     int     `json:"shards"`
-	TotalCells int     `json:"total_cells"`
+	Job        study.JobSpec `json:"job"`
+	SpecHash   string        `json:"spec_hash"`
+	Shards     int           `json:"shards"`
+	TotalCells int           `json:"total_cells"`
 }
 
 // ClaimRequest is the POST /v1/claim body.

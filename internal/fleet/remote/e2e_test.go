@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mobicore/internal/fleet/store"
+	"mobicore/internal/fleet/study"
 )
 
 // The multi-process smoke re-execs this test binary as worker processes:
@@ -64,11 +65,11 @@ func testWorkerMain(url string) int {
 // a dying worker — and the merged store and CSV are byte-identical to the
 // single-process run.
 func TestMultiProcessStudy(t *testing.T) {
-	job := JobSpec{
+	job := study.JobSpec{
 		Platforms:  []string{"nexus5"},
 		Policies:   []string{"android-default", "mobicore"},
 		Seeds:      seedRange(1, 50),
-		Workloads:  []WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
+		Workloads:  []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
 		DurationNS: int64(100 * time.Millisecond),
 	}
 	refDir := serialStore(t, job)

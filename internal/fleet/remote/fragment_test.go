@@ -15,6 +15,7 @@ import (
 
 	"mobicore/internal/fleet/shard"
 	"mobicore/internal/fleet/store"
+	"mobicore/internal/fleet/study"
 )
 
 // fragmentRef is the reference verdict on a fragment body for manifest
@@ -177,11 +178,11 @@ func FuzzCompleteFragment(f *testing.F) {
 // or, when the log would reach the cells file's size, rewrites the cells
 // file, and the last fragment compacts.
 func BenchmarkCoordinatorFragments(b *testing.B) {
-	job := JobSpec{
+	job := study.JobSpec{
 		Platforms:  []string{"nexus5"},
 		Policies:   []string{"android-default", "mobicore"},
 		Seeds:      seedRange(1, 1536),
-		Workloads:  []WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
+		Workloads:  []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
 		DurationNS: int64(10 * time.Millisecond),
 	}
 	const shards = 32

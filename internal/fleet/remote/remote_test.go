@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,23 +16,24 @@ import (
 	"mobicore/internal/fleet"
 	"mobicore/internal/fleet/shard"
 	"mobicore/internal/fleet/store"
+	"mobicore/internal/fleet/study"
 )
 
 // testJob is the small study the in-process tests distribute: 2 policies ×
 // 3 seeds = 6 cells of 100ms each.
-func testJob() JobSpec {
-	return JobSpec{
+func testJob() study.JobSpec {
+	return study.JobSpec{
 		Platforms:  []string{"nexus5"},
 		Policies:   []string{"android-default", "mobicore"},
 		Seeds:      []int64{1, 2, 3},
-		Workloads:  []WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
+		Workloads:  []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}},
 		DurationNS: int64(100 * time.Millisecond),
 	}
 }
 
 // serialStore runs the job single-process into a fresh store and returns
 // the store directory.
-func serialStore(t testing.TB, job JobSpec) string {
+func serialStore(t testing.TB, job study.JobSpec) string {
 	t.Helper()
 	spec, err := job.FleetSpec()
 	if err != nil {
@@ -54,20 +56,30 @@ func readJSONL(t testing.TB, dir string) []byte {
 	return b
 }
 
+// TestJobSpecResolution locks the identity names a wire job lowers to:
+// the store hashes them into cell keys, so existing stores stay valid
+// only while these names hold. It also locks the wire form a coordinator
+// sends.
 func TestJobSpecResolution(t *testing.T) {
 	job := testJob()
-	job.Workloads = []WorkloadSpec{
+	job.Workloads = []study.WorkloadSpec{
 		{Kind: "busyloop", Util: 0.5, Threads: 4},
 		{Kind: "game", Game: "Subway Surf"},
 		{Kind: "geekbench", Threads: 4, Iterations: 1},
+		{Kind: "scenario", Scenario: "dayinlife"},
+	}
+	wire, err := json.Marshal(job.Workloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `[{"kind":"busyloop","util":0.5,"threads":4},{"kind":"game","game":"Subway Surf"},{"kind":"geekbench","threads":4,"iterations":1},{"kind":"scenario","scenario":"dayinlife"}]`; string(wire) != want {
+		t.Errorf("wire form %s, want %s", wire, want)
 	}
 	spec, err := job.FleetSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workload names must match the mobifleet CLI's spelling exactly —
-	// the store hashes them into cell identity keys.
-	want := []string{"busyloop-50%x4", "Subway Surf", "geekbench-x4"}
+	want := []string{"busyloop-50%x4", "Subway Surf", "geekbench-x4-i1", "scenario-dayinlife"}
 	for i, w := range spec.Workloads {
 		if w.Name != want[i] {
 			t.Errorf("workload %d named %q, want %q", i, w.Name, want[i])
@@ -77,20 +89,42 @@ func TestJobSpecResolution(t *testing.T) {
 		t.Errorf("platforms %+v", spec.Platforms)
 	}
 
-	for _, bad := range []JobSpec{
+	for _, bad := range []study.JobSpec{
 		{},
 		{Platforms: []string{"nokia3310"}, Policies: []string{"mobicore"},
-			Workloads: []WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}}, DurationNS: 1e9},
+			Workloads: []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}}, DurationNS: 1e9},
 		{Platforms: []string{"nexus5"}, Policies: []string{"winning"},
-			Workloads: []WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}}, DurationNS: 1e9},
+			Workloads: []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 4}}, DurationNS: 1e9},
 		{Platforms: []string{"nexus5"}, Policies: []string{"mobicore"},
-			Workloads: []WorkloadSpec{{Kind: "sleep"}}, DurationNS: 1e9},
+			Workloads: []study.WorkloadSpec{{Kind: "sleep"}}, DurationNS: 1e9},
 		{Platforms: []string{"nexus5"}, Policies: []string{"mobicore"},
-			Workloads: []WorkloadSpec{{Kind: "game", Game: "Pong"}}, DurationNS: 1e9},
+			Workloads: []study.WorkloadSpec{{Kind: "game", Game: "Pong"}}, DurationNS: 1e9},
 	} {
 		if _, err := bad.FleetSpec(); err == nil {
 			t.Errorf("job %+v resolved", bad)
 		}
+	}
+}
+
+// TestJobSpecThreadBound: a wire job asking for more than 1024 threads is
+// refused before any workload is built, for every kind that takes one;
+// the bound itself still resolves.
+func TestJobSpecThreadBound(t *testing.T) {
+	for _, ws := range []study.WorkloadSpec{
+		{Kind: "busyloop", Util: 0.5, Threads: 1025},
+		{Kind: "busyloop", Util: 0.5, Threads: 1_000_000_000},
+		{Kind: "geekbench", Threads: 1025, Iterations: 1},
+	} {
+		job := testJob()
+		job.Workloads = []study.WorkloadSpec{ws}
+		if _, err := job.FleetSpec(); err == nil {
+			t.Errorf("workload %+v resolved", ws)
+		}
+	}
+	job := testJob()
+	job.Workloads = []study.WorkloadSpec{{Kind: "busyloop", Util: 0.5, Threads: 1024}}
+	if _, err := job.FleetSpec(); err != nil {
+		t.Errorf("1024 threads: %v", err)
 	}
 }
 
