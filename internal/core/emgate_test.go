@@ -167,18 +167,18 @@ func TestAttachEnergyModelValidation(t *testing.T) {
 	if err := mgr.AttachEnergyModel(nil); err == nil {
 		t.Error("nil model accepted")
 	}
-	single, err := platform.Nexus5().EnergyModel()
+	single, err := platform.Nexus5().Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.AttachEnergyModel(single); err == nil {
+	if err := mgr.AttachEnergyModel(single.EM); err == nil {
 		t.Error("single-domain model accepted by a two-domain manager")
 	}
-	two, err := platform.Nexus6P().EnergyModel()
+	two, err := platform.Nexus6P().Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.AttachEnergyModel(two); err != nil {
+	if err := mgr.AttachEnergyModel(two.EM); err != nil {
 		t.Errorf("matching model rejected: %v", err)
 	}
 }

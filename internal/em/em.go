@@ -40,8 +40,7 @@ type Domain struct {
 	model   *power.Model
 
 	freqs          []float64 // operating frequency in Hz
-	activeWatts    []float64 // one fully busy core: leakage + dynamic
-	costPerCycle   []float64 // activeWatts / freq — joules per executed cycle
+	costPerCycle   []float64 // one fully busy core's watts / freq — joules per executed cycle
 	uncorePerCycle []float64 // CacheWatts(busy, f) / f — the domain's uncore share
 }
 
@@ -66,9 +65,6 @@ func (d *Domain) NumOPPs() int { return len(d.freqs) }
 
 // FreqAt returns the frequency of operating point i in Hz.
 func (d *Domain) FreqAt(i int) float64 { return d.freqs[i] }
-
-// ActiveWattsAt returns the power of one fully busy core at OPP i.
-func (d *Domain) ActiveWattsAt(i int) float64 { return d.activeWatts[i] }
 
 // CostPerCycleAt returns the energy of one cycle executed at OPP i, in
 // joules — the kernel EM "cost" column divided by frequency.
@@ -198,14 +194,12 @@ func New(specs []DomainSpec) (*Model, error) {
 		}
 		n := s.Table.Len()
 		d.freqs = make([]float64, n)
-		d.activeWatts = make([]float64, n)
 		d.costPerCycle = make([]float64, n)
 		d.uncorePerCycle = make([]float64, n)
 		for i := 0; i < n; i++ {
 			opp := s.Table.At(i)
 			d.freqs[i] = float64(opp.Freq)
-			d.activeWatts[i] = pm.CoreWatts(soc.StateActive, opp, 1)
-			d.costPerCycle[i] = d.activeWatts[i] / d.freqs[i]
+			d.costPerCycle[i] = pm.CoreWatts(soc.StateActive, opp, 1) / d.freqs[i]
 			d.uncorePerCycle[i] = pm.CacheWatts(1, opp.Freq) / d.freqs[i]
 		}
 		for _, id := range s.CoreIDs {

@@ -206,10 +206,11 @@ func TestEfficiencyOrder(t *testing.T) {
 // costs more than the same cycle on a gold core at the OPP serving the same
 // rate.
 func TestSD855Crossover(t *testing.T) {
-	m, err := platform.SD855().EnergyModel()
+	c, err := platform.SD855().Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := c.EM
 	if m.NumDomains() != 3 {
 		t.Fatalf("domains = %d, want 3", m.NumDomains())
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -423,5 +424,55 @@ func TestCompleteRetriesTransientFailures(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Error("4xx path backed off instead of failing fast")
+	}
+}
+
+// TestWorkerWaitsForLateCoordinator: a worker started before its
+// coordinator listens retries the job fetch instead of exiting, then
+// drains the study, whose store equals the serial one.
+func TestWorkerWaitsForLateCoordinator(t *testing.T) {
+	job := testJob()
+	refDir := serialStore(t, job)
+
+	coordDir := t.TempDir()
+	coord, err := NewCoordinator(CoordinatorConfig{Job: job, StoreDir: coordDir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reserve a loopback port, then free it so the worker's first
+	// requests find nothing listening.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(context.Background(), WorkerConfig{
+			Coordinator: "http://" + addr,
+			Dir:         filepath.Join(t.TempDir(), "w"),
+			Parallel:    1,
+		})
+		done <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &httptest.Server{Listener: ln, Config: &http.Server{Handler: coord}}
+	srv.Start()
+	defer srv.Close()
+
+	if err := <-done; err != nil {
+		t.Fatalf("worker started before its coordinator: %v", err)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readJSONL(t, refDir), readJSONL(t, coordDir)) {
+		t.Error("store of a late-listening coordinator differs from the serial store")
 	}
 }

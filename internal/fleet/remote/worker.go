@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,27 +34,78 @@ func (c *Client) client() *http.Client {
 	return http.DefaultClient
 }
 
+// transientError marks a failure worth retrying: the request never got an
+// answer (the coordinator is not listening yet, or is restarting) or the
+// answer was a 5xx.
+type transientError struct{ err error }
+
+func (e transientError) Error() string { return e.err.Error() }
+func (e transientError) Unwrap() error { return e.err }
+
+// retry runs try until it succeeds or fails with an error that is not a
+// transientError, backing off exponentially from 100 ms between attempts
+// and giving up after five. what names the request in the final error.
+func retry(ctx context.Context, what string, try func() error) error {
+	backoff := 100 * time.Millisecond
+	const attempts = 5
+	for attempt := 1; ; attempt++ {
+		err := try()
+		var transient transientError
+		if !errors.As(err, &transient) {
+			return err
+		}
+		if attempt == attempts {
+			return fmt.Errorf("remote: %s failed after %d attempts: %w", what, attempts, transient.err)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(backoff):
+		}
+		backoff *= 2
+	}
+}
+
+// do sends req and returns the response of a 200 answer, whose body the
+// caller closes. A connection error or 5xx answer is a transientError; any
+// other status fails with the body's first 4 KiB, prefixed by what.
+func (c *Client) do(req *http.Request, what string) (*http.Response, error) {
+	resp, err := c.client().Do(req)
+	if err != nil {
+		return nil, transientError{err}
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	err = fmt.Errorf("remote: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
+	if resp.StatusCode >= 500 {
+		return nil, transientError{err}
+	}
+	return nil, err
+}
+
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.client().Do(req)
+	resp, err := c.do(req, "GET "+path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("remote: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Job fetches the study description.
+// Job fetches the study description. Transient failures retry like
+// Complete's, so a worker may start before its coordinator listens.
 func (c *Client) Job(ctx context.Context) (JobInfo, error) {
 	var info JobInfo
-	err := c.getJSON(ctx, "/v1/job", &info)
+	err := retry(ctx, "GET /v1/job", func() error {
+		return c.getJSON(ctx, "/v1/job", &info)
+	})
 	return info, err
 }
 
@@ -64,28 +116,27 @@ func (c *Client) Status(ctx context.Context) (Status, error) {
 	return st, err
 }
 
-// Claim asks for a work assignment.
+// Claim asks for a work assignment. Transient failures retry like
+// Complete's.
 func (c *Client) Claim(ctx context.Context, worker string) (ClaimResponse, error) {
 	body, err := json.Marshal(ClaimRequest{Worker: worker})
 	if err != nil {
 		return ClaimResponse{}, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/claim", bytes.NewReader(body))
-	if err != nil {
-		return ClaimResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return ClaimResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return ClaimResponse{}, fmt.Errorf("remote: claim: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var cr ClaimResponse
-	err = json.NewDecoder(resp.Body).Decode(&cr)
+	err = retry(ctx, "claim", func() error {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/claim", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := c.do(req, "claim")
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		return json.NewDecoder(resp.Body).Decode(&cr)
+	})
 	return cr, err
 }
 
@@ -94,41 +145,20 @@ func (c *Client) Claim(ctx context.Context, worker string) (ClaimResponse, error
 // 4xx responses are protocol errors and fail immediately.
 func (c *Client) Complete(ctx context.Context, m *shard.Manifest, fragment []byte) error {
 	url := fmt.Sprintf("%s/v1/complete?shard=%d&spec_hash=%s", c.Base, m.Index, m.SpecHash)
-	backoff := 100 * time.Millisecond
-	const attempts = 5
-	for attempt := 1; ; attempt++ {
+	what := fmt.Sprintf("complete shard %d", m.Index)
+	return retry(ctx, what, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(fragment))
 		if err != nil {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/x-ndjson")
-		resp, err := c.client().Do(req)
-		var transient error
+		resp, err := c.do(req, what)
 		if err != nil {
-			transient = err
-		} else {
-			status := resp.StatusCode
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			switch {
-			case status == http.StatusOK:
-				return nil
-			case status >= 500:
-				transient = fmt.Errorf("remote: complete shard %d: %s: %s", m.Index, resp.Status, bytes.TrimSpace(msg))
-			default:
-				return fmt.Errorf("remote: complete shard %d: %s: %s", m.Index, resp.Status, bytes.TrimSpace(msg))
-			}
+			return err
 		}
-		if attempt == attempts {
-			return fmt.Errorf("remote: complete shard %d failed after %d attempts: %w", m.Index, attempts, transient)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return resp.Body.Close()
+	})
 }
 
 // WorkerConfig configures one worker process (or goroutine).
@@ -159,7 +189,9 @@ type WorkerStats struct {
 // under cfg.Dir, seeded with the coordinator's cached records so partially
 // complete shards resume instead of re-executing; the fragment then
 // streams back with retry. The worker verifies every manifest against its
-// own expansion of the job spec before running a single cell.
+// own expansion of the job spec before running a single cell. Fetching the
+// job and claiming shards retry transient failures too, so a worker may
+// start before its coordinator listens, or ride out a short restart.
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	var stats WorkerStats
 	if cfg.Dir == "" {

@@ -76,7 +76,11 @@ func TestSystemModelMatchesFlatModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := p.SystemModel()
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := c.NewSystemModel()
 	if err != nil {
 		t.Fatal(err)
 	}

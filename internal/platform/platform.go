@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"mobicore/internal/em"
 	"mobicore/internal/power"
 	"mobicore/internal/soc"
 	"mobicore/internal/thermal"
@@ -143,28 +142,6 @@ func (p Platform) ClusterSpecs() []ClusterSpec {
 	return []ClusterSpec{{Name: "cpu", NumCores: p.NumCores, Table: p.Table, Power: p.Power}}
 }
 
-// SocClusters converts the profile's domains to the soc package's topology
-// type, ready for soc.NewClusteredCPU.
-func (p Platform) SocClusters() []soc.Cluster {
-	specs := p.ClusterSpecs()
-	out := make([]soc.Cluster, len(specs))
-	for i, cs := range specs {
-		out[i] = soc.Cluster{Name: cs.Name, NumCores: cs.NumCores, Table: cs.Table}
-	}
-	return out
-}
-
-// ClusterTables returns each domain's OPP table in cluster order — the
-// list a per-domain governor stack is built against.
-func (p Platform) ClusterTables() []*soc.OPPTable {
-	specs := p.ClusterSpecs()
-	out := make([]*soc.OPPTable, len(specs))
-	for i, cs := range specs {
-		out[i] = cs.Table
-	}
-	return out
-}
-
 // ClusterThermalParams returns each domain's zone parameters in cluster
 // order, resolving the inherit-from-platform default: a spec without its
 // own Thermal block (including the synthesized homogeneous cluster) uses
@@ -180,53 +157,6 @@ func (p Platform) ClusterThermalParams() []thermal.Params {
 		}
 	}
 	return out
-}
-
-// ThermalNetwork builds the profile's per-cluster thermal network: one zone
-// per frequency domain on the domain's own ladder, joined by the platform's
-// shared-die coupling. Homogeneous profiles yield a single-zone network
-// that reproduces the flat Zone model bit for bit.
-func (p Platform) ThermalNetwork() (*thermal.Network, error) {
-	params := p.ClusterThermalParams()
-	tables := p.ClusterTables()
-	net, err := thermal.NewNetwork(params, tables, p.ThermalCoupling)
-	if err != nil {
-		return nil, fmt.Errorf("platform %s: %w", p.Name, err)
-	}
-	return net, nil
-}
-
-// SystemModel builds the per-cluster power model for the profile, paying
-// the platform floor (top-level Power.BaseWatts) exactly once.
-func (p Platform) SystemModel() (*power.SystemModel, error) {
-	specs := p.ClusterSpecs()
-	models := make([]*power.Model, len(specs))
-	coreCluster := make([]int, 0, p.NumCores)
-	for i, cs := range specs {
-		m, err := power.NewModel(cs.Power, cs.Table)
-		if err != nil {
-			return nil, fmt.Errorf("platform %s: cluster %s: %w", p.Name, cs.Name, err)
-		}
-		models[i] = m
-		for c := 0; c < cs.NumCores; c++ {
-			coreCluster = append(coreCluster, i)
-		}
-	}
-	return power.NewSystemModel(p.Power.BaseWatts, models, coreCluster)
-}
-
-// EnergyModel returns the kernel-EM-style energy model for the profile: one
-// performance domain per frequency cluster with capacity, cost-per-cycle,
-// and energy-at-OPP tables precomputed. Core ids are assigned contiguously
-// in cluster order, matching soc.NewClusteredCPU's numbering. The model is
-// immutable and concurrent-safe, and comes from the process-wide compiled
-// cache: every session on the same profile shares one instance.
-func (p Platform) EnergyModel() (*em.Model, error) {
-	c, err := p.Compiled()
-	if err != nil {
-		return nil, err
-	}
-	return c.EM, nil
 }
 
 // WithoutThrottle returns a copy of the platform with thermal throttling

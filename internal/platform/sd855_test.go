@@ -3,6 +3,9 @@ package platform
 import (
 	"testing"
 	"time"
+
+	"mobicore/internal/soc"
+	"mobicore/internal/thermal"
 )
 
 func TestSD855Profile(t *testing.T) {
@@ -60,47 +63,68 @@ func TestSD855WithoutThrottle(t *testing.T) {
 			t.Errorf("WithoutThrottle mutated original cluster %d (%s)", i, cs.Name)
 		}
 	}
-	net, err := cleared.ThermalNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := compiledNetwork(t, cleared)
 	// A throttle-free network never caps, whatever power it integrates.
 	for tick := 0; tick < 200; tick++ {
 		if err := net.Step([]float64{5, 5, 5}, 100*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if net.AnyThrottling() {
-		t.Error("throttle-disabled sd855 network engaged a cap")
+	for zi := 0; zi < net.Zones(); zi++ {
+		if net.Throttling(zi) {
+			t.Errorf("throttle-disabled sd855 network engaged zone %d's cap", zi)
+		}
 	}
+}
+
+// compiledNetwork builds p's per-session thermal network from its
+// compiled precompute.
+func compiledNetwork(t *testing.T, p Platform) *thermal.Network {
+	t.Helper()
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := c.NewThermalNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
 // TestSD855ThermalNetwork: three zones on their own ladders, with
 // shared-die coupling — heating only the gold cluster must warm the other
-// two zones, and sustained prime-cluster power must trip the prime zone
-// first (smallest mass, tightest trip) while silver never trips.
+// two zones, which stay at ambient on the same zones uncoupled, and
+// sustained prime-cluster power must trip the prime zone first (smallest
+// mass, tightest trip) while silver never trips.
 func TestSD855ThermalNetwork(t *testing.T) {
 	p := SD855()
-	net, err := p.ThermalNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := compiledNetwork(t, p)
 	if net.Zones() != 3 {
 		t.Fatalf("zones = %d, want 3", net.Zones())
 	}
-	if net.Coupling() != p.ThermalCoupling {
-		t.Errorf("coupling = %v, want %v", net.Coupling(), p.ThermalCoupling)
+	uncoupled, err := thermal.NewNetwork(p.ClusterThermalParams(), []*soc.OPPTable{
+		p.Clusters[0].Table, p.Clusters[1].Table, p.Clusters[2].Table}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Gold-only heating: all three zones rise above ambient, gold most.
 	for tick := 0; tick < 600; tick++ {
-		if err := net.Step([]float64{0, 2.0, 0}, 100*time.Millisecond); err != nil {
-			t.Fatal(err)
+		for _, n := range []*thermal.Network{net, uncoupled} {
+			if err := n.Step([]float64{0, 2.0, 0}, 100*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	ambient := p.Thermal.AmbientC
 	for zi := 0; zi < 3; zi++ {
 		if net.TempC(zi) <= ambient {
 			t.Errorf("zone %d stayed at ambient despite gold coupling", zi)
+		}
+	}
+	for _, zi := range []int{0, 2} {
+		if got := uncoupled.TempC(zi); got != ambient {
+			t.Errorf("uncoupled zone %d at %.3f C under gold-only power, want ambient", zi, got)
 		}
 	}
 	if net.TempC(1) <= net.TempC(0) || net.TempC(1) <= net.TempC(2) {
@@ -129,10 +153,11 @@ func TestSD855ThermalNetwork(t *testing.T) {
 // TestSD855EnergyModel locks the EM construction: three domains with
 // contiguous core ids in cluster order and silver-first efficiency order.
 func TestSD855EnergyModel(t *testing.T) {
-	m, err := SD855().EnergyModel()
+	c, err := SD855().Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := c.EM
 	if m.NumDomains() != 3 || m.NumCores() != 8 {
 		t.Fatalf("domains=%d cores=%d, want 3/8", m.NumDomains(), m.NumCores())
 	}

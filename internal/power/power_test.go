@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mobicore/internal/soc"
 )
@@ -304,35 +303,6 @@ func TestCapacityMet(t *testing.T) {
 	}
 	if CapacityMet(1, opp, 2e9) {
 		t.Error("1×1GHz should not meet 2e9 cycles/s")
-	}
-}
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	if err := m.Accumulate(2.0, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Accumulate(4.0, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.Joules(), 6.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("joules = %v, want %v", got, want)
-	}
-	if got, want := m.AverageWatts(), 3.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("average = %v, want %v", got, want)
-	}
-	if got, want := m.PeakWatts(), 4.0; got != want {
-		t.Errorf("peak = %v, want %v", got, want)
-	}
-	if err := m.Accumulate(-1, time.Second); err == nil {
-		t.Error("negative power should fail")
-	}
-	if err := m.Accumulate(1, -time.Second); err == nil {
-		t.Error("negative duration should fail")
-	}
-	m.Reset()
-	if m.Joules() != 0 || m.AverageWatts() != 0 || m.PeakWatts() != 0 {
-		t.Error("reset meter should be zero")
 	}
 }
 

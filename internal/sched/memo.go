@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"time"
-
-	"mobicore/internal/soc"
-)
+import "time"
 
 // memoEntry is one thread's recorded share of a scheduling window: where it
 // stood when the window opened and what the window granted it.
@@ -25,15 +20,15 @@ type memoEntry struct {
 }
 
 // Memo retains the most recent scheduling window's complete outcome: the
-// per-thread grants, the busy-seconds vector and the batched cycle commit,
-// plus the input fingerprint needed to prove a later window would reproduce
-// it bit for bit. The simulation's quiescent-tick fast path records a window
+// per-thread grants and the busy-seconds vector, plus the input
+// fingerprint needed to prove a later window would reproduce it bit for
+// bit. The simulation's quiescent-tick fast path records a window
 // on the full scheduling passes its recording backoff allows (all of them
 // until a streak of passes goes without a replay, then a few per cycle)
 // and replays it (ReplayInto) on every subsequent tick whose inputs still
 // match it (Match), skipping snapshotting, sorting, and placement entirely
-// while leaving thread state, cycle accounting, and every float result
-// byte-identical to the slow path.
+// while leaving thread state and every float result byte-identical to the
+// slow path.
 //
 // Match proves the thread-side inputs (runnable set, debts, affinity,
 // pressure caps, pool headroom) unchanged. The CPU-side inputs —
@@ -76,8 +71,7 @@ type Memo struct {
 	throttled   float64 // quota-denied seconds (non-zero only for drained windows)
 	entries     []memoEntry
 	busySec     []float64
-	nanos       []uint64 // clamped per-core busy nanos for the batched commit
-	capped      []bool   // pressure fingerprint at record
+	capped      []bool // pressure fingerprint at record
 	capScale    []float64
 }
 
@@ -93,7 +87,6 @@ func (m *Memo) Recycle() Memo {
 	return Memo{
 		entries:  m.entries[:0],
 		busySec:  m.busySec[:0],
-		nanos:    m.nanos[:0],
 		capped:   m.capped[:0],
 		capScale: m.capScale[:0],
 	}
@@ -138,7 +131,7 @@ func (m *Memo) record(t *Thread, lastCore, core int, granted, pending float64) {
 // alongside.
 //
 //mobicore:hotpath
-func (m *Memo) finish(res Result, nanos []uint64, pr Pressure, limited bool, poolLeft float64) {
+func (m *Memo) finish(res Result, pr Pressure, limited bool, poolLeft float64) {
 	drained := false
 	if res.ThrottledSeconds != 0 {
 		// Throttling replays only in the fully starved regime: the pool
@@ -161,7 +154,6 @@ func (m *Memo) finish(res Result, nanos []uint64, pr Pressure, limited bool, poo
 	m.poolUsed = res.PoolUsedSec
 	m.executed = res.ExecutedCycles
 	m.busySec = copyInto(m.busySec, res.BusySeconds)
-	m.nanos = copyInto(m.nanos, nanos)
 	m.capped = copyInto(m.capped, pr.Capped)
 	m.capScale = copyInto(m.capScale, pr.CapScale)
 	m.verified = m.seq
@@ -306,13 +298,13 @@ func countRunnable(threads []*Thread) int {
 }
 
 // ReplayInto re-applies the retained window: each thread drains its
-// recorded grant on its recorded core, the busy-seconds vector is copied
-// into busy, and the batched cycle commit runs against cpu — byte-identical
-// side effects and Result to the full scheduling pass whose inputs Match
-// verified. The returned Result aliases busy, like Schedule.
+// recorded grant on its recorded core and the busy-seconds vector is copied
+// into busy — byte-identical side effects and Result to the full scheduling
+// pass whose inputs Match verified. The returned Result aliases busy, like
+// Schedule.
 //
 //mobicore:hotpath
-func (m *Memo) ReplayInto(busy []float64, cpu *soc.CPU, dt time.Duration) (Result, error) {
+func (m *Memo) ReplayInto(busy []float64) Result {
 	busy = copyInto(busy, m.busySec)
 	for i := range m.entries {
 		e := &m.entries[i]
@@ -320,15 +312,12 @@ func (m *Memo) ReplayInto(busy []float64, cpu *soc.CPU, dt time.Duration) (Resul
 			e.t.Execute(e.granted, e.core)
 		}
 	}
-	if err := cpu.RunBatch(m.nanos, uint64(dt.Nanoseconds())); err != nil {
-		return Result{}, fmt.Errorf("sched: committing window: %w", err)
-	}
 	return Result{
 		BusySeconds:      busy,
 		ExecutedCycles:   m.executed,
 		ThrottledSeconds: m.throttled,
 		PoolUsedSec:      m.poolUsed,
-	}, nil
+	}
 }
 
 // copyInto refreshes dst from src, keeping the backing array whenever it is

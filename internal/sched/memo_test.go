@@ -54,9 +54,14 @@ func requireResultIdentical(t *testing.T, tick int, got, want Result) {
 	}
 }
 
-func requireUniversesIdentical(t *testing.T, tick int, cpuA, cpuB *soc.CPU, thA, thB []*Thread) {
+// requireUniversesIdentical compares two universes' CPU views — the
+// snapshots their schedulers wrote each online core's Active/Idle state
+// into, frequencies included — and every thread's state.
+func requireUniversesIdentical(t *testing.T, tick int, snapA, snapB []soc.CoreSnapshot, thA, thB []*Thread) {
 	t.Helper()
-	snapA, snapB := cpuA.Snapshot(), cpuB.Snapshot()
+	if len(snapA) != len(snapB) {
+		t.Fatalf("tick %d: snapshot len %d vs %d", tick, len(snapA), len(snapB))
+	}
 	for i := range snapA {
 		if snapA[i] != snapB[i] {
 			t.Fatalf("tick %d: core %d snapshot %+v vs %+v", tick, i, snapA[i], snapB[i])
@@ -73,8 +78,9 @@ func requireUniversesIdentical(t *testing.T, tick int, cpuA, cpuB *soc.CPU, thA,
 
 // runMemoVsSlow drives two identical universes for ticks windows: A takes the
 // memo fast path whenever Match accepts, B always runs the full scheduler.
-// Every tick's Result and both universes' complete state must stay
-// bit-identical; it returns how many of A's ticks replayed, split into
+// Each schedules against a snapshot it holds, as the simulation does, so a
+// replayed tick leaves A's snapshot as its recording pass wrote it. Every
+// tick's Result and both universes' complete state must stay bit-identical; it returns how many of A's ticks replayed, split into
 // windows that had runnable backlog and idle (empty) windows.
 func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64) (fastBusy, fastIdle int) {
 	t.Helper()
@@ -86,6 +92,7 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 	dt := time.Millisecond
 	busyA := make([]float64, cpuA.NumCores())
 	busyB := make([]float64, cpuB.NumCores())
+	snapA, snapB := cpuA.Snapshot(), cpuB.Snapshot()
 	for tick := 0; tick < ticks; tick++ {
 		runnable := 0
 		for _, th := range thA {
@@ -94,33 +101,33 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 			}
 		}
 		var resA Result
-		var err error
 		if memo.Match(thA, false, poolSec, Pressure{}) {
-			resA, err = memo.ReplayInto(busyA, cpuA, dt)
+			resA = memo.ReplayInto(busyA)
 			if runnable > 0 {
 				fastBusy++
 			} else {
 				fastIdle++
 			}
 		} else {
-			resA, err = schedA.Schedule(cpuA, thA, dt, poolSec, Pressure{}, busyA, nil, &memo, satRate)
+			var err error
+			resA, err = schedA.Schedule(cpuA, thA, dt, poolSec, Pressure{}, busyA, snapA, &memo, satRate)
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		resB, err := schedB.Schedule(cpuB, thB, dt, poolSec, Pressure{}, busyB, nil, nil, 0)
+		resB, err := schedB.Schedule(cpuB, thB, dt, poolSec, Pressure{}, busyB, snapB, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireResultIdentical(t, tick, resA, resB)
-		requireUniversesIdentical(t, tick, cpuA, cpuB, thA, thB)
+		requireUniversesIdentical(t, tick, snapA, snapB, thA, thB)
 	}
 	return fastBusy, fastIdle
 }
 
 // TestMemoReplayMatchesFreshSchedule proves the core contract: a replayed
-// window leaves every Result field, thread, and core bit-identical to the
-// full scheduling pass it stands in for.
+// window leaves every Result field, thread, and core state (Active/Idle and
+// frequency) bit-identical to the full scheduling pass it stands in for.
 func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 	t.Run("saturated distinct debts", func(t *testing.T) {
 		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, Unlimited)

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"mobicore/internal/em"
 )
@@ -210,24 +211,11 @@ func NewEASPlacer(model *em.Model) (*EASPlacer, error) {
 	return &EASPlacer{model: model}, nil
 }
 
-// fits reports whether the placer's model describes a CPU of n cores with
-// the given per-core efficiency ranks (nil: one rank): the same cores, and
-// each core's domain at its cluster's rank in the efficiency order.
-func (p *EASPlacer) fits(rankOf []int, n int) bool {
-	ranks := p.model.CoreRanks()
-	if len(ranks) != n {
-		return false
-	}
-	for id, r := range ranks {
-		want := 0
-		if rankOf != nil {
-			want = rankOf[id]
-		}
-		if r != want {
-			return false
-		}
-	}
-	return true
+// fits reports whether the placer's model describes a CPU with the given
+// per-core efficiency ranks: the same cores, and each core's domain at its
+// cluster's rank in the efficiency order.
+func (p *EASPlacer) fits(rankOf []int) bool {
+	return slices.Equal(p.model.CoreRanks(), rankOf)
 }
 
 // Name implements Placer.

@@ -100,7 +100,7 @@ func (o oracleGreedy) Place(env *PlaceEnv, t *Thread) int {
 	for r := 0; r < o.numRanks; r++ {
 		cand, candBudget := -1, eps
 		for i := range env.Online {
-			if o.rankOf != nil && o.rankOf[i] != r {
+			if o.rankOf[i] != r {
 				continue
 			}
 			if env.Online[i] && env.Budget[i] > candBudget {
@@ -238,12 +238,15 @@ func fuzzDebt(b int) float64 {
 // fuzzed topologies, online masks, operating points, pressure views,
 // pending debts, last cores, pools and windows, against a twin universe
 // scheduled by the rescanning oracle. Every window's Result and every
-// thread's placement, grant and debt must match bit for bit.
+// thread's placement, grant and debt must match bit for bit, and every
+// core's busy time must lie in [0, dt], exactly 0 on offline cores.
 func FuzzEASPlace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 3, 3, 30, 2, 5, 1, 1, 2, 1, 2, 3, 1, 3, 3, 90, 6, 5, 2, 2, 3, 2, 1, 0, 2, 7, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 1, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 1, 2, 9, 17, 33, 65, 129, 4, 200, 201, 202})
 	f.Add([]byte{0, 3, 3, 10, 5, 5, 5, 5, 5, 2, 0, 0, 0, 0, 0, 0, 7, 5, 8, 9, 12, 16, 3, 3, 3, 3, 3})
+	// A core whose grants sum to dt plus float rounding.
+	f.Add([]byte("1010000000000007a0\x970\x970\x970000000700070000000000000000000&&...011"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		u, err := buildFuzzUniverse(&in)
@@ -298,9 +301,29 @@ func FuzzEASPlace(f *testing.F) {
 				t.Fatalf("window %d: schedule errors %v / %v", w, errA, errB)
 			}
 			requireResultIdentical(t, w, resA, resB)
-			requireUniversesIdentical(t, w, cpuA, cpuB, thA, thB)
+			requireUniversesIdentical(t, w, fast.snap, slow.snap, thA, thB)
+			requireBusyWithinWindow(t, w, fast.snap, resA, dt)
 		}
 	})
+}
+
+// requireBusyWithinWindow checks the per-core busy law: each core's busy
+// seconds lie in [0, dt], and are exactly 0 on a core offline in snap. A
+// core's busy time is a sum of per-thread grants, each divided back out of
+// cycles, so it may overshoot dt by float rounding (a few ulps; utilization
+// clamps at 1 downstream); anything past that slack breaks the law.
+func requireBusyWithinWindow(t *testing.T, w int, snap []soc.CoreSnapshot, res Result, dt time.Duration) {
+	t.Helper()
+	limit := dt.Seconds() * (1 + 1e-12)
+	for i, b := range res.BusySeconds {
+		if snap[i].State == soc.StateOffline {
+			if b != 0 {
+				t.Fatalf("window %d: offline core %d busy %v s", w, i, b)
+			}
+		} else if !(b >= 0 && b <= limit) {
+			t.Fatalf("window %d: core %d busy %v s outside [0, %v]", w, i, b, dt.Seconds())
+		}
+	}
 }
 
 // TestEASPlacerRejectsForeignCPU: an EAS placer whose energy model does not

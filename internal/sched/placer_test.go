@@ -183,10 +183,7 @@ func TestEASHomogeneousEquivalence(t *testing.T) {
 		}
 		online := 1 + rng.Intn(4)
 		run := func(p Placer) []float64 {
-			cpu, err := soc.NewCPU(4, table)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cpu := newCPUOn(t, 4, table)
 			if err := cpu.SetOnlineCount(online); err != nil {
 				t.Fatal(err)
 			}

@@ -10,9 +10,17 @@ import (
 	"mobicore/internal/soc"
 )
 
+// newCPU builds a one-cluster CPU of the given core count on the MSM8974
+// ladder.
 func newCPU(t *testing.T, cores int) *soc.CPU {
 	t.Helper()
-	cpu, err := soc.NewCPU(cores, soc.MSM8974Table())
+	return newCPUOn(t, cores, soc.MSM8974Table())
+}
+
+// newCPUOn builds a one-cluster CPU of the given core count on table.
+func newCPUOn(t *testing.T, cores int, table *soc.OPPTable) *soc.CPU {
+	t.Helper()
+	cpu, err := soc.NewClusteredCPU([]soc.Cluster{{Name: "cpu", NumCores: cores, Table: table}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +237,7 @@ func TestScheduleDeterminism(t *testing.T) {
 // TestWorkConservationProperty: cycles executed never exceed cycles
 // deposited, and executed + remaining pending == deposited.
 func TestWorkConservationProperty(t *testing.T) {
-	cpu, err := soc.NewCPU(4, soc.MSM8974Table())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpu := newCPU(t, 4)
 	var s Scheduler
 	prop := func(amounts [4]uint32) bool {
 		threads := make([]*Thread, 4)
@@ -247,7 +252,10 @@ func TestWorkConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		remaining := TotalPending(threads)
+		var remaining float64
+		for _, th := range threads {
+			remaining += th.Pending()
+		}
 		return math.Abs(res.ExecutedCycles+remaining-deposited) < 1e-3 &&
 			res.ExecutedCycles <= deposited+1e-3
 	}

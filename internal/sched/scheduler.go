@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -22,14 +21,9 @@ type Result struct {
 	PoolUsedSec float64
 }
 
-// Utilization returns per-core busy fraction for a window of dt.
-func (r Result) Utilization(dt time.Duration) []float64 {
-	return r.UtilizationInto(nil, dt)
-}
-
-// UtilizationInto is Utilization writing into dst when it has the
-// capacity, so per-tick callers can reuse one buffer. It returns the
-// filled slice.
+// UtilizationInto returns the per-core busy fraction for a window of dt,
+// writing into dst when it has the capacity, so per-tick callers can reuse
+// one buffer. It returns the filled slice.
 //
 //mobicore:hotpath
 func (r Result) UtilizationInto(dst []float64, dt time.Duration) []float64 {
@@ -70,10 +64,9 @@ type Scheduler struct {
 	// Per-window scratch, reused to keep the per-tick path allocation-free.
 	// The env's Online, Budget and Freq slices and its per-rank records
 	// are scratch too, kept across windows.
-	snap      []soc.CoreSnapshot
-	busyNanos []uint64
-	runnable  byDebt
-	env       PlaceEnv
+	snap     []soc.CoreSnapshot
+	runnable byDebt
+	env      PlaceEnv
 	// Per-CPU state, rebuilt when the CPU changes (its topology is fixed):
 	// each efficiency rank's core ids (env.ranks), and the EAS placer last
 	// proven to fit the CPU (EASPlacer.fits).
@@ -140,8 +133,7 @@ func (s *Scheduler) placer() Placer {
 // thermal-pressure view: placement treats capped cores' capacity as
 // reduced and steers backlog toward cool clusters (the zero Pressure, or a
 // homogeneous platform where derating is uniform, places without it).
-// Schedule updates cpu cycle accounting in one batched commit and returns
-// per-core busy time plus the pool time actually consumed.
+// Schedule returns per-core busy time plus the pool time actually consumed.
 //
 // busy, when it has the capacity, receives the per-core busy seconds (it
 // is zeroed and resized to the core count), so a per-tick caller reuses
@@ -153,18 +145,19 @@ func (s *Scheduler) placer() Placer {
 // snap, when non-nil, is the caller's current view of the CPU — each core's
 // online state and programmed frequency, exactly as SnapshotInto would
 // report them — and the scheduler trusts it instead of taking its own
-// locked snapshot, then writes each online core's post-run Active/Idle
-// state back into it. Only offline-ness and frequency feed scheduling. A
-// nil snap makes the scheduler snapshot the CPU itself.
+// locked snapshot. A nil snap makes the scheduler snapshot the CPU itself.
+// Only offline-ness and frequency feed scheduling. Either way, the
+// scheduler then writes each online core's Active/Idle state for the
+// window into the snapshot it scheduled against: Active when the core ran
+// for at least a whole nanosecond.
 //
 // rec, when non-nil, records the window for the quiescent-tick fast path:
-// the per-thread placements and grants, the busy vector, the batched
-// commit, and the pressure view. Recording first drops rec's held window;
-// rec arms again only when the window is replayable — either no pool
-// clamping and no throttling, or a pool drained before the first grant
-// (see Memo.finish). satRate is the capacity ceiling for the
-// saturation classing (see Memo.begin); callers pass the platform's top
-// ladder frequency. It is ignored when rec is nil.
+// the per-thread placements and grants, the busy vector, and the pressure
+// view. Recording first drops rec's held window; rec arms again only when
+// the window is replayable — either no pool clamping and no throttling, or
+// a pool drained before the first grant (see Memo.finish). satRate is the
+// capacity ceiling for the saturation classing (see Memo.begin); callers
+// pass the platform's top ladder frequency. It is ignored when rec is nil.
 //
 //mobicore:hotpath
 func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure, busy []float64, snap []soc.CoreSnapshot, rec *Memo, satRate float64) (Result, error) {
@@ -175,8 +168,7 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 		return Result{}, errors.New("sched: non-positive window")
 	}
 
-	mirror := snap != nil
-	if !mirror {
+	if snap == nil {
 		snap = cpu.SnapshotInto(s.snap)
 		s.snap = snap
 	}
@@ -195,18 +187,18 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 
 	// Efficiency ranks for cluster-aware placement: clusters ordered by
 	// ascending top frequency, so rank 0 is the LITTLE (cheapest) domain.
-	// Homogeneous CPUs collapse to a single rank (nil slice) and the
-	// greedy placement reduces exactly to the original most-budget greedy.
+	// Homogeneous CPUs collapse to a single rank and the greedy placement
+	// reduces exactly to the original most-budget greedy.
 	// The ranks are cached on the CPU at construction — this is the
 	// per-tick hot path.
 	rankOf, numRanks := cpu.ClusterRanks()
 	if cpu != s.cpu {
 		s.cpu, s.fitEAS = cpu, nil
-		s.env.ranks = rankSpans(s.env.ranks, rankOf, numRanks, len(snap))
+		s.env.ranks = rankSpans(s.env.ranks, rankOf, numRanks)
 	}
 	placer := s.placer()
 	if eas, ok := placer.(*EASPlacer); ok && eas != s.fitEAS {
-		if !eas.fits(rankOf, len(snap)) {
+		if !eas.fits(rankOf) {
 			return Result{}, errors.New("sched: EAS energy model does not describe the CPU's clusters")
 		}
 		s.fitEAS = eas
@@ -314,11 +306,7 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 			sec = done / freq[core]
 		}
 		budget[core] -= sec
-		if rankOf != nil {
-			s.env.ranks[rankOf[core]].stale = true
-		} else {
-			s.env.ranks[0].stale = true
-		}
+		s.env.ranks[rankOf[core]].stale = true
 		if limited {
 			pool -= sec
 		}
@@ -344,49 +332,19 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 		}
 	}
 
-	// Commit busy time to the SoC's cycle accounting in one batch, so the
-	// whole window pays a single CPU mutex round-trip instead of one per
-	// online core.
-	nanos := s.busyNanos
-	if cap(nanos) < len(snap) {
-		//mobilint:ignore one-time scratch growth on first window or topology change
-		nanos = make([]uint64, len(snap))
-	}
-	nanos = nanos[:len(snap)]
-	s.busyNanos = nanos
-	windowNanos := uint64(dt.Nanoseconds())
+	// A core is Active for the window when it ran a whole nanosecond.
 	for i := range snap {
 		if !online[i] {
-			nanos[i] = 0
 			continue
 		}
-		b := uint64(res.BusySeconds[i] * 1e9)
-		if b > windowNanos {
-			b = windowNanos
-		}
-		nanos[i] = b
-	}
-	if err := cpu.RunBatch(nanos, windowNanos); err != nil {
-		return Result{}, fmt.Errorf("sched: committing window: %w", err)
-	}
-	if mirror {
-		// Keep the caller's CPU view current without another locked
-		// snapshot: RunBatch just set each online core Active or Idle by
-		// exactly this rule. (BusyCycles is not maintained — the mirror
-		// contract covers online state and operating point only.)
-		for i := range snap {
-			if !online[i] {
-				continue
-			}
-			if nanos[i] > 0 {
-				snap[i].State = soc.StateActive
-			} else {
-				snap[i].State = soc.StateIdle
-			}
+		if uint64(res.BusySeconds[i]*1e9) > 0 {
+			snap[i].State = soc.StateActive
+		} else {
+			snap[i].State = soc.StateIdle
 		}
 	}
 	if rec != nil {
-		rec.finish(res, nanos, pr, limited, pool)
+		rec.finish(res, pr, limited, pool)
 	}
 	return res, nil
 }
@@ -395,33 +353,18 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 // numRanks records and sets each rank's core ids to the range [lo, hi) of
 // its lowest and highest core. A rank is one cluster, whose cores
 // soc.NewClusteredCPU numbers contiguously, so the range holds exactly the
-// rank's cores. rankOf nil means one rank of n cores.
-func rankSpans(ranks []rankAgg, rankOf []int, numRanks, n int) []rankAgg {
+// rank's cores.
+func rankSpans(ranks []rankAgg, rankOf []int, numRanks int) []rankAgg {
 	if cap(ranks) < numRanks {
 		ranks = make([]rankAgg, numRanks)
 	}
 	ranks = ranks[:numRanks]
 	for r := range ranks {
-		ranks[r] = rankAgg{lo: n}
+		ranks[r] = rankAgg{lo: len(rankOf)}
 	}
-	for i := 0; i < n; i++ {
-		r := 0
-		if rankOf != nil {
-			r = rankOf[i]
-		}
+	for i, r := range rankOf {
 		ranks[r].lo = min(ranks[r].lo, i)
 		ranks[r].hi = i + 1
 	}
 	return ranks
-}
-
-// TotalPending sums pending cycles across threads — the backlog.
-func TotalPending(threads []*Thread) float64 {
-	var total float64
-	for _, t := range threads {
-		if t != nil {
-			total += t.Pending()
-		}
-	}
-	return total
 }

@@ -392,10 +392,7 @@ func (s *Sim) Step() error {
 	// holds it only while its CPU-side inputs are unchanged), replay it and
 	// commit its integration tail.
 	if s.memo.Match(threads, steady, pool, pr) {
-		res, err := s.memo.ReplayInto(s.busySec, s.cpu, dt)
-		if err != nil {
-			return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
-		}
+		res := s.memo.ReplayInto(s.busySec)
 		s.fastTicks++
 		s.slowRun = 0
 		return s.commit(dt, res, &s.fast)

@@ -65,21 +65,17 @@ func NewClusteredCPU(clusters []Cluster) (*CPU, error) {
 			coreCluster = append(coreCluster, ci)
 		}
 	}
-	c := &CPU{cores: cores, table: cs[0].Table, clusters: cs, coreCluster: coreCluster}
+	c := &CPU{cores: cores, clusters: cs, coreCluster: coreCluster}
 	c.computeRanks()
 	return c, nil
 }
 
 // computeRanks caches the efficiency rank of every core: clusters ordered
 // by ascending top frequency (ties keep cluster-id order), rank 0 the most
-// efficient. The topology is fixed at construction, so schedulers can read
-// the ranks every window without re-deriving them.
+// efficient. A one-cluster CPU has every core at rank 0. The topology is
+// fixed at construction, so schedulers can read the ranks every window
+// without re-deriving them.
 func (c *CPU) computeRanks() {
-	if len(c.clusters) == 1 {
-		c.coreRank = nil // homogeneous: callers treat nil as all-rank-0
-		c.numRanks = 1
-		return
-	}
 	order := make([]int, len(c.clusters))
 	for i := range order {
 		order[i] = i
@@ -98,37 +94,10 @@ func (c *CPU) computeRanks() {
 	c.numRanks = len(c.clusters)
 }
 
-// ClusterRanks returns the per-core efficiency ranks (nil on homogeneous
-// CPUs, meaning every core is rank 0) and the number of ranks. The slice
-// is shared and must not be mutated.
+// ClusterRanks returns the per-core efficiency ranks (all 0 on a
+// one-cluster CPU) and the number of ranks. The slice is shared and must
+// not be mutated.
 func (c *CPU) ClusterRanks() ([]int, int) { return c.coreRank, c.numRanks }
-
-// NumClusters returns the number of frequency domains.
-func (c *CPU) NumClusters() int { return len(c.clusters) }
-
-// Clusters returns a copy of the cluster definitions in id order.
-func (c *CPU) Clusters() []Cluster {
-	out := make([]Cluster, len(c.clusters))
-	copy(out, c.clusters)
-	return out
-}
-
-// ClusterOf returns the cluster index owning core id, or -1 for an invalid
-// id.
-func (c *CPU) ClusterOf(id int) int {
-	if id < 0 || id >= len(c.coreCluster) {
-		return -1
-	}
-	return c.coreCluster[id]
-}
-
-// ClusterTable returns cluster ci's OPP table.
-func (c *CPU) ClusterTable(ci int) (*OPPTable, error) {
-	if ci < 0 || ci >= len(c.clusters) {
-		return nil, fmt.Errorf("%w: %d (have %d clusters)", ErrInvalidCluster, ci, len(c.clusters))
-	}
-	return c.clusters[ci].Table, nil
-}
 
 // ClusterCoreIDs returns the core ids belonging to cluster ci in ascending
 // order.

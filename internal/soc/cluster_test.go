@@ -29,21 +29,14 @@ func TestNewClusteredCPUTopology(t *testing.T) {
 	if cpu.NumCores() != 6 {
 		t.Fatalf("NumCores = %d, want 6", cpu.NumCores())
 	}
-	if cpu.NumClusters() != 2 {
-		t.Fatalf("NumClusters = %d, want 2", cpu.NumClusters())
-	}
-	for id := 0; id < 4; id++ {
-		if cpu.ClusterOf(id) != 0 {
-			t.Errorf("core %d cluster = %d, want 0 (LITTLE first)", id, cpu.ClusterOf(id))
+	for _, c := range cpu.Snapshot() {
+		want := 0 // LITTLE first
+		if c.ID >= 4 {
+			want = 1
 		}
-	}
-	for id := 4; id < 6; id++ {
-		if cpu.ClusterOf(id) != 1 {
-			t.Errorf("core %d cluster = %d, want 1", id, cpu.ClusterOf(id))
+		if c.Cluster != want {
+			t.Errorf("snapshot core %d cluster = %d, want %d", c.ID, c.Cluster, want)
 		}
-	}
-	if cpu.ClusterOf(6) != -1 || cpu.ClusterOf(-1) != -1 {
-		t.Error("out-of-range core ids should map to cluster -1")
 	}
 	ids, err := cpu.ClusterCoreIDs(1)
 	if err != nil {
@@ -52,10 +45,12 @@ func TestNewClusteredCPUTopology(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 4 || ids[1] != 5 {
 		t.Errorf("big cluster core ids = %v, want [4 5]", ids)
 	}
-	for _, c := range cpu.Snapshot() {
-		if c.Cluster != cpu.ClusterOf(c.ID) {
-			t.Errorf("snapshot core %d cluster = %d, want %d", c.ID, c.Cluster, cpu.ClusterOf(c.ID))
-		}
+	if _, err := cpu.ClusterCoreIDs(2); !errors.Is(err, ErrInvalidCluster) {
+		t.Errorf("ClusterCoreIDs(2) error = %v, want ErrInvalidCluster", err)
+	}
+	rankOf, numRanks := cpu.ClusterRanks()
+	if numRanks != 2 || len(rankOf) != 6 || rankOf[0] != 0 || rankOf[5] != 1 {
+		t.Errorf("ranks = %v (%d), want LITTLE rank 0 and big rank 1", rankOf, numRanks)
 	}
 }
 
@@ -135,7 +130,7 @@ func TestSetClusterOnlineCount(t *testing.T) {
 	if err := cpu.SetClusterOnlineCount(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	ids := cpu.OnlineIDs()
+	ids := onlineIDs(cpu)
 	if len(ids) != 1 || ids[0] != 0 {
 		t.Errorf("online ids = %v, want [0]", ids)
 	}
@@ -164,21 +159,17 @@ func TestSetFreqAllHeterogeneous(t *testing.T) {
 	}
 }
 
+// TestNewCPUSingleCluster: a one-cluster CPU is the homogeneous case,
+// with every core in cluster 0 at efficiency rank 0.
 func TestNewCPUSingleCluster(t *testing.T) {
-	table := MSM8974Table()
-	cpu, err := NewCPU(4, table)
-	if err != nil {
-		t.Fatal(err)
+	cpu := newTestCPU(t)
+	rankOf, numRanks := cpu.ClusterRanks()
+	if numRanks != 1 || len(rankOf) != 4 {
+		t.Fatalf("ranks = %v (%d), want 4 cores in 1 rank", rankOf, numRanks)
 	}
-	if cpu.NumClusters() != 1 {
-		t.Fatalf("homogeneous CPU clusters = %d, want 1", cpu.NumClusters())
-	}
-	if cpu.Table() != table {
-		t.Error("Table() should return the single cluster's table")
-	}
-	for id := 0; id < 4; id++ {
-		if cpu.ClusterOf(id) != 0 {
-			t.Errorf("core %d cluster = %d, want 0", id, cpu.ClusterOf(id))
+	for _, c := range cpu.Snapshot() {
+		if c.Cluster != 0 || rankOf[c.ID] != 0 {
+			t.Errorf("core %d: cluster %d, rank %d, want 0 and 0", c.ID, c.Cluster, rankOf[c.ID])
 		}
 	}
 }

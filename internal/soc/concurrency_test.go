@@ -6,13 +6,10 @@ import (
 )
 
 // TestCPUConcurrentAccess exercises the CPU's mutex under parallel
-// frequency programming, hotplug, execution, and snapshotting. Run with
-// -race to validate the locking.
+// frequency programming, flat and per-cluster hotplug, and snapshotting.
+// Run with -race to validate the locking.
 func TestCPUConcurrentAccess(t *testing.T) {
-	cpu, err := NewCPU(4, MSM8974Table())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpu := newTestCPU(t)
 	freqs := MSM8974Table().Frequencies()
 
 	var wg sync.WaitGroup
@@ -37,9 +34,17 @@ func TestCPUConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			// Execution may race with hotplug: offline errors are
-			// expected and fine; corruption is not.
-			_, _ = cpu.Run(i%4, 1000, 2000)
+			// Per-core hotplug races the flat one: refusing to offline
+			// the last core is expected and fine; corruption is not.
+			if i%2 == 0 {
+				_ = cpu.Offline(1 + i%3)
+			} else {
+				_ = cpu.Online(1 + i%3)
+			}
+			if err := cpu.SetClusterFreq(0, freqs[(i+1)%len(freqs)]); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	go func() {
@@ -51,7 +56,7 @@ func TestCPUConcurrentAccess(t *testing.T) {
 				return
 			}
 			_ = cpu.OnlineCount()
-			_ = cpu.CapacityCyclesPerSec()
+			_, _ = cpu.ClusterOnlineCount(0)
 		}
 	}()
 	wg.Wait()

@@ -35,26 +35,23 @@ func (s CoreState) String() string {
 
 // Errors returned by core and CPU operations.
 var (
-	ErrCoreOffline  = errors.New("soc: core is offline")
 	ErrLastCore     = errors.New("soc: cannot offline the last online core")
 	ErrInvalidCore  = errors.New("soc: invalid core id")
 	ErrBadFrequency = errors.New("soc: frequency is not an operating point")
 )
 
-// Core is one CPU core. It tracks its state, current operating point, and
-// cumulative busy/idle cycle accounting. Core is not safe for concurrent use;
-// the owning CPU serializes access.
+// Core is one CPU core: its online state and programmed operating point,
+// the two things hotplug and DVFS set. The CPU never marks a core Active
+// (an online core is Idle here); whether a core executed in a window is the
+// scheduler's to say, and it writes Active/Idle into the snapshot it
+// scheduled against. Core is not safe for concurrent use; the owning CPU
+// serializes access.
 type Core struct {
 	id    int
 	table *OPPTable
 
 	state CoreState
 	opp   OPP
-
-	// Cycle accounting since construction.
-	busyCycles  uint64
-	totalActive uint64 // nanoseconds spent online (active or idle)
-	busyNanos   uint64 // nanoseconds spent executing
 }
 
 // newCore constructs an online, idle core at the table's minimum frequency.
@@ -81,9 +78,6 @@ func (c *Core) Volt() Volt { return c.opp.Volt }
 // OPP returns the core's full programmed operating point.
 func (c *Core) OPP() OPP { return c.opp }
 
-// BusyCycles returns cumulative executed cycles.
-func (c *Core) BusyCycles() uint64 { return c.busyCycles }
-
 // setFreq programs an exact operating point.
 func (c *Core) setFreq(freq Hz) error {
 	i := c.table.IndexOf(freq)
@@ -100,33 +94,14 @@ func (c *Core) setFreq(freq Hz) error {
 type CPU struct {
 	mu          sync.Mutex
 	cores       []*Core
-	table       *OPPTable // first cluster's table, the homogeneous view
 	clusters    []Cluster
 	coreCluster []int // core id -> cluster index
-	coreRank    []int // core id -> efficiency rank; nil when homogeneous
+	coreRank    []int // core id -> efficiency rank
 	numRanks    int
-}
-
-// NewCPU builds a homogeneous CPU with n identical cores sharing one OPP
-// table — a single-cluster SoC. All cores start online (idle) at the
-// minimum frequency, which is where a freshly booted kernel leaves them.
-func NewCPU(n int, table *OPPTable) (*CPU, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("soc: core count must be positive, got %d", n)
-	}
-	if table == nil || table.Len() == 0 {
-		return nil, ErrEmptyTable
-	}
-	return NewClusteredCPU([]Cluster{{Name: "cpu", NumCores: n, Table: table}})
 }
 
 // NumCores returns the total number of cores, online or not.
 func (c *CPU) NumCores() int { return len(c.cores) }
-
-// Table returns the first cluster's OPP table. On a homogeneous CPU this is
-// the shared table; heterogeneous callers should resolve tables per cluster
-// via ClusterTable.
-func (c *CPU) Table() *OPPTable { return c.table }
 
 // OnlineCount returns the number of online cores.
 func (c *CPU) OnlineCount() int {
@@ -141,27 +116,15 @@ func (c *CPU) OnlineCount() int {
 	return n
 }
 
-// OnlineIDs returns the ids of all online cores in ascending order.
-func (c *CPU) OnlineIDs() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]int, 0, len(c.cores))
-	for _, core := range c.cores {
-		if core.Online() {
-			ids = append(ids, core.id)
-		}
-	}
-	return ids
-}
-
 // CoreSnapshot is an immutable view of one core, safe to hold across ticks.
+// A CPU reports an online core as StateIdle; the scheduler overwrites State
+// with StateActive or StateIdle in the snapshot it schedules against.
 type CoreSnapshot struct {
-	ID         int
-	Cluster    int // owning cluster index; 0 on homogeneous CPUs
-	State      CoreState
-	Freq       Hz
-	Volt       Volt
-	BusyCycles uint64
+	ID      int
+	Cluster int // owning cluster index; 0 on homogeneous CPUs
+	State   CoreState
+	Freq    Hz
+	Volt    Volt
 }
 
 // Snapshot captures the state of every core.
@@ -185,12 +148,11 @@ func (c *CPU) SnapshotInto(dst []CoreSnapshot) []CoreSnapshot {
 	dst = dst[:len(c.cores)]
 	for i, core := range c.cores {
 		dst[i] = CoreSnapshot{
-			ID:         core.id,
-			Cluster:    c.coreCluster[i],
-			State:      core.state,
-			Freq:       core.opp.Freq,
-			Volt:       core.opp.Volt,
-			BusyCycles: core.busyCycles,
+			ID:      core.id,
+			Cluster: c.coreCluster[i],
+			State:   core.state,
+			Freq:    core.opp.Freq,
+			Volt:    core.opp.Volt,
 		}
 	}
 	return dst
@@ -313,91 +275,6 @@ func (c *CPU) SetOnlineCount(n int) error {
 		}
 	}
 	return nil
-}
-
-// Run executes busyNanos of work on core id within a window of windowNanos,
-// updating state and cycle accounting. busyNanos is clamped to windowNanos.
-// It returns the number of cycles executed. Calling Run on an offline core
-// returns ErrCoreOffline: the scheduler must never place work there.
-//
-//mobicore:hotpath
-func (c *CPU) Run(id int, busyNanos, windowNanos uint64) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	core, err := c.core(id)
-	if err != nil {
-		return 0, err
-	}
-	if !core.Online() {
-		return 0, fmt.Errorf("%w: core %d", ErrCoreOffline, id)
-	}
-	if busyNanos > windowNanos {
-		busyNanos = windowNanos
-	}
-	cycles := uint64(float64(core.opp.Freq) * float64(busyNanos) / 1e9)
-	core.busyCycles += cycles
-	core.busyNanos += busyNanos
-	core.totalActive += windowNanos
-	if busyNanos > 0 {
-		core.state = StateActive
-	} else {
-		core.state = StateIdle
-	}
-	return cycles, nil
-}
-
-// RunBatch commits one scheduling window for every core under a single
-// lock: busyNanos[i] nanoseconds of execution on core i within a window of
-// windowNanos. Entries are clamped to the window. Offline cores are skipped
-// when their entry is zero and rejected (ErrCoreOffline) otherwise — the
-// scheduler must never place work on them. The per-core math is exactly
-// Run's, so a batch commit is bit-identical to len(busyNanos) Run calls;
-// the batch exists because the per-tick commit loop otherwise pays one
-// mutex round-trip per core.
-//
-//mobicore:hotpath
-func (c *CPU) RunBatch(busyNanos []uint64, windowNanos uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(busyNanos) != len(c.cores) {
-		return fmt.Errorf("%w: batch of %d busy entries for %d cores", ErrInvalidCore, len(busyNanos), len(c.cores))
-	}
-	for i, core := range c.cores {
-		b := busyNanos[i]
-		if !core.Online() {
-			if b > 0 {
-				return fmt.Errorf("%w: core %d", ErrCoreOffline, i)
-			}
-			continue
-		}
-		if b > windowNanos {
-			b = windowNanos
-		}
-		cycles := uint64(float64(core.opp.Freq) * float64(b) / 1e9)
-		core.busyCycles += cycles
-		core.busyNanos += b
-		core.totalActive += windowNanos
-		if b > 0 {
-			core.state = StateActive
-		} else {
-			core.state = StateIdle
-		}
-	}
-	return nil
-}
-
-// CapacityCyclesPerSec returns the aggregate cycles/second of all online
-// cores at their current frequencies — the headroom the scheduler has.
-func (c *CPU) CapacityCyclesPerSec() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total float64
-	for _, core := range c.cores {
-		if core.Online() {
-			total += float64(core.opp.Freq)
-		}
-	}
-	return total
 }
 
 func (c *CPU) core(id int) (*Core, error) {

@@ -5,24 +5,36 @@ import (
 	"testing"
 )
 
+// newTestCPU builds a Nexus 5-like CPU: one cluster of four cores on the
+// MSM8974 ladder.
 func newTestCPU(t *testing.T) *CPU {
 	t.Helper()
-	cpu, err := NewCPU(4, MSM8974Table())
+	cpu, err := NewClusteredCPU([]Cluster{{Name: "cpu", NumCores: 4, Table: MSM8974Table()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cpu
 }
 
+// onlineIDs lists the online cores of cpu's snapshot in id order.
+func onlineIDs(cpu *CPU) []int {
+	var ids []int
+	for _, c := range cpu.Snapshot() {
+		if c.State != StateOffline {
+			ids = append(ids, c.ID)
+		}
+	}
+	return ids
+}
+
 func TestNewCPUValidation(t *testing.T) {
-	if _, err := NewCPU(0, MSM8974Table()); err == nil {
-		t.Error("NewCPU(0) should fail")
+	for _, n := range []int{0, -1} {
+		if _, err := NewClusteredCPU([]Cluster{{Name: "cpu", NumCores: n, Table: MSM8974Table()}}); err == nil {
+			t.Errorf("%d-core CPU accepted", n)
+		}
 	}
-	if _, err := NewCPU(-1, MSM8974Table()); err == nil {
-		t.Error("NewCPU(-1) should fail")
-	}
-	if _, err := NewCPU(4, nil); err == nil {
-		t.Error("NewCPU with nil table should fail")
+	if _, err := NewClusteredCPU([]Cluster{{Name: "cpu", NumCores: 4}}); !errors.Is(err, ErrEmptyTable) {
+		t.Errorf("nil table error = %v, want ErrEmptyTable", err)
 	}
 }
 
@@ -108,7 +120,7 @@ func TestSetOnlineCount(t *testing.T) {
 		if got := cpu.OnlineCount(); got != tt.want {
 			t.Errorf("SetOnlineCount(%d): count = %d, want %d", tt.target, got, tt.want)
 		}
-		ids := cpu.OnlineIDs()
+		ids := onlineIDs(cpu)
 		if len(ids) != len(tt.ids) {
 			t.Fatalf("SetOnlineCount(%d): ids = %v, want %v", tt.target, ids, tt.ids)
 		}
@@ -118,77 +130,6 @@ func TestSetOnlineCount(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-func TestRunAccounting(t *testing.T) {
-	cpu := newTestCPU(t)
-	if err := cpu.SetFreq(0, 1_036_800*KHz); err != nil {
-		t.Fatal(err)
-	}
-	// 1 ms fully busy at 1.0368 GHz ≈ 1.0368e6 cycles.
-	cycles, err := cpu.Run(0, 1_000_000, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(1_036_800)
-	if cycles != want {
-		t.Errorf("cycles = %d, want %d", cycles, want)
-	}
-	snap := cpu.Snapshot()
-	if snap[0].State != StateActive {
-		t.Errorf("busy core state = %v, want active", snap[0].State)
-	}
-	if snap[0].BusyCycles != want {
-		t.Errorf("accumulated cycles = %d, want %d", snap[0].BusyCycles, want)
-	}
-	// An idle window flips the core back to idle.
-	if _, err := cpu.Run(0, 0, 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := cpu.Snapshot()[0].State; got != StateIdle {
-		t.Errorf("idle core state = %v, want idle", got)
-	}
-}
-
-func TestRunOnOfflineCore(t *testing.T) {
-	cpu := newTestCPU(t)
-	if err := cpu.Offline(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cpu.Run(3, 1000, 1000); !errors.Is(err, ErrCoreOffline) {
-		t.Errorf("Run on offline core error = %v, want ErrCoreOffline", err)
-	}
-}
-
-func TestRunClampsBusyToWindow(t *testing.T) {
-	cpu := newTestCPU(t)
-	c1, err := cpu.Run(0, 2_000_000, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := cpu.Run(1, 1_000_000, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Errorf("clamped busy executed %d cycles, full window executed %d", c1, c2)
-	}
-}
-
-func TestCapacityCyclesPerSec(t *testing.T) {
-	cpu := newTestCPU(t)
-	if err := cpu.SetFreqAll(300 * MHz); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cpu.CapacityCyclesPerSec(), 4*300e6; got != want {
-		t.Errorf("capacity = %g, want %g", got, want)
-	}
-	if err := cpu.SetOnlineCount(2); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cpu.CapacityCyclesPerSec(), 2*300e6; got != want {
-		t.Errorf("capacity after offlining = %g, want %g", got, want)
 	}
 }
 
@@ -206,59 +147,5 @@ func TestCoreStateString(t *testing.T) {
 		if got := tt.s.String(); got != tt.want {
 			t.Errorf("%d.String() = %q, want %q", int(tt.s), got, tt.want)
 		}
-	}
-}
-
-// TestRunBatchMatchesRunLoop: a batch commit must be bit-identical to the
-// equivalent sequence of per-core Run calls — same cycles, same states,
-// same snapshots.
-func TestRunBatchMatchesRunLoop(t *testing.T) {
-	loop := newTestCPU(t)
-	batch := newTestCPU(t)
-	for _, cpu := range []*CPU{loop, batch} {
-		if err := cpu.SetFreq(1, 1_036_800*KHz); err != nil {
-			t.Fatal(err)
-		}
-		if err := cpu.Offline(3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const window = 1_000_000
-	// Mixed load: busy, partial, idle, offline-with-zero; the last entry
-	// also exercises clamping (busy > window).
-	busy := []uint64{window, 417_000, 0, 0}
-	busy[0] = window + 5_000 // clamped
-	for id, b := range busy {
-		if id == 3 {
-			continue // offline: the old loop never called Run there
-		}
-		if _, err := loop.Run(id, b, window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := batch.RunBatch(busy, window); err != nil {
-		t.Fatal(err)
-	}
-	a, b := loop.Snapshot(), batch.Snapshot()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("core %d: loop %+v != batch %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestRunBatchRejectsOfflineWork: placing work on an offline core is a
-// scheduler bug and must fail loudly, exactly like Run.
-func TestRunBatchRejectsOfflineWork(t *testing.T) {
-	cpu := newTestCPU(t)
-	if err := cpu.Offline(3); err != nil {
-		t.Fatal(err)
-	}
-	err := cpu.RunBatch([]uint64{0, 0, 0, 1}, 1_000_000)
-	if !errors.Is(err, ErrCoreOffline) {
-		t.Errorf("RunBatch(offline work) error = %v, want ErrCoreOffline", err)
-	}
-	if err := cpu.RunBatch([]uint64{0, 0, 0}, 1_000_000); !errors.Is(err, ErrInvalidCore) {
-		t.Errorf("RunBatch(short slice) error = %v, want ErrInvalidCore", err)
 	}
 }

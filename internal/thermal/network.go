@@ -59,9 +59,6 @@ func (n *Network) Zones() int { return len(n.zones) }
 // ZoneAt returns zone i for callers that need the full per-zone API.
 func (n *Network) ZoneAt(i int) *Zone { return n.zones[i] }
 
-// Coupling returns the neighbor-power fraction.
-func (n *Network) Coupling() float64 { return n.coupling }
-
 // Step advances every zone by dt. watts carries each zone's own cluster
 // power, indexed like the zones; zone i integrates
 // watts[i] + coupling·Σ_{j≠i} watts[j].
@@ -96,16 +93,6 @@ func (n *Network) MaxTempC() float64 {
 
 // Throttling reports whether zone i's cap is engaged below its ladder max.
 func (n *Network) Throttling(i int) bool { return n.zones[i].Throttling() }
-
-// AnyThrottling reports whether any zone has a cap engaged.
-func (n *Network) AnyThrottling() bool {
-	for _, z := range n.zones {
-		if z.Throttling() {
-			return true
-		}
-	}
-	return false
-}
 
 // CapFreq returns zone i's current frequency cap on its own ladder.
 func (n *Network) CapFreq(i int) soc.Hz { return n.zones[i].CapFreq() }

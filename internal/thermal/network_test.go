@@ -120,9 +120,6 @@ func TestAsymmetricThrottle(t *testing.T) {
 	if n.CapFreq(1) >= soc.MSM8994BigTable().Max().Freq {
 		t.Error("big cluster cap did not move below its ladder max")
 	}
-	if !n.AnyThrottling() {
-		t.Error("AnyThrottling false while the big zone is capped")
-	}
 	if n.MaxTempC() != n.TempC(1) {
 		t.Errorf("MaxTempC %v should be the big zone's %v", n.MaxTempC(), n.TempC(1))
 	}
@@ -213,7 +210,7 @@ func TestNetworkReset(t *testing.T) {
 		}
 	}
 	n.Reset()
-	if n.AnyThrottling() {
+	if n.Throttling(0) || n.Throttling(1) {
 		t.Error("reset network still throttling")
 	}
 	if n.TempC(0) != 22 || n.TempC(1) != 22 {
