@@ -207,7 +207,9 @@ func tableEqual(a, b *soc.OPPTable) bool {
 }
 
 // NewCPU constructs a fresh soc.CPU on the compiled topology. The CPU is
-// mutable per-session state and is never shared.
+// mutable per-session state with a single owner: the session that builds
+// it reads and writes it from one goroutine and hands it to no one else
+// (soc.CPU has no lock).
 func (c *Compiled) NewCPU() (*soc.CPU, error) {
 	clusters := make([]soc.Cluster, len(c.Specs))
 	for i, cs := range c.Specs {

@@ -49,10 +49,12 @@ type ThermalSignal struct {
 }
 
 // Input is the unified observation a Manager receives every sampling
-// period. Slices are indexed by core id and must not be mutated. They are
-// also only valid for the duration of the Decide call: the engine pools
-// and refills them between samples, so a manager that needs history must
-// copy values out (see core/mobicore.go for the scalar-retention idiom).
+// period. Slices are indexed by core id and are read-only: Online and
+// CurFreq are the simulated CPU's own state, not copies. They are also
+// only valid for the duration of the Decide call: the engine refills its
+// pooled slices between samples and applies each decision to the CPU
+// they view, so a manager that needs history must copy values out (see
+// core/mobicore.go for the scalar-retention idiom).
 type Input struct {
 	// Now is the simulation time; Period the time since the last sample.
 	Now    time.Duration

@@ -1,6 +1,10 @@
 package sched
 
-import "time"
+import (
+	"time"
+
+	"mobicore/internal/soc"
+)
 
 // memoEntry is one thread's recorded share of a scheduling window: where it
 // stood when the window opened and what the window granted it.
@@ -26,17 +30,16 @@ type memoEntry struct {
 // on the full scheduling passes its recording backoff allows (all of them
 // until a streak of passes goes without a replay, then a few per cycle)
 // and replays it (ReplayInto) on every subsequent tick whose inputs still
-// match it (Match), skipping snapshotting, sorting, and placement entirely
+// match it (Match), skipping sorting and placement entirely
 // while leaving thread state and every float result byte-identical to the
 // slow path.
 //
 // Match proves the thread-side inputs (runnable set, debts, affinity,
 // pressure caps, pool headroom) unchanged. The CPU-side inputs —
-// programmed frequencies and the online mask — follow one rule: the owner
-// calls Invalidate whenever they move. The simulation does so on every
-// core reprogram and every online-state change, trusting its
-// applied-frequency mirror in between; a policy decision that moves
-// neither keeps the window.
+// programmed frequencies and the online mask — follow one rule: the window
+// holds only while the CPU's change signal (soc.CPU.Gen) reads what it read
+// when the window was recorded, so any core reprogram or online-state
+// change drops it, and a policy decision that moves neither keeps it.
 //
 // Every recording pass drops the held window before it records, so the
 // window is valid only when the latest recording pass armed it. An owner
@@ -64,6 +67,7 @@ type Memo struct {
 	// or before the run's start has had every subsequent tick vouched
 	// demand-free, so its runnable set is still proven current.
 	steadySince int64
+	cpuGen      uint64  // the CPU's change signal at record
 	dtSec       float64 // recorded window length (seconds)
 	satCycles   float64 // saturation ceiling: capacity any core could offer
 	poolUsed    float64
@@ -92,15 +96,17 @@ func (m *Memo) Recycle() Memo {
 	}
 }
 
-// begin opens a recording, dropping the held window until finish arms the
-// new one. satRate is the capacity ceiling in cycles/sec — at least every
-// core's programmed frequency and every domain's top capacity — above which
-// a thread's placement is debt-independent (callers pass the platform's
-// global ladder top).
+// begin opens a recording on a CPU whose change signal reads cpuGen,
+// dropping the held window until finish arms the new one. satRate is the
+// capacity ceiling in cycles/sec — at least every core's programmed
+// frequency and every domain's top capacity — above which a thread's
+// placement is debt-independent (callers pass the platform's global
+// ladder top).
 //
 //mobicore:hotpath
-func (m *Memo) begin(dt time.Duration, satRate float64) {
+func (m *Memo) begin(dt time.Duration, satRate float64, cpuGen uint64) {
 	m.valid = false
+	m.cpuGen = cpuGen
 	m.dtSec = dt.Seconds()
 	m.satCycles = satRate * m.dtSec
 	m.entries = m.entries[:0]
@@ -160,20 +166,21 @@ func (m *Memo) finish(res Result, pr Pressure, limited bool, poolLeft float64) {
 	m.valid = true
 }
 
-// Match reports whether a fresh scheduling pass over threads would
-// reproduce the retained window bit for bit under the given pool and
-// pressure view. Call it exactly once per scheduling window: it advances
+// Match reports whether a fresh scheduling pass over threads on cpu (the
+// CPU the window was recorded on) would reproduce the retained window bit
+// for bit under the given pool and pressure view: no core's frequency or
+// online state moved since the recording, and the thread-side inputs
+// match. Call it exactly once per scheduling window: it advances
 // the sequence clock the set verification leans on. steady asserts (on the
 // workloads' authority — the SteadyHint contract) that no demand changed
 // since the previous tick; a streak of such windows lets the runnable-set
 // comparison be skipped when the window was verified before the streak
 // began, because every tick separating the verification from now has been
 // vouched demand-free. A window verified before that must be re-proven by
-// the counting scan. The caller separately guarantees unchanged core
-// frequencies and online states.
+// the counting scan.
 //
 //mobicore:hotpath
-func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressure) bool {
+func (m *Memo) Match(cpu *soc.CPU, threads []*Thread, steady bool, poolSec float64, pr Pressure) bool {
 	m.seq++
 	if steady {
 		if m.steadySince == 0 {
@@ -182,7 +189,7 @@ func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressur
 	} else {
 		m.steadySince = 0
 	}
-	if !m.valid {
+	if !m.valid || cpu.Gen() != m.cpuGen {
 		return false
 	}
 	trusted := m.steadySince != 0 && m.verified >= m.steadySince-1

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 func memoFixture(t *testing.T, pendings []float64) (*soc.CPU, []*Thread) {
 	t.Helper()
 	cpu := newCPU(t, 4)
-	if err := cpu.SetFreqAll(1_036_800 * soc.KHz); err != nil {
+	if err := cpu.SetClusterFreq(0, 1_036_800*soc.KHz); err != nil {
 		t.Fatal(err)
 	}
 	threads := make([]*Thread, len(pendings))
@@ -54,18 +55,13 @@ func requireResultIdentical(t *testing.T, tick int, got, want Result) {
 	}
 }
 
-// requireUniversesIdentical compares two universes' CPU views — the
-// snapshots their schedulers wrote each online core's Active/Idle state
-// into, frequencies included — and every thread's state.
-func requireUniversesIdentical(t *testing.T, tick int, snapA, snapB []soc.CoreSnapshot, thA, thB []*Thread) {
+// requireUniversesIdentical compares two universes' CPUs — every core's
+// online flag and programmed frequency — and every thread's state.
+func requireUniversesIdentical(t *testing.T, tick int, cpuA, cpuB *soc.CPU, thA, thB []*Thread) {
 	t.Helper()
-	if len(snapA) != len(snapB) {
-		t.Fatalf("tick %d: snapshot len %d vs %d", tick, len(snapA), len(snapB))
-	}
-	for i := range snapA {
-		if snapA[i] != snapB[i] {
-			t.Fatalf("tick %d: core %d snapshot %+v vs %+v", tick, i, snapA[i], snapB[i])
-		}
+	if !slices.Equal(cpuA.Online(), cpuB.Online()) || !slices.Equal(cpuA.Freqs(), cpuB.Freqs()) {
+		t.Fatalf("tick %d: CPUs differ: online %v vs %v, freqs %v vs %v", tick,
+			cpuA.Online(), cpuB.Online(), cpuA.Freqs(), cpuB.Freqs())
 	}
 	for i := range thA {
 		a, b := thA[i], thB[i]
@@ -78,9 +74,8 @@ func requireUniversesIdentical(t *testing.T, tick int, snapA, snapB []soc.CoreSn
 
 // runMemoVsSlow drives two identical universes for ticks windows: A takes the
 // memo fast path whenever Match accepts, B always runs the full scheduler.
-// Each schedules against a snapshot it holds, as the simulation does, so a
-// replayed tick leaves A's snapshot as its recording pass wrote it. Every
-// tick's Result and both universes' complete state must stay bit-identical; it returns how many of A's ticks replayed, split into
+// Every tick's Result and both universes' complete state must stay
+// bit-identical; it returns how many of A's ticks replayed, split into
 // windows that had runnable backlog and idle (empty) windows.
 func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64) (fastBusy, fastIdle int) {
 	t.Helper()
@@ -92,7 +87,6 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 	dt := time.Millisecond
 	busyA := make([]float64, cpuA.NumCores())
 	busyB := make([]float64, cpuB.NumCores())
-	snapA, snapB := cpuA.Snapshot(), cpuB.Snapshot()
 	for tick := 0; tick < ticks; tick++ {
 		runnable := 0
 		for _, th := range thA {
@@ -101,7 +95,7 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 			}
 		}
 		var resA Result
-		if memo.Match(thA, false, poolSec, Pressure{}) {
+		if memo.Match(cpuA, thA, false, poolSec, Pressure{}) {
 			resA = memo.ReplayInto(busyA)
 			if runnable > 0 {
 				fastBusy++
@@ -110,24 +104,24 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 			}
 		} else {
 			var err error
-			resA, err = schedA.Schedule(cpuA, thA, dt, poolSec, Pressure{}, busyA, snapA, &memo, satRate)
+			resA, err = schedA.Schedule(cpuA, thA, dt, poolSec, Pressure{}, busyA, &memo, satRate)
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		resB, err := schedB.Schedule(cpuB, thB, dt, poolSec, Pressure{}, busyB, snapB, nil, 0)
+		resB, err := schedB.Schedule(cpuB, thB, dt, poolSec, Pressure{}, busyB, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireResultIdentical(t, tick, resA, resB)
-		requireUniversesIdentical(t, tick, snapA, snapB, thA, thB)
+		requireUniversesIdentical(t, tick, cpuA, cpuB, thA, thB)
 	}
 	return fastBusy, fastIdle
 }
 
 // TestMemoReplayMatchesFreshSchedule proves the core contract: a replayed
-// window leaves every Result field, thread, and core state (Active/Idle and
-// frequency) bit-identical to the full scheduling pass it stands in for.
+// window leaves every Result field and thread bit-identical to the full
+// scheduling pass it stands in for.
 func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 	t.Run("saturated distinct debts", func(t *testing.T) {
 		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, Unlimited)
@@ -187,7 +181,7 @@ func recordSettled(t *testing.T, m *Memo, cpu *soc.CPU, threads []*Thread, poolS
 	var s Scheduler
 	busy := make([]float64, cpu.NumCores())
 	for pass := 0; pass < 2; pass++ {
-		if _, err := s.Schedule(cpu, threads, time.Millisecond, poolSec, pr, busy, nil, m, memoSatRate()); err != nil {
+		if _, err := s.Schedule(cpu, threads, time.Millisecond, poolSec, pr, busy, m, memoSatRate()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,8 +251,36 @@ func TestMemoMatchInvalidation(t *testing.T) {
 			if tc.mutate != nil {
 				threads = tc.mutate(t, threads)
 			}
-			got := m.Match(threads, false, tc.pool, tc.pr)
+			got := m.Match(cpu, threads, false, tc.pool, tc.pr)
 			if got != tc.want {
+				t.Errorf("Match = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestMemoMatchCPUChange: the window holds exactly while no core's
+// frequency or online state moves — reprogramming a core to the frequency
+// it already runs, or a hotplug request that is already met, keeps it.
+func TestMemoMatchCPUChange(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(cpu *soc.CPU) error
+		want   bool
+	}{
+		{"same frequency", func(cpu *soc.CPU) error { return cpu.SetFreq(2, 1_036_800*soc.KHz) }, true},
+		{"online count already met", func(cpu *soc.CPU) error { return cpu.SetOnlineCount(4) }, true},
+		{"core reprogrammed", func(cpu *soc.CPU) error { return cpu.SetFreq(2, 960_000*soc.KHz) }, false},
+		{"core offlined", func(cpu *soc.CPU) error { return cpu.SetOnlineCount(3) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cpu, threads := memoFixture(t, []float64{4e12, 3e12, 2e12, 1e12})
+			var m Memo
+			recordSettled(t, &m, cpu, threads, Unlimited, Pressure{})
+			if err := tc.change(cpu); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Match(cpu, threads, false, Unlimited, Pressure{}); got != tc.want {
 				t.Errorf("Match = %v, want %v", got, tc.want)
 			}
 		})
@@ -271,16 +293,16 @@ func TestMemoDrainedRegime(t *testing.T) {
 	cpu, threads := memoFixture(t, []float64{4e12, 3e12, 2e12, 1e12})
 	var m Memo
 	recordSettled(t, &m, cpu, threads, 0, Pressure{})
-	if !m.Match(threads, false, 0, Pressure{}) {
+	if !m.Match(cpu, threads, false, 0, Pressure{}) {
 		t.Fatal("empty pool should replay the drained window")
 	}
-	if m.Match(threads, false, 0.001, Pressure{}) {
+	if m.Match(cpu, threads, false, 0.001, Pressure{}) {
 		t.Error("replenished pool must not replay a drained window")
 	}
 	for _, th := range threads {
 		th.DropWork(th.Pending())
 	}
-	if m.Match(threads, false, 0, Pressure{}) {
+	if m.Match(cpu, threads, false, 0, Pressure{}) {
 		t.Error("drained window must not replay once no thread is runnable")
 	}
 }
@@ -294,7 +316,7 @@ func TestMemoSteadyStreakTrust(t *testing.T) {
 	var m Memo
 	recordSettled(t, &m, cpu, threads, Unlimited, Pressure{})
 
-	if !m.Match(threads, true, Unlimited, Pressure{}) {
+	if !m.Match(cpu, threads, true, Unlimited, Pressure{}) {
 		t.Fatal("steady window immediately after record should replay")
 	}
 
@@ -305,25 +327,25 @@ func TestMemoSteadyStreakTrust(t *testing.T) {
 	extra := NewThread("t9")
 	extra.AddWork(5e12)
 	grown := append(append([]*Thread(nil), threads...), extra)
-	if !m.Match(grown, true, Unlimited, Pressure{}) {
+	if !m.Match(cpu, grown, true, Unlimited, Pressure{}) {
 		t.Fatal("steady streak should skip the set scan")
 	}
 
 	// One non-steady window breaks the streak and forces the counting scan,
 	// which sees five runnable threads against four entries.
-	if m.Match(grown, false, Unlimited, Pressure{}) {
+	if m.Match(cpu, grown, false, Unlimited, Pressure{}) {
 		t.Fatal("broken streak must fall back to the set scan and miss")
 	}
 
 	// A fresh steady window does not resurrect the old trust: the window was
 	// last verified before this streak began, so the scan still runs.
-	if m.Match(grown, true, Unlimited, Pressure{}) {
+	if m.Match(cpu, grown, true, Unlimited, Pressure{}) {
 		t.Fatal("trust must not survive a broken streak without re-verification")
 	}
 
 	// Back at the recorded population the scan proves the set again, and the
 	// match re-verifies the window for future streaks.
-	if !m.Match(threads, true, Unlimited, Pressure{}) {
+	if !m.Match(cpu, threads, true, Unlimited, Pressure{}) {
 		t.Fatal("restored population should match via the full scan")
 	}
 }
@@ -339,7 +361,7 @@ func TestMemoInvalidateAndRecycle(t *testing.T) {
 	if m.valid {
 		t.Error("Invalidate should disarm the memo")
 	}
-	if m.Match(threads, false, Unlimited, Pressure{}) {
+	if m.Match(cpu, threads, false, Unlimited, Pressure{}) {
 		t.Error("invalidated memo must not match")
 	}
 
@@ -348,11 +370,11 @@ func TestMemoInvalidateAndRecycle(t *testing.T) {
 	if m.valid {
 		t.Error("Recycle should return a disarmed memo")
 	}
-	if m.Match(threads, false, Unlimited, Pressure{}) {
+	if m.Match(cpu, threads, false, Unlimited, Pressure{}) {
 		t.Error("recycled memo must not match")
 	}
 	recordSettled(t, &m, cpu, threads, Unlimited, Pressure{})
-	if !m.Match(threads, false, Unlimited, Pressure{}) {
+	if !m.Match(cpu, threads, false, Unlimited, Pressure{}) {
 		t.Error("recycled memo should record and replay again")
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // PlaceEnv is the per-window placement view a Placer decides against. The
-// scheduler builds it once per window from the CPU snapshot and the
-// caller's thermal-pressure report; placers must not mutate its fields
-// (Rank keeps its own aggregates current).
+// scheduler builds it once per window from the CPU's per-core state and
+// the caller's thermal-pressure report; placers must not mutate its fields
+// (Rank keeps its own aggregates current). Online is the CPU's own slice.
 type PlaceEnv struct {
 	// Online flags each core's hotplug state.
 	Online []bool

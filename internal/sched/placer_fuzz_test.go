@@ -141,7 +141,7 @@ func (b *fuzzBytes) next() int {
 type fuzzUniverse struct {
 	clusters []soc.Cluster
 	specs    []em.DomainSpec
-	offline  []int     // core ids to take offline (errors ignored: one must stay up)
+	online   []int     // per-cluster online core count (parking the last cluster is refused: one core must stay up)
 	oppIdx   []int     // per-cluster programmed OPP index
 	capped   []bool    // per-core pressure flags (nil: no pressure)
 	capScale []float64 // per-core scale (nil: fixed derate)
@@ -187,11 +187,19 @@ func buildFuzzUniverse(in *fuzzBytes) (*fuzzUniverse, error) {
 		}})
 		u.oppIdx = append(u.oppIdx, in.next()%nopp)
 	}
+	// Each set mask bit takes one core of its cluster offline; hotplug
+	// keeps a cluster's lowest ids up.
 	mask := in.next()
-	for id := 0; id < u.n; id++ {
-		if mask&(1<<(id%8)) != 0 {
-			u.offline = append(u.offline, id)
+	id := 0
+	for _, cl := range u.clusters {
+		online := cl.NumCores
+		for range cl.NumCores {
+			if mask&(1<<(id%8)) != 0 {
+				online--
+			}
+			id++
 		}
+		u.online = append(u.online, online)
 	}
 	switch in.next() % 3 {
 	case 1: // boolean pressure only: the fixed derate
@@ -219,8 +227,8 @@ func (u *fuzzUniverse) newCPU(t *testing.T) *soc.CPU {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range u.offline {
-		_ = cpu.Offline(id) // the last online core refuses; that is fine
+	for ci, n := range u.online {
+		_ = cpu.SetClusterOnlineCount(ci, n) // parking the last online cluster refuses; that is fine
 	}
 	return cpu
 }
@@ -295,28 +303,25 @@ func FuzzEASPlace(f *testing.F) {
 			if b := in.next(); b%3 == 0 {
 				pool = float64(b) * 1e-4
 			}
-			resA, errA := fast.Schedule(cpuA, thA, dt, pool, pr, nil, nil, nil, 0)
-			resB, errB := slow.Schedule(cpuB, thB, dt, pool, pr, nil, nil, nil, 0)
+			resA, errA := fast.Schedule(cpuA, thA, dt, pool, pr, busyFor(cpuA), nil, 0)
+			resB, errB := slow.Schedule(cpuB, thB, dt, pool, pr, busyFor(cpuB), nil, 0)
 			if errA != nil || errB != nil {
 				t.Fatalf("window %d: schedule errors %v / %v", w, errA, errB)
 			}
 			requireResultIdentical(t, w, resA, resB)
-			requireUniversesIdentical(t, w, fast.snap, slow.snap, thA, thB)
-			requireBusyWithinWindow(t, w, fast.snap, resA, dt)
+			requireUniversesIdentical(t, w, cpuA, cpuB, thA, thB)
+			requireBusyWithinWindow(t, w, cpuA.Online(), resA, dt)
 		}
 	})
 }
 
 // requireBusyWithinWindow checks the per-core busy law: each core's busy
-// seconds lie in [0, dt], and are exactly 0 on a core offline in snap. A
-// core's busy time is a sum of per-thread grants, each divided back out of
-// cycles, so it may overshoot dt by float rounding (a few ulps; utilization
-// clamps at 1 downstream); anything past that slack breaks the law.
-func requireBusyWithinWindow(t *testing.T, w int, snap []soc.CoreSnapshot, res Result, dt time.Duration) {
+// seconds lie in [0, dt], and are exactly 0 on an offline core.
+func requireBusyWithinWindow(t *testing.T, w int, online []bool, res Result, dt time.Duration) {
 	t.Helper()
-	limit := dt.Seconds() * (1 + 1e-12)
+	limit := dt.Seconds()
 	for i, b := range res.BusySeconds {
-		if snap[i].State == soc.StateOffline {
+		if !online[i] {
 			if b != 0 {
 				t.Fatalf("window %d: offline core %d busy %v s", w, i, b)
 			}
@@ -338,10 +343,11 @@ func TestEASPlacerRejectsForeignCPU(t *testing.T) {
 	th := NewThread("t")
 	th.AddWork(1e6)
 	s := Scheduler{Placer: placer}
-	if _, err := s.Schedule(newCPU(t, 4), []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err == nil {
+	busy := make([]float64, 4)
+	if _, err := s.Schedule(newCPU(t, 4), []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busy, nil, 0); err == nil {
 		t.Error("2-domain model accepted on a homogeneous 4-core CPU")
 	}
-	if _, err := s.Schedule(thermalTestCPU(t), []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(thermalTestCPU(t), []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busy, nil, 0); err != nil {
 		t.Errorf("matching 2+2 CPU rejected: %v", err)
 	}
 }

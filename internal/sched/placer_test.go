@@ -86,10 +86,10 @@ func TestEASMigratesAtCrossover(t *testing.T) {
 	gth, eth := NewThread("hot"), NewThread("hot")
 	gth.AddWork(work)
 	eth.AddWork(work)
-	if _, err := greedy.Schedule(greedyCPU, []*Thread{gth}, dt, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := greedy.Schedule(greedyCPU, []*Thread{gth}, dt, Unlimited, Pressure{}, busyFor(greedyCPU), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eas.Schedule(easCPU, []*Thread{eth}, dt, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := eas.Schedule(easCPU, []*Thread{eth}, dt, Unlimited, Pressure{}, busyFor(easCPU), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := gth.LastCore(); lc >= 2 {
@@ -112,7 +112,7 @@ func TestEASKeepsLowRatesLittle(t *testing.T) {
 	s.Placer = placer
 	th := NewThread("calm")
 	th.AddWork(0.3e6) // 300 MHz rate
-	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc >= 2 {
@@ -133,14 +133,14 @@ func TestEASMigratesHomeAgain(t *testing.T) {
 	s.Placer = placer
 	th := NewThread("burst")
 	th.AddWork(0.95e6)
-	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if th.LastCore() < 2 {
 		t.Fatalf("setup: thread on core %d, want big", th.LastCore())
 	}
 	th.AddWork(0.3e6)
-	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc >= 2 {
@@ -195,7 +195,7 @@ func TestEASHomogeneousEquivalence(t *testing.T) {
 			}
 			// Two windows so soft affinity exercises both paths.
 			for w := 0; w < 2; w++ {
-				if _, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{Capped: capped}, nil, nil, nil, 0); err != nil {
+				if _, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{Capped: capped}, busyFor(cpu), nil, 0); err != nil {
 					t.Fatal(err)
 				}
 				for i := range threads {
@@ -241,7 +241,7 @@ func TestEASHeadroomAwareDerate(t *testing.T) {
 			Capped:   []bool{false, false, true, true},
 			CapScale: []float64{1, 1, scale, scale},
 		}
-		if _, err := s.Schedule(cpu, []*Thread{th}, 10*time.Millisecond, Unlimited, pr, nil, nil, nil, 0); err != nil {
+		if _, err := s.Schedule(cpu, []*Thread{th}, 10*time.Millisecond, Unlimited, pr, busyFor(cpu), nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		return th.LastCore()

@@ -27,6 +27,10 @@ func newCPUOn(t *testing.T, cores int, table *soc.OPPTable) *soc.CPU {
 	return cpu
 }
 
+// busyFor returns a busy-seconds buffer covering cpu's cores, the buffer
+// every Schedule caller supplies.
+func busyFor(cpu *soc.CPU) []float64 { return make([]float64, cpu.NumCores()) }
+
 func TestThreadLifecycle(t *testing.T) {
 	th := NewThread("worker")
 	if th.Runnable() {
@@ -53,13 +57,13 @@ func TestThreadLifecycle(t *testing.T) {
 
 func TestScheduleExecutesWork(t *testing.T) {
 	cpu := newCPU(t, 4)
-	if err := cpu.SetFreqAll(1_036_800 * soc.KHz); err != nil {
+	if err := cpu.SetClusterFreq(0, 1_036_800*soc.KHz); err != nil {
 		t.Fatal(err)
 	}
 	var s Scheduler
 	th := NewThread("t0")
 	th.AddWork(500_000) // ~0.48 ms at 1.0368 GHz
-	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
+	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +81,7 @@ func TestScheduleExecutesWork(t *testing.T) {
 
 func TestScheduleBalancesThreads(t *testing.T) {
 	cpu := newCPU(t, 4)
-	if err := cpu.SetFreqAll(300 * soc.MHz); err != nil {
+	if err := cpu.SetClusterFreq(0, 300*soc.MHz); err != nil {
 		t.Fatal(err)
 	}
 	var s Scheduler
@@ -86,7 +90,7 @@ func TestScheduleBalancesThreads(t *testing.T) {
 		threads[i] = NewThread("t" + string(rune('0'+i)))
 		threads[i].AddWork(1e9) // far more than one tick can serve
 	}
-	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
+	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +114,13 @@ func TestScheduleAffinity(t *testing.T) {
 	var s Scheduler
 	th := NewThread("sticky")
 	th.AddWork(1000)
-	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	home := th.LastCore()
 	for i := 0; i < 5; i++ {
 		th.AddWork(1000)
-		if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+		if _, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		if th.LastCore() != home {
@@ -135,7 +139,7 @@ func TestScheduleSkipsOfflineCores(t *testing.T) {
 	for _, th := range threads {
 		th.AddWork(1e9)
 	}
-	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
+	res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestBandwidthPoolCapsAggregate(t *testing.T) {
 		threads[i].AddWork(1e9)
 	}
 	pool := 0.002 // two core-milliseconds across four cores
-	res, err := s.Schedule(cpu, threads, time.Millisecond, pool, Pressure{}, nil, nil, nil, 0)
+	res, err := s.Schedule(cpu, threads, time.Millisecond, pool, Pressure{}, busyFor(cpu), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,7 @@ func TestZeroPoolRunsNothing(t *testing.T) {
 	var s Scheduler
 	th := NewThread("starved")
 	th.AddWork(1000)
-	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, 0, Pressure{}, nil, nil, nil, 0)
+	res, err := s.Schedule(cpu, []*Thread{th}, time.Millisecond, 0, Pressure{}, busyFor(cpu), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +204,14 @@ func TestZeroPoolRunsNothing(t *testing.T) {
 
 func TestScheduleValidation(t *testing.T) {
 	var s Scheduler
-	if _, err := s.Schedule(nil, nil, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err == nil {
+	if _, err := s.Schedule(nil, nil, time.Millisecond, Unlimited, Pressure{}, make([]float64, 2), nil, 0); err == nil {
 		t.Error("nil cpu accepted")
 	}
 	cpu := newCPU(t, 2)
-	if _, err := s.Schedule(cpu, nil, 0, Unlimited, Pressure{}, nil, nil, nil, 0); err == nil {
+	if _, err := s.Schedule(cpu, nil, 0, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := s.Schedule(cpu, nil, -time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0); err == nil {
+	if _, err := s.Schedule(cpu, nil, -time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err == nil {
 		t.Error("negative window accepted")
 	}
 }
@@ -220,7 +224,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		threads[0].AddWork(5e5)
 		threads[1].AddWork(5e5)
 		threads[2].AddWork(3e5)
-		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
+		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +252,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			threads[i].AddWork(amt)
 			deposited += amt
 		}
-		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
+		res, err := s.Schedule(cpu, threads, time.Millisecond, Unlimited, Pressure{}, busyFor(cpu), nil, 0)
 		if err != nil {
 			return false
 		}
@@ -303,7 +307,7 @@ func TestThermalPressureSteersToCoolCluster(t *testing.T) {
 	cpu := thermalTestCPU(t)
 	th := NewThread("hog")
 	th.AddWork(1e12)
-	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc < 2 {
@@ -315,7 +319,7 @@ func TestThermalPressureSteersToCoolCluster(t *testing.T) {
 	th = NewThread("hog")
 	th.AddWork(1e12)
 	capped := []bool{false, false, true, true}
-	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: capped}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: capped}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc >= 2 {
@@ -340,9 +344,9 @@ func TestScheduleMatchesScheduleWithNilPressure(t *testing.T) {
 		var res Result
 		var err error
 		if zero {
-			res, err = s.Schedule(cpu, threads, dt, Unlimited, Pressure{}, nil, nil, nil, 0)
+			res, err = s.Schedule(cpu, threads, dt, Unlimited, Pressure{}, busyFor(cpu), nil, 0)
 		} else {
-			res, err = s.Schedule(cpu, threads, dt, Unlimited, cool, nil, nil, nil, 0)
+			res, err = s.Schedule(cpu, threads, dt, Unlimited, cool, busyFor(cpu), nil, 0)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -367,7 +371,7 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	cpu := thermalTestCPU(t)
 	th := NewThread("render")
 	th.AddWork(1e12)
-	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc < 2 {
@@ -376,7 +380,7 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	// Big cluster caps: the next window must move the thread to LITTLE.
 	th.AddWork(1e12)
 	capped := []bool{false, false, true, true}
-	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: capped}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: capped}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lc := th.LastCore(); lc >= 2 {
@@ -386,7 +390,7 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	th.AddWork(1e12)
 	lcBefore := th.LastCore()
 	allCapped := []bool{true, true, true, true}
-	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: allCapped}, nil, nil, nil, 0); err != nil {
+	if _, err := s.Schedule(cpu, []*Thread{th}, dt, Unlimited, Pressure{Capped: allCapped}, busyFor(cpu), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if th.LastCore() != lcBefore {
@@ -394,14 +398,15 @@ func TestThermalPressureBreaksAffinity(t *testing.T) {
 	}
 }
 
-// TestScheduleReusesBuffer: a caller-supplied busy buffer must yield results
-// identical to a nil one while receiving the busy seconds — including
-// zeroing stale entries from the previous window.
+// TestScheduleReusesBuffer: a reused busy buffer must yield results
+// identical to a fresh one while receiving the busy seconds — including
+// zeroing stale entries from the previous window — and a buffer too small
+// for the CPU is refused.
 func TestScheduleReusesBuffer(t *testing.T) {
 	fresh := newCPU(t, 4)
 	pooled := newCPU(t, 4)
 	for _, cpu := range []*soc.CPU{fresh, pooled} {
-		if err := cpu.SetFreqAll(1_036_800 * soc.KHz); err != nil {
+		if err := cpu.SetClusterFreq(0, 1_036_800*soc.KHz); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,11 +422,11 @@ func TestScheduleReusesBuffer(t *testing.T) {
 	// Poison the reused buffer so a missing zeroing pass shows up.
 	buf := []float64{99, 99, 99, 99}
 	for window := 0; window < 3; window++ {
-		ra, err := sa.Schedule(fresh, mkThreads(), time.Millisecond, Unlimited, Pressure{}, nil, nil, nil, 0)
+		ra, err := sa.Schedule(fresh, mkThreads(), time.Millisecond, Unlimited, Pressure{}, busyFor(fresh), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := sb.Schedule(pooled, mkThreads(), time.Millisecond, Unlimited, Pressure{}, buf, nil, nil, 0)
+		rb, err := sb.Schedule(pooled, mkThreads(), time.Millisecond, Unlimited, Pressure{}, buf, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,13 +443,8 @@ func TestScheduleReusesBuffer(t *testing.T) {
 			}
 		}
 	}
-	// A too-small buffer still works (Schedule grows it).
 	var sc Scheduler
-	rc, err := sc.Schedule(newCPU(t, 4), mkThreads(), time.Millisecond, Unlimited, Pressure{}, make([]float64, 1), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rc.BusySeconds) != 4 {
-		t.Errorf("grown buffer length = %d, want 4", len(rc.BusySeconds))
+	if _, err := sc.Schedule(newCPU(t, 4), mkThreads(), time.Millisecond, Unlimited, Pressure{}, make([]float64, 1), nil, 0); err == nil {
+		t.Error("a 1-core busy buffer was accepted for a 4-core CPU")
 	}
 }

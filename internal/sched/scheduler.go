@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"time"
 
@@ -62,9 +63,8 @@ type Scheduler struct {
 	Placer Placer
 
 	// Per-window scratch, reused to keep the per-tick path allocation-free.
-	// The env's Online, Budget and Freq slices and its per-rank records
-	// are scratch too, kept across windows.
-	snap     []soc.CoreSnapshot
+	// The env's Budget and Freq slices and its per-rank records are
+	// scratch too, kept across windows; its Online slice is the CPU's own.
 	runnable byDebt
 	env      PlaceEnv
 	// Per-CPU state, rebuilt when the CPU changes (its topology is fixed):
@@ -135,51 +135,37 @@ func (s *Scheduler) placer() Placer {
 // homogeneous platform where derating is uniform, places without it).
 // Schedule returns per-core busy time plus the pool time actually consumed.
 //
-// busy, when it has the capacity, receives the per-core busy seconds (it
-// is zeroed and resized to the core count), so a per-tick caller reuses
-// one buffer across windows and the scheduler allocates nothing in steady
-// state; a nil or undersized busy falls back to a fresh allocation. The
-// returned Result aliases busy — the caller owns the buffer and must not
-// reuse it until it is done with the Result.
-//
-// snap, when non-nil, is the caller's current view of the CPU — each core's
-// online state and programmed frequency, exactly as SnapshotInto would
-// report them — and the scheduler trusts it instead of taking its own
-// locked snapshot. A nil snap makes the scheduler snapshot the CPU itself.
-// Only offline-ness and frequency feed scheduling. Either way, the
-// scheduler then writes each online core's Active/Idle state for the
-// window into the snapshot it scheduled against: Active when the core ran
-// for at least a whole nanosecond.
+// cpu is read, never written: each core's online flag and programmed
+// frequency are the window's capacity. busy receives the per-core busy
+// seconds (it is zeroed and resliced to the core count; its capacity must
+// cover every core), so a per-tick caller reuses one buffer across windows
+// and the scheduler allocates nothing in steady state. No core is reported
+// busy for longer than dt. The returned Result aliases busy — the caller
+// owns the buffer and must not reuse it until it is done with the Result.
 //
 // rec, when non-nil, records the window for the quiescent-tick fast path:
-// the per-thread placements and grants, the busy vector, and the pressure
-// view. Recording first drops rec's held window; rec arms again only when
-// the window is replayable — either no pool clamping and no throttling, or
-// a pool drained before the first grant (see Memo.finish). satRate is the
-// capacity ceiling for the saturation classing (see Memo.begin); callers
-// pass the platform's top ladder frequency. It is ignored when rec is nil.
+// the per-thread placements and grants, the busy vector, the pressure view
+// and the CPU's change signal (soc.CPU.Gen). Recording first drops rec's
+// held window; rec arms again only when the window is replayable — either
+// no pool clamping and no throttling, or a pool drained before the first
+// grant (see Memo.finish). satRate is the capacity ceiling for the
+// saturation classing (see Memo.begin); callers pass the platform's top
+// ladder frequency. It is ignored when rec is nil.
 //
 //mobicore:hotpath
-func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure, busy []float64, snap []soc.CoreSnapshot, rec *Memo, satRate float64) (Result, error) {
+func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure, busy []float64, rec *Memo, satRate float64) (Result, error) {
 	if cpu == nil {
 		return Result{}, errors.New("sched: nil cpu")
 	}
 	if dt <= 0 {
 		return Result{}, errors.New("sched: non-positive window")
 	}
-
-	if snap == nil {
-		snap = cpu.SnapshotInto(s.snap)
-		s.snap = snap
+	n := cpu.NumCores()
+	if cap(busy) < n {
+		return Result{}, fmt.Errorf("sched: busy buffer holds %d cores, the CPU has %d", cap(busy), n)
 	}
 	dts := dt.Seconds()
-	if cap(busy) < len(snap) {
-		// Without a caller buffer the Result escapes with its own slice —
-		// the pre-arena API's ownership contract.
-		//mobilint:ignore one Result slice per window when the caller passes no buffer
-		busy = make([]float64, len(snap))
-	}
-	busy = busy[:len(snap)]
+	busy = busy[:n]
 	for i := range busy {
 		busy[i] = 0
 	}
@@ -205,27 +191,23 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 	}
 
 	if rec != nil {
-		rec.begin(dt, satRate)
+		rec.begin(dt, satRate, cpu.Gen())
 	}
 
 	pool := poolSec
 	limited := pool >= 0
 
-	budget, online, freq := s.env.Budget, s.env.Online, s.env.Freq
-	if cap(budget) < len(snap) {
+	online, freqs := cpu.Online(), cpu.Freqs()
+	budget, freq := s.env.Budget, s.env.Freq
+	if cap(budget) < n {
 		//mobilint:ignore one-time scratch growth on first window or topology change
-		budget, online, freq = make([]float64, len(snap)), make([]bool, len(snap)), make([]float64, len(snap))
+		budget, freq = make([]float64, n), make([]float64, n)
 	}
-	budget, online, freq = budget[:len(snap)], online[:len(snap)], freq[:len(snap)]
-	for i, c := range snap {
-		if c.State != soc.StateOffline {
-			online[i] = true
-			budget[i] = dts
-			freq[i] = float64(c.Freq)
-		} else {
-			online[i] = false
-			budget[i] = 0
-			freq[i] = 0
+	budget, freq = budget[:n], freq[:n]
+	for i, on := range online {
+		budget[i], freq[i] = 0, 0
+		if on {
+			budget[i], freq[i] = dts, float64(freqs[i])
 		}
 	}
 
@@ -325,23 +307,17 @@ func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, 
 		leftover += t.pending
 	}
 	if leftover > 0 && limited && pool <= 1e-12 {
-		for i := range snap {
-			if online[i] && budget[i] > 0 {
+		for i, on := range online {
+			if on && budget[i] > 0 {
 				res.ThrottledSeconds += budget[i]
 			}
 		}
 	}
 
-	// A core is Active for the window when it ran a whole nanosecond.
-	for i := range snap {
-		if !online[i] {
-			continue
-		}
-		if uint64(res.BusySeconds[i]*1e9) > 0 {
-			snap[i].State = soc.StateActive
-		} else {
-			snap[i].State = soc.StateIdle
-		}
+	// A core's busy time is a sum of grants, each divided back out of
+	// cycles, so rounding can carry it a few ulps past the window.
+	for i, b := range busy {
+		busy[i] = min(b, dts)
 	}
 	if rec != nil {
 		rec.finish(res, pr, limited, pool)

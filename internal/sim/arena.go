@@ -3,8 +3,8 @@ package sim
 import "mobicore/internal/metrics"
 
 // Arena is a cross-session reuse pool for the engine's buffers: the sampled
-// series, CPU snapshots, scheduler scratch, policy-input slices, the power
-// monitor's trace, and every per-cluster accumulator. A fleet worker owns
+// series, scheduler scratch, policy-input slices, the power monitor's
+// trace, and every per-cluster accumulator. A fleet worker owns
 // one arena and threads it through consecutive cells, so steady-state cell
 // execution allocates almost nothing — buffers are reset to length zero
 // between sessions but keep their capacity, and series capacity is

@@ -42,20 +42,17 @@ type Sim struct {
 	quota     float64
 	quotaPool float64  // shared bandwidth pool (seconds) remaining this period
 	requested []soc.Hz // manager-requested per-core frequency, pre thermal clamp
-	applied   []soc.Hz // mirror of each core's programmed frequency, so the per-tick re-clamp skips locked CPU reads
 	capGen    uint64   // thermal cap generation at the last re-clamp; the per-tick re-clamp runs only when a cap moved
 	prGen     uint64   // thermal cap generation of the cached pressure view (capped/capScale)
 
 	// quiescent-tick fast path: the retained scheduling window and the
 	// integration tail it fuses with. The memo proves the thread-side
-	// inputs unchanged (sched.Memo.Match); for the CPU-side inputs the sim
-	// keeps one rule: whenever a core is reprogrammed (applyFrequencies) or
-	// its online state moves (samplePolicy), it invalidates the memo,
-	// trusting the applied-frequency mirror in between. Every full pass
-	// writes the tail; a recording pass drops the window before it records
-	// and a pass the recording backoff skips invalidates it, so a valid
-	// window always holds the tail of the pass that armed it. A no-op
-	// policy decision keeps the window armed.
+	// inputs unchanged and, through the CPU's change signal, that no core
+	// was reprogrammed or hotplugged since the window was recorded
+	// (sched.Memo.Match). Every full pass writes the tail; a recording pass
+	// drops the window before it records and a pass the recording backoff
+	// skips invalidates it, so a valid window always holds the tail of the
+	// pass that armed it. A no-op policy decision keeps the window armed.
 	memo      sched.Memo
 	fast      fastState
 	satRate   float64                 // saturation ceiling (cycles/sec): the platform's top ladder frequency
@@ -64,21 +61,18 @@ type Sim struct {
 	slowRun   int                     // full passes since the last replay (drives the recording backoff)
 
 	// per-tick scratch, reused to keep the hot loop allocation-free
-	snap        []soc.CoreSnapshot // CPU snapshot buffer
-	util        []float64          // per-core utilization buffer
-	busySec     []float64          // per-core busy-seconds buffer handed to the scheduler
-	zoneWatts   []float64          // per-zone watts fed to the thermal network
-	capped      []bool             // per-core thermal-cap flags for the scheduler
-	capScale    []float64          // per-core headroom-aware capacity scale
-	clusterFmax []float64          // per-cluster ladder top (shared from the platform precompute)
-	threads     []*sched.Thread    // demand gathered from workloads this tick
-	loads       []power.CoreLoad   // per-core load view fed to the power model
+	util        []float64        // per-core utilization buffer
+	busySec     []float64        // per-core busy-seconds buffer handed to the scheduler
+	zoneWatts   []float64        // per-zone watts fed to the thermal network
+	capped      []bool           // per-core thermal-cap flags for the scheduler
+	capScale    []float64        // per-core headroom-aware capacity scale
+	clusterFmax []float64        // per-cluster ladder top (shared from the platform precompute)
+	threads     []*sched.Thread  // demand gathered from workloads this tick
+	loads       []power.CoreLoad // per-core load view fed to the power model
 
 	// per-sample scratch for the policy input, reused because managers
 	// must not retain Input slices past Decide
 	inUtil    []float64
-	inOnline  []bool
-	inCurFreq []soc.Hz
 	inThermal []policy.ThermalSignal
 	clFreq    []float64
 	clOnline  []int
@@ -236,14 +230,12 @@ func newSim(spec SessionSpec, a *Arena) (*Sim, error) {
 		coreCluster: comp.CoreCluster,
 		quota:       1, // boot with the full bandwidth
 		requested:   resize(s.requested, n),
-		applied:     resize(s.applied, n),
 		prGen:       ^uint64(0), // force the first tick to build the pressure view
 
 		memo:                s.memo.Recycle(),
 		fast:                fastState{per: resize(s.fast.per, nc), winInc: resize(s.fast.winInc, n)},
 		satRate:             satRate,
 		hinters:             hinters,
-		snap:                resize(s.snap, n),
 		util:                resize(s.util, n),
 		busySec:             resize(s.busySec, n),
 		zoneWatts:           resize(s.zoneWatts, nc),
@@ -253,8 +245,6 @@ func newSim(spec SessionSpec, a *Arena) (*Sim, error) {
 		threads:             s.threads[:0],
 		loads:               resize(s.loads, n),
 		inUtil:              resize(s.inUtil, n),
-		inOnline:            resize(s.inOnline, n),
-		inCurFreq:           resize(s.inCurFreq, n),
 		inThermal:           resize(s.inThermal, nc),
 		clFreq:              resize(s.clFreq, nc),
 		clOnline:            resize(s.clOnline, nc),
@@ -301,12 +291,6 @@ func newSim(spec SessionSpec, a *Arena) (*Sim, error) {
 			s.requested[id] = boot
 		}
 	}
-	// Seed the programmed-frequency mirror from the booted CPU, so the
-	// per-tick re-clamp can compare against it without locking the CPU.
-	s.snap = s.cpu.SnapshotInto(s.snap)
-	for i, c := range s.snap {
-		s.applied[i] = c.Freq
-	}
 	s.reserve(spec.Duration)
 	return s, nil
 }
@@ -333,9 +317,6 @@ func (s *Sim) reserve(d time.Duration) {
 
 // Now returns the current simulation time.
 func (s *Sim) Now() time.Duration { return s.now }
-
-// CPU exposes the simulated processor (read-mostly; experiments inspect it).
-func (s *Sim) CPU() *soc.CPU { return s.cpu }
 
 // Quota returns the currently programmed bandwidth.
 func (s *Sim) Quota() float64 { return s.quota }
@@ -388,10 +369,9 @@ func (s *Sim) Step() error {
 	pr := sched.Pressure{Capped: s.capped, CapScale: s.capScale}
 
 	// 3. Scheduling and execution. Quiescent fast path: when the retained
-	// window provably reproduces this tick's scheduling decision (the memo
-	// holds it only while its CPU-side inputs are unchanged), replay it and
-	// commit its integration tail.
-	if s.memo.Match(threads, steady, pool, pr) {
+	// window provably reproduces this tick's scheduling decision, replay it
+	// and commit its integration tail.
+	if s.memo.Match(s.cpu, threads, steady, pool, pr) {
 		res := s.memo.ReplayInto(s.busySec)
 		s.fastTicks++
 		s.slowRun = 0
@@ -406,7 +386,7 @@ func (s *Sim) Step() error {
 		s.memo.Invalidate()
 	}
 	s.slowRun++
-	res, err := s.sch.Schedule(s.cpu, threads, dt, pool, pr, s.busySec, s.snap, rec, s.satRate)
+	res, err := s.sch.Schedule(s.cpu, threads, dt, pool, pr, s.busySec, rec, s.satRate)
 	if err != nil {
 		return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
 	}
@@ -414,30 +394,27 @@ func (s *Sim) Step() error {
 	// Full pass: evaluate the power model into the tail, which replays of
 	// a window this pass armed reuse. Overwriting it is safe: any older
 	// window was dropped, by the scheduler before recording or above when
-	// the backoff skipped recording. The snapshot mirror is
-	// current: the scheduler wrote each online core's post-run Active/Idle
-	// state into it, and frequencies/online masks only move through
-	// applyFrequencies and samplePolicy, which both refresh it — so no
-	// locked snapshot is needed here.
+	// the backoff skipped recording. An online core is priced Idle: the
+	// power model charges the idle floor only to a core with zero
+	// utilization, so Idle and Active price a busy core alike.
 	f := &s.fast
 	util := res.UtilizationInto(s.util, dt)
 	s.util = util
 	dts := dt.Seconds()
 	online := 0
 	var freqAcc, overall float64
-	for i, c := range s.snap {
-		s.loads[i] = power.CoreLoad{
-			State: c.State,
-			OPP:   soc.OPP{Freq: c.Freq, Volt: c.Volt},
-			Util:  util[i],
-		}
+	opps := s.cpu.OPPs()
+	for i, on := range s.cpu.Online() {
+		state := soc.StateOffline
 		f.winInc[i] = 0
-		if c.State != soc.StateOffline {
+		if on {
+			state = soc.StateIdle
 			online++
-			freqAcc += float64(c.Freq)
+			freqAcc += float64(opps[i].Freq)
 			overall += util[i]
 			f.winInc[i] = util[i] * dts
 		}
+		s.loads[i] = power.CoreLoad{State: state, OPP: opps[i], Util: util[i]}
 	}
 	base, per := s.model.SystemWattsByCluster(s.loads, f.per)
 	watts := base
@@ -533,31 +510,28 @@ func (s *Sim) commit(dt time.Duration, res sched.Result, f *fastState) error {
 func (s *Sim) FastTicks() uint64 { return s.fastTicks }
 
 // samplePolicy runs the manager against the accumulated window and applies
-// its decision. The Input slices are the sim's pooled per-sample scratch:
-// managers receive them for the duration of Decide only and must not retain
-// them (every in-tree manager reduces the window to scalars). The
-// decision's slices are the manager's until its next Decide, so TargetFreq
-// is copied and OnlineVec applied before this returns.
+// its decision. The Input slices are the sim's pooled per-sample scratch
+// and the CPU's own online flags and frequencies: managers read them for
+// the duration of Decide only and must not write or retain them (every
+// in-tree manager reduces the window to scalars). The decision's slices
+// are the manager's until its next Decide, so TargetFreq is copied and
+// OnlineVec applied before this returns.
 func (s *Sim) samplePolicy() error {
 	period := s.now - s.lastSample
 	s.lastSample = s.now
 
-	// The snapshot mirror is current on every field the policy input reads
-	// (online state and programmed frequency — refreshed on every
-	// reprogram, hotplug, and slow tick), so no locked snapshot is needed
-	// before the decision.
-	snap := s.snap
+	n := s.cpu.NumCores()
 	in := policy.Input{
 		Now:      s.now,
 		Period:   period,
-		Util:     resize(s.inUtil, len(snap)),
-		Online:   resize(s.inOnline, len(snap)),
-		CurFreq:  resize(s.inCurFreq, len(snap)),
+		Util:     resize(s.inUtil, n),
+		Online:   s.cpu.Online(),
+		CurFreq:  s.cpu.Freqs(),
 		Quota:    s.quota,
 		Clusters: s.views,
 		Thermal:  resize(s.inThermal, len(s.views)),
 	}
-	s.inUtil, s.inOnline, s.inCurFreq, s.inThermal = in.Util, in.Online, in.CurFreq, in.Thermal
+	s.inUtil, s.inThermal = in.Util, in.Thermal
 	for ci := range s.views {
 		in.Thermal[ci] = policy.ThermalSignal{
 			TempC:      s.net.TempC(ci),
@@ -567,10 +541,8 @@ func (s *Sim) samplePolicy() error {
 		}
 	}
 	winSec := s.winElapsed.Seconds()
-	for i, c := range snap {
-		in.Online[i] = c.State != soc.StateOffline
-		in.CurFreq[i] = c.Freq
-		if winSec > 0 && in.Online[i] {
+	for i, on := range in.Online {
+		if winSec > 0 && on {
 			u := s.winBusySec[i] / winSec
 			if u > 1 {
 				u = 1
@@ -579,11 +551,16 @@ func (s *Sim) samplePolicy() error {
 		}
 	}
 
+	// The sampled utilization averages the window over the cores online
+	// before the decision: in.Online is the CPU's live flags, which the
+	// decision's hotplug moves.
+	overallUtil := in.OverallUtil()
+
 	dec, err := s.spec.Manager.Decide(in)
 	if err != nil {
 		return fmt.Errorf("sim: policy %s at %v: %w", s.spec.Manager.Name(), s.now, err)
 	}
-	if err := dec.Validate(s.views, len(snap)); err != nil {
+	if err := dec.Validate(s.views, n); err != nil {
 		return fmt.Errorf("sim: policy %s produced invalid decision: %w", s.spec.Manager.Name(), err)
 	}
 
@@ -616,40 +593,28 @@ func (s *Sim) samplePolicy() error {
 	s.quota = dec.Quota
 	s.refillQuota()
 
-	// Record the sampled series, aggregate and per-cluster.
-	snap = s.cpu.SnapshotInto(s.snap)
-	s.snap = snap
-	// A decision that actually moved a core's online state changes the
-	// scheduling capacity and power inputs outside what the memo
-	// fingerprints: drop the retained window. Frequency moves already
-	// invalidated the memo inside applyFrequencies, and the quota/pool
-	// refill is a per-tick Match input — so a no-op decision (the
-	// steady-state common case) keeps the memo armed straight across the
-	// sample boundary.
-	for i, c := range snap {
-		if (c.State != soc.StateOffline) != in.Online[i] {
-			s.memo.Invalidate()
-			break
-		}
-	}
+	// Record the sampled series, aggregate and per-cluster, from the CPU
+	// as the decision left it.
 	var freqAcc float64
 	online := 0
 	clFreq := resize(s.clFreq, len(s.views))
 	clOnline := resize(s.clOnline, len(s.views))
 	s.clFreq, s.clOnline = clFreq, clOnline
-	for _, c := range snap {
-		if c.State != soc.StateOffline {
-			freqAcc += float64(c.Freq)
+	freqs := s.cpu.Freqs()
+	for i, on := range s.cpu.Online() {
+		if on {
+			f, ci := float64(freqs[i]), s.coreCluster[i]
+			freqAcc += f
 			online++
-			clFreq[c.Cluster] += float64(c.Freq)
-			clOnline[c.Cluster]++
+			clFreq[ci] += f
+			clOnline[ci]++
 		}
 	}
 	if online > 0 {
 		s.freqSeries.Append(s.now, freqAcc/float64(online))
 	}
 	s.coreSeries.Append(s.now, float64(online))
-	s.utilSeries.Append(s.now, in.OverallUtil())
+	s.utilSeries.Append(s.now, overallUtil)
 	s.quotaSeries.Append(s.now, s.quota)
 	s.tempSeries.Append(s.now, s.net.MaxTempC())
 	for ci := range s.views {
@@ -681,34 +646,24 @@ func (s *Sim) refillQuota() {
 	s.quotaPool = s.quota * float64(s.cpu.NumCores()) * s.spec.SamplePeriod.Seconds()
 }
 
-// applyFrequencies programs each online core to its requested frequency,
-// clamped by the owning cluster's own thermal zone on its own ladder. The
-// applied mirror tracks what each core was last programmed to — only the
-// sim mutates core frequencies, so comparing against the mirror skips the
-// per-core locked CPU read the per-tick re-clamp used to pay.
+// applyFrequencies programs each core to its requested frequency, clamped
+// by the owning cluster's own thermal zone on its own ladder. A core whose
+// frequency actually moves (a thermal clamp engaging or releasing between
+// samples, or a policy decision) moves the CPU's change signal, which
+// drops the memo's window.
 //
 //mobicore:hotpath
 func (s *Sim) applyFrequencies() error {
 	s.capGen = s.net.CapGen()
-	dirty := false
+	cur := s.cpu.Freqs()
 	for i, want := range s.requested {
 		f := s.net.Clamp(s.coreCluster[i], want)
-		if s.applied[i] == f {
+		if cur[i] == f {
 			continue
 		}
 		if err := s.cpu.SetFreq(i, f); err != nil {
 			return fmt.Errorf("sim: programming core %d to %v: %w", i, f, err)
 		}
-		s.applied[i] = f
-		dirty = true
-	}
-	if dirty {
-		// A reprogrammed core (thermal clamp engaging or releasing between
-		// samples, or a policy decision) changes scheduling and power
-		// inputs the memo does not fingerprint: drop the retained window,
-		// and refresh the snapshot mirror the scheduler trusts.
-		s.memo.Invalidate()
-		s.snap = s.cpu.SnapshotInto(s.snap)
 	}
 	return nil
 }

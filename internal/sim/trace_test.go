@@ -94,7 +94,7 @@ func TestPowerTraceMatchesUntraced(t *testing.T) {
 }
 
 // TestStepAllocs locks the per-tick allocation diet after pooling every
-// scheduler and snapshot buffer: a steady-state Step (including its
+// scheduler and per-tick buffer: a steady-state Step (including its
 // amortized share of policy samples) averages 1 alloc/op on this
 // workload — the Result.BusySeconds slice that escapes to the caller —
 // down from 13 before pooling started and 11 before the scheduler's
@@ -113,8 +113,8 @@ func TestStepAllocs(t *testing.T) {
 		}
 	})
 	// The warm tick loop is fully pooled: scheduler results reuse the
-	// Sim's busy-seconds buffer, the CPU commits under one batched lock,
-	// and every per-sample slice draws from arena-style scratch. The
+	// Sim's busy-seconds buffer, the CPU is read in place, and every
+	// per-sample slice draws from arena-style scratch. The
 	// fractional budget tolerates rare runtime-internal noise only.
 	const budget = 0.5
 	if allocs > budget {

@@ -43,7 +43,7 @@ var (
 // are assigned contiguously in cluster order, so listing the LITTLE cluster
 // first gives it the low core ids — the msm8994-style numbering that makes
 // lowest-id-first hotplug prefer the efficient cores. All cores start
-// online (idle) at their cluster's minimum frequency.
+// online at their cluster's minimum frequency.
 func NewClusteredCPU(clusters []Cluster) (*CPU, error) {
 	if len(clusters) == 0 {
 		return nil, errors.New("soc: need at least one cluster")
@@ -57,15 +57,22 @@ func NewClusteredCPU(clusters []Cluster) (*CPU, error) {
 	}
 	cs := make([]Cluster, len(clusters))
 	copy(cs, clusters)
-	cores := make([]*Core, 0, total)
-	coreCluster := make([]int, 0, total)
+	c := &CPU{
+		online:      make([]bool, 0, total),
+		freq:        make([]Hz, 0, total),
+		opp:         make([]OPP, 0, total),
+		clusters:    cs,
+		coreCluster: make([]int, 0, total),
+	}
 	for ci, cl := range cs {
+		boot := cl.Table.Min()
 		for i := 0; i < cl.NumCores; i++ {
-			cores = append(cores, newCore(len(cores), cl.Table))
-			coreCluster = append(coreCluster, ci)
+			c.online = append(c.online, true)
+			c.freq = append(c.freq, boot.Freq)
+			c.opp = append(c.opp, boot)
+			c.coreCluster = append(c.coreCluster, ci)
 		}
 	}
-	c := &CPU{cores: cores, clusters: cs, coreCluster: coreCluster}
 	c.computeRanks()
 	return c, nil
 }
@@ -87,7 +94,7 @@ func (c *CPU) computeRanks() {
 	for rank, ci := range order {
 		rankOfCluster[ci] = rank
 	}
-	c.coreRank = make([]int, len(c.cores))
+	c.coreRank = make([]int, len(c.coreCluster))
 	for id, ci := range c.coreCluster {
 		c.coreRank[id] = rankOfCluster[ci]
 	}
@@ -99,31 +106,15 @@ func (c *CPU) computeRanks() {
 // not be mutated.
 func (c *CPU) ClusterRanks() ([]int, int) { return c.coreRank, c.numRanks }
 
-// ClusterCoreIDs returns the core ids belonging to cluster ci in ascending
-// order.
-func (c *CPU) ClusterCoreIDs(ci int) ([]int, error) {
-	if ci < 0 || ci >= len(c.clusters) {
-		return nil, fmt.Errorf("%w: %d (have %d clusters)", ErrInvalidCluster, ci, len(c.clusters))
-	}
-	ids := make([]int, 0, c.clusters[ci].NumCores)
-	for id, owner := range c.coreCluster {
-		if owner == ci {
-			ids = append(ids, id)
-		}
-	}
-	return ids, nil
-}
-
 // ClusterOnlineCount returns the number of online cores in cluster ci.
 func (c *CPU) ClusterOnlineCount(ci int) (int, error) {
 	if ci < 0 || ci >= len(c.clusters) {
 		return 0, fmt.Errorf("%w: %d (have %d clusters)", ErrInvalidCluster, ci, len(c.clusters))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
-	for id, owner := range c.coreCluster {
-		if owner == ci && c.cores[id].Online() {
+	lo, hi := c.clusterBounds(ci)
+	for _, on := range c.online[lo:hi] {
+		if on {
 			n++
 		}
 	}
@@ -142,13 +133,9 @@ func (c *CPU) SetClusterFreq(ci int, freq Hz) error {
 	if c.clusters[ci].Table.IndexOf(freq) < 0 {
 		return fmt.Errorf("%w: %v (cluster %s)", ErrBadFrequency, freq, c.clusters[ci].Name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, owner := range c.coreCluster {
-		if owner != ci {
-			continue
-		}
-		if err := c.cores[id].setFreq(freq); err != nil {
+	lo, hi := c.clusterBounds(ci)
+	for id := lo; id < hi; id++ {
+		if err := c.setFreq(id, freq); err != nil {
 			return err
 		}
 	}
@@ -165,38 +152,21 @@ func (c *CPU) SetClusterOnlineCount(ci, n int) error {
 	if ci < 0 || ci >= len(c.clusters) {
 		return fmt.Errorf("%w: %d (have %d clusters)", ErrInvalidCluster, ci, len(c.clusters))
 	}
-	if n < 0 {
-		n = 0
-	}
-	if n > c.clusters[ci].NumCores {
-		n = c.clusters[ci].NumCores
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	onlineIn, onlineElsewhere := 0, 0
-	for id, owner := range c.coreCluster {
-		if !c.cores[id].Online() {
-			continue
-		}
-		if owner == ci {
-			onlineIn++
-		} else {
-			onlineElsewhere++
-		}
-	}
-	if n == 0 && onlineElsewhere == 0 {
+	n = max(0, min(n, c.clusters[ci].NumCores))
+	onlineIn, _ := c.ClusterOnlineCount(ci)
+	if n == 0 && c.OnlineCount() == onlineIn {
 		return ErrNoOnlineCore
 	}
 	lo, hi := c.clusterBounds(ci)
-	for id := lo; id < hi && onlineIn < n; id++ { // online from the lowest id
-		if !c.cores[id].Online() {
-			c.cores[id].state = StateIdle
+	for id := lo; onlineIn < n; id++ { // online from the lowest id
+		if !c.online[id] {
+			c.setOnline(id, true)
 			onlineIn++
 		}
 	}
-	for id := hi - 1; id >= lo && onlineIn > n; id-- { // offline from the highest
-		if c.cores[id].Online() {
-			c.cores[id].state = StateOffline
+	for id := hi - 1; onlineIn > n; id-- { // offline from the highest
+		if c.online[id] {
+			c.setOnline(id, false)
 			onlineIn--
 		}
 	}

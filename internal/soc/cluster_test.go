@@ -29,24 +29,21 @@ func TestNewClusteredCPUTopology(t *testing.T) {
 	if cpu.NumCores() != 6 {
 		t.Fatalf("NumCores = %d, want 6", cpu.NumCores())
 	}
-	for _, c := range cpu.Snapshot() {
-		want := 0 // LITTLE first
-		if c.ID >= 4 {
-			want = 1
+	// LITTLE first: cores 0-3 boot at its minimum, 4-5 at big's.
+	for id, f := range cpu.Freqs() {
+		want := 200 * MHz
+		if id >= 4 {
+			want = 300 * MHz
 		}
-		if c.Cluster != want {
-			t.Errorf("snapshot core %d cluster = %d, want %d", c.ID, c.Cluster, want)
+		if f != want {
+			t.Errorf("core %d boot freq = %v, want %v", id, f, want)
 		}
 	}
-	ids, err := cpu.ClusterCoreIDs(1)
-	if err != nil {
-		t.Fatal(err)
+	if n, err := cpu.ClusterOnlineCount(1); err != nil || n != 2 {
+		t.Errorf("big cluster online = %d (%v), want 2", n, err)
 	}
-	if len(ids) != 2 || ids[0] != 4 || ids[1] != 5 {
-		t.Errorf("big cluster core ids = %v, want [4 5]", ids)
-	}
-	if _, err := cpu.ClusterCoreIDs(2); !errors.Is(err, ErrInvalidCluster) {
-		t.Errorf("ClusterCoreIDs(2) error = %v, want ErrInvalidCluster", err)
+	if _, err := cpu.ClusterOnlineCount(2); !errors.Is(err, ErrInvalidCluster) {
+		t.Errorf("ClusterOnlineCount(2) error = %v, want ErrInvalidCluster", err)
 	}
 	rankOf, numRanks := cpu.ClusterRanks()
 	if numRanks != 2 || len(rankOf) != 6 || rankOf[0] != 0 || rankOf[5] != 1 {
@@ -106,8 +103,8 @@ func TestSetClusterFreqValidatesOwnTable(t *testing.T) {
 	if err := cpu.SetClusterFreq(1, bigMax); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := cpu.Freq(5); err != nil || f != bigMax {
-		t.Errorf("offline big core freq = %v (%v), want %v", f, err, bigMax)
+	if f := cpu.Freqs()[5]; f != bigMax {
+		t.Errorf("offline big core freq = %v, want %v", f, bigMax)
 	}
 }
 
@@ -147,18 +144,6 @@ func TestSetClusterOnlineCount(t *testing.T) {
 	}
 }
 
-func TestSetFreqAllHeterogeneous(t *testing.T) {
-	cls := testClusters(t)
-	cpu, err := NewClusteredCPU(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A frequency in only one cluster's table is rejected outright.
-	if err := cpu.SetFreqAll(cls[1].Table.Max().Freq); !errors.Is(err, ErrBadFrequency) {
-		t.Errorf("SetFreqAll accepted a non-shared operating point: %v", err)
-	}
-}
-
 // TestNewCPUSingleCluster: a one-cluster CPU is the homogeneous case,
 // with every core in cluster 0 at efficiency rank 0.
 func TestNewCPUSingleCluster(t *testing.T) {
@@ -167,9 +152,12 @@ func TestNewCPUSingleCluster(t *testing.T) {
 	if numRanks != 1 || len(rankOf) != 4 {
 		t.Fatalf("ranks = %v (%d), want 4 cores in 1 rank", rankOf, numRanks)
 	}
-	for _, c := range cpu.Snapshot() {
-		if c.Cluster != 0 || rankOf[c.ID] != 0 {
-			t.Errorf("core %d: cluster %d, rank %d, want 0 and 0", c.ID, c.Cluster, rankOf[c.ID])
+	for id, r := range rankOf {
+		if r != 0 {
+			t.Errorf("core %d: rank %d, want 0", id, r)
 		}
+	}
+	if n, err := cpu.ClusterOnlineCount(0); err != nil || n != 4 {
+		t.Errorf("cluster 0 online = %d (%v), want all 4 cores", n, err)
 	}
 }

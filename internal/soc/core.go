@@ -3,7 +3,6 @@ package soc
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // CoreState is the power state of a single CPU core (§2.1 of the thesis).
@@ -33,67 +32,28 @@ func (s CoreState) String() string {
 	}
 }
 
-// Errors returned by core and CPU operations.
+// Errors returned by CPU operations.
 var (
-	ErrLastCore     = errors.New("soc: cannot offline the last online core")
 	ErrInvalidCore  = errors.New("soc: invalid core id")
 	ErrBadFrequency = errors.New("soc: frequency is not an operating point")
 )
 
-// Core is one CPU core: its online state and programmed operating point,
-// the two things hotplug and DVFS set. The CPU never marks a core Active
-// (an online core is Idle here); whether a core executed in a window is the
-// scheduler's to say, and it writes Active/Idle into the snapshot it
-// scheduled against. Core is not safe for concurrent use; the owning CPU
-// serializes access.
-type Core struct {
-	id    int
-	table *OPPTable
-
-	state CoreState
-	opp   OPP
-}
-
-// newCore constructs an online, idle core at the table's minimum frequency.
-func newCore(id int, table *OPPTable) *Core {
-	return &Core{id: id, table: table, state: StateIdle, opp: table.Min()}
-}
-
-// ID returns the core's index within its CPU.
-func (c *Core) ID() int { return c.id }
-
-// State returns the core's current power state.
-func (c *Core) State() CoreState { return c.state }
-
-// Online reports whether the core is idle or active.
-func (c *Core) Online() bool { return c.state != StateOffline }
-
-// Freq returns the core's programmed frequency. Offline cores report the
-// frequency they will resume at.
-func (c *Core) Freq() Hz { return c.opp.Freq }
-
-// Volt returns the supply voltage of the core's programmed operating point.
-func (c *Core) Volt() Volt { return c.opp.Volt }
-
-// OPP returns the core's full programmed operating point.
-func (c *Core) OPP() OPP { return c.opp }
-
-// setFreq programs an exact operating point.
-func (c *Core) setFreq(freq Hz) error {
-	i := c.table.IndexOf(freq)
-	if i < 0 {
-		return fmt.Errorf("%w: %v", ErrBadFrequency, freq)
-	}
-	c.opp = c.table.At(i)
-	return nil
-}
-
 // CPU is a multi-core processor with per-core DVFS (each core has its own
 // rail, as on the MSM8974) and hotplug, organized as one or more clusters
-// (frequency domains). CPU is safe for concurrent use.
+// (frequency domains). Per core it holds exactly what hotplug and DVFS
+// set: the online flag and the programmed operating point. The ladders,
+// the core→cluster map and the efficiency ranks are fixed at construction.
+//
+// A CPU is plain data with one owner: the simulation that built it reads
+// and writes it from one goroutine, so it carries no lock. The slices
+// Online, Freqs and OPPs return are the CPU's own state, current until its
+// next mutation; callers read them and never write them.
 type CPU struct {
-	mu          sync.Mutex
-	cores       []*Core
+	online []bool // per-core hotplug state
+	freq   []Hz   // per-core programmed frequency; an offline core keeps the one it resumes at
+	opp    []OPP  // per-core programmed operating point (freq with its voltage)
+	gen    uint64 // bumped whenever a core's frequency or online state changes
+
 	clusters    []Cluster
 	coreCluster []int // core id -> cluster index
 	coreRank    []int // core id -> efficiency rank
@@ -101,185 +61,82 @@ type CPU struct {
 }
 
 // NumCores returns the total number of cores, online or not.
-func (c *CPU) NumCores() int { return len(c.cores) }
+func (c *CPU) NumCores() int { return len(c.online) }
 
 // OnlineCount returns the number of online cores.
 func (c *CPU) OnlineCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
-	for _, core := range c.cores {
-		if core.Online() {
+	for _, on := range c.online {
+		if on {
 			n++
 		}
 	}
 	return n
 }
 
-// CoreSnapshot is an immutable view of one core, safe to hold across ticks.
-// A CPU reports an online core as StateIdle; the scheduler overwrites State
-// with StateActive or StateIdle in the snapshot it schedules against.
-type CoreSnapshot struct {
-	ID      int
-	Cluster int // owning cluster index; 0 on homogeneous CPUs
-	State   CoreState
-	Freq    Hz
-	Volt    Volt
-}
+// Online reports each core's hotplug state, indexed by core id.
+func (c *CPU) Online() []bool { return c.online }
 
-// Snapshot captures the state of every core.
-func (c *CPU) Snapshot() []CoreSnapshot {
-	return c.SnapshotInto(nil)
-}
+// Freqs reports each core's programmed frequency, indexed by core id.
+func (c *CPU) Freqs() []Hz { return c.freq }
 
-// SnapshotInto is Snapshot writing into dst when it has the capacity,
-// so per-tick callers can reuse one buffer and keep the hot loop
-// allocation-free. It returns the filled slice (dst's backing array
-// when it fits, a fresh one otherwise).
-//
-//mobicore:hotpath
-func (c *CPU) SnapshotInto(dst []CoreSnapshot) []CoreSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cap(dst) < len(c.cores) {
-		//mobilint:ignore one-time buffer growth; steady-state callers pass a full-size buffer
-		dst = make([]CoreSnapshot, len(c.cores))
-	}
-	dst = dst[:len(c.cores)]
-	for i, core := range c.cores {
-		dst[i] = CoreSnapshot{
-			ID:      core.id,
-			Cluster: c.coreCluster[i],
-			State:   core.state,
-			Freq:    core.opp.Freq,
-			Volt:    core.opp.Volt,
-		}
-	}
-	return dst
-}
+// OPPs reports each core's programmed operating point, indexed by core id.
+func (c *CPU) OPPs() []OPP { return c.opp }
 
-// SetFreq programs core id to the exact operating frequency freq.
+// Gen is the CPU's change signal: it moves exactly when some core's
+// programmed frequency or online state changes, and never otherwise. A
+// caller that derived something from the CPU's state compares Gen to tell
+// whether that state may have moved since.
+func (c *CPU) Gen() uint64 { return c.gen }
+
+// SetFreq programs core id to the exact operating frequency freq, which
+// must be on the ladder of the core's cluster.
 func (c *CPU) SetFreq(id int, freq Hz) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	core, err := c.core(id)
-	if err != nil {
-		return err
+	if id < 0 || id >= len(c.online) {
+		return fmt.Errorf("%w: %d (have %d cores)", ErrInvalidCore, id, len(c.online))
 	}
-	return core.setFreq(freq)
-}
-
-// SetFreqAll programs every online core to freq (global DVFS). freq must be
-// an operating point of every cluster's table, so on heterogeneous CPUs use
-// SetClusterFreq per domain instead.
-func (c *CPU) SetFreqAll(freq Hz) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cl := range c.clusters {
-		if cl.Table.IndexOf(freq) < 0 {
-			return fmt.Errorf("%w: %v (cluster %s)", ErrBadFrequency, freq, cl.Name)
-		}
-	}
-	for _, core := range c.cores {
-		if core.Online() {
-			if err := core.setFreq(freq); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Freq returns core id's programmed frequency.
-func (c *CPU) Freq(id int) (Hz, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	core, err := c.core(id)
-	if err != nil {
-		return 0, err
-	}
-	return core.opp.Freq, nil
-}
-
-// Online brings core id online (into the idle state). Bringing an online
-// core online is a no-op, matching the kernel's hotplug semantics.
-func (c *CPU) Online(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	core, err := c.core(id)
-	if err != nil {
-		return err
-	}
-	if core.state == StateOffline {
-		core.state = StateIdle
-	}
-	return nil
-}
-
-// Offline removes core id from service. The last online core cannot be
-// offlined: the kernel forbids it and so do we, because a zero-core system
-// has no meaning.
-func (c *CPU) Offline(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	core, err := c.core(id)
-	if err != nil {
-		return err
-	}
-	if core.state == StateOffline {
-		return nil
-	}
-	online := 0
-	for _, other := range c.cores {
-		if other.Online() {
-			online++
-		}
-	}
-	if online <= 1 {
-		return ErrLastCore
-	}
-	core.state = StateOffline
-	return nil
+	return c.setFreq(id, freq)
 }
 
 // SetOnlineCount onlines/offlines cores so that exactly n are online.
 // Cores are onlined lowest-id first and offlined highest-id first, the
 // convention mpdecision follows (core 0 stays up). n is clamped to [1, max].
 func (c *CPU) SetOnlineCount(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(c.cores) {
-		n = len(c.cores)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	online := 0
-	for _, core := range c.cores {
-		if core.Online() {
+	n = max(1, min(n, len(c.online)))
+	online := c.OnlineCount()
+	for id := 0; online < n; id++ { // online from the lowest id
+		if !c.online[id] {
+			c.setOnline(id, true)
 			online++
 		}
 	}
-	// Online additional cores from the lowest id.
-	for i := 0; online < n && i < len(c.cores); i++ {
-		if !c.cores[i].Online() {
-			c.cores[i].state = StateIdle
-			online++
-		}
-	}
-	// Offline surplus cores from the highest id.
-	for i := len(c.cores) - 1; online > n && i > 0; i-- {
-		if c.cores[i].Online() {
-			c.cores[i].state = StateOffline
+	for id := len(c.online) - 1; online > n; id-- { // offline from the highest
+		if c.online[id] {
+			c.setOnline(id, false)
 			online--
 		}
 	}
 	return nil
 }
 
-func (c *CPU) core(id int) (*Core, error) {
-	if id < 0 || id >= len(c.cores) {
-		return nil, fmt.Errorf("%w: %d (have %d cores)", ErrInvalidCore, id, len(c.cores))
+// setFreq programs core id (already checked) to freq on its cluster's
+// ladder.
+func (c *CPU) setFreq(id int, freq Hz) error {
+	table := c.clusters[c.coreCluster[id]].Table
+	i := table.IndexOf(freq)
+	if i < 0 {
+		return fmt.Errorf("%w: %v", ErrBadFrequency, freq)
 	}
-	return c.cores[id], nil
+	if c.freq[id] != freq {
+		c.freq[id], c.opp[id] = freq, table.At(i)
+		c.gen++
+	}
+	return nil
+}
+
+// setOnline flips core id (already checked) to the given hotplug state,
+// which differs from its current one.
+func (c *CPU) setOnline(id int, on bool) {
+	c.online[id] = on
+	c.gen++
 }

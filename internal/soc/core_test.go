@@ -16,12 +16,12 @@ func newTestCPU(t *testing.T) *CPU {
 	return cpu
 }
 
-// onlineIDs lists the online cores of cpu's snapshot in id order.
+// onlineIDs lists cpu's online cores in id order.
 func onlineIDs(cpu *CPU) []int {
 	var ids []int
-	for _, c := range cpu.Snapshot() {
-		if c.State != StateOffline {
-			ids = append(ids, c.ID)
+	for id, on := range cpu.Online() {
+		if on {
+			ids = append(ids, id)
 		}
 	}
 	return ids
@@ -43,12 +43,9 @@ func TestCPUBootState(t *testing.T) {
 	if got := cpu.OnlineCount(); got != 4 {
 		t.Errorf("boot online count = %d, want 4", got)
 	}
-	for _, c := range cpu.Snapshot() {
-		if c.State != StateIdle {
-			t.Errorf("core %d boot state = %v, want idle", c.ID, c.State)
-		}
-		if c.Freq != 300*MHz {
-			t.Errorf("core %d boot freq = %v, want table minimum", c.ID, c.Freq)
+	for id, f := range cpu.Freqs() {
+		if f != 300*MHz || cpu.OPPs()[id] != MSM8974Table().Min() {
+			t.Errorf("core %d boot point = %v (%+v), want table minimum", id, f, cpu.OPPs()[id])
 		}
 	}
 }
@@ -58,12 +55,11 @@ func TestSetFreq(t *testing.T) {
 	if err := cpu.SetFreq(2, 960_000*KHz); err != nil {
 		t.Fatal(err)
 	}
-	f, err := cpu.Freq(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 960_000*KHz {
+	if f := cpu.Freqs()[2]; f != 960_000*KHz {
 		t.Errorf("freq = %v, want 960MHz", f)
+	}
+	if v := cpu.OPPs()[2].Volt; v != 0.975 {
+		t.Errorf("volt = %v, want the 960MHz point's 0.975", v)
 	}
 	if err := cpu.SetFreq(2, 961*MHz); !errors.Is(err, ErrBadFrequency) {
 		t.Errorf("SetFreq(non-OPP) error = %v, want ErrBadFrequency", err)
@@ -75,28 +71,31 @@ func TestSetFreq(t *testing.T) {
 
 func TestHotplugSemantics(t *testing.T) {
 	cpu := newTestCPU(t)
-	if err := cpu.Offline(3); err != nil {
+	if err := cpu.SetOnlineCount(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := cpu.Offline(3); err != nil {
-		t.Errorf("offlining an offline core should be a no-op, got %v", err)
+	gen := cpu.Gen()
+	if err := cpu.SetOnlineCount(3); err != nil {
+		t.Errorf("repeating a hotplug request should be a no-op, got %v", err)
+	}
+	if cpu.Gen() != gen {
+		t.Error("a no-op hotplug request moved the change signal")
 	}
 	if got := cpu.OnlineCount(); got != 3 {
 		t.Fatalf("online count = %d, want 3", got)
 	}
-	for _, id := range []int{2, 1} {
-		if err := cpu.Offline(id); err != nil {
-			t.Fatal(err)
-		}
+	// The SoC's only cluster cannot be parked: some core must stay up.
+	if err := cpu.SetClusterOnlineCount(0, 0); !errors.Is(err, ErrNoOnlineCore) {
+		t.Errorf("parking every core error = %v, want ErrNoOnlineCore", err)
 	}
-	if err := cpu.Offline(0); !errors.Is(err, ErrLastCore) {
-		t.Errorf("offlining last core error = %v, want ErrLastCore", err)
+	if cpu.Gen() != gen || cpu.OnlineCount() != 3 {
+		t.Errorf("a refused hotplug request changed the CPU: %d online", cpu.OnlineCount())
 	}
-	if err := cpu.Online(1); err != nil {
+	if err := cpu.SetClusterOnlineCount(0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := cpu.OnlineCount(); got != 2 {
-		t.Errorf("online count after re-online = %d, want 2", got)
+		t.Errorf("online count after cluster request = %d, want 2", got)
 	}
 }
 

@@ -5,7 +5,10 @@
 // Governors never touch hardware directly; they observe utilization and
 // program frequency and online state through the same narrow surface Linux
 // exposes via sysfs, which is what makes the simulated SoC a faithful
-// substitute for a rooted Nexus 5.
+// substitute for a rooted Nexus 5. That surface is each core's online flag
+// and programmed operating point, which a CPU holds as plain per-core
+// arrays. A CPU has one owner, the simulation that built it, and is read
+// and written from that one goroutine; it carries no lock.
 package soc
 
 import (
