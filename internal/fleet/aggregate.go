@@ -78,10 +78,11 @@ func aggregate(cells []CellResult) []Aggregate {
 		energy, fps, drop, throttle []float64
 		frames                      bool
 	}
-	var order []string
-	groups := map[string]*group{}
-	for _, c := range cells {
-		key := c.Platform + "\x00" + c.Policy + "\x00" + c.Workload + "\x00" + c.Placer
+	var order []groupKey
+	groups := map[groupKey]*group{}
+	for i := range cells {
+		c := &cells[i]
+		key := groupKey{c.Platform, c.Policy, c.Workload, c.Placer}
 		g, ok := groups[key]
 		if !ok {
 			g = &group{
@@ -184,16 +185,21 @@ type Comparison struct {
 // order, pairs in first-appearance order of their conditions.
 func compare(cells []CellResult) []Comparison {
 	out := compareBy(cells, "policy",
-		func(c *CellResult) string { return c.Platform + "\x00" + c.Workload + "\x00" + c.Placer },
+		func(c *CellResult) groupKey {
+			return groupKey{Platform: c.Platform, Workload: c.Workload, Placer: c.Placer}
+		},
 		func(c *CellResult) string { return c.Policy })
 	out = append(out, compareBy(cells, "placer",
-		func(c *CellResult) string { return c.Platform + "\x00" + c.Policy + "\x00" + c.Workload },
+		func(c *CellResult) groupKey {
+			return groupKey{Platform: c.Platform, Policy: c.Policy, Workload: c.Workload}
+		},
 		func(c *CellResult) string { return c.Placer })...)
 	return out
 }
 
-// compareBy pairs conditions (the subject dimension) within fixed contexts.
-func compareBy(cells []CellResult, dimension string, contextOf, subjectOf func(*CellResult) string) []Comparison {
+// compareBy pairs conditions (the subject dimension) within fixed
+// contexts: the cell's group with the subject coordinate left empty.
+func compareBy(cells []CellResult, dimension string, contextOf func(*CellResult) groupKey, subjectOf func(*CellResult) string) []Comparison {
 	type condition struct {
 		name  string
 		seeds []int64 // appearance order
@@ -204,8 +210,8 @@ func compareBy(cells []CellResult, dimension string, contextOf, subjectOf func(*
 		conds  []*condition
 		byName map[string]*condition
 	}
-	var order []string
-	contexts := map[string]*context{}
+	var order []groupKey
+	contexts := map[groupKey]*context{}
 	for i := range cells {
 		c := &cells[i]
 		key := contextOf(c)

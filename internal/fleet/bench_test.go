@@ -3,12 +3,15 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
+	"mobicore/internal/fleet/store"
 	"mobicore/internal/platform"
 	"mobicore/internal/sim"
 )
@@ -107,27 +110,29 @@ func BenchmarkFleetMatrix(b *testing.B) {
 
 // BenchmarkSessionNew isolates session construction — factory-built manager
 // and workloads plus engine assembly, no execution — fresh versus through a
-// warm arena. The delta is what the per-platform precompute cache and the
-// arena save every cell before a single tick runs.
+// warm arena. "fresh" builds every session in a new arena, as sim.New
+// does. The delta is what the per-platform precompute cache and the arena
+// save every cell before a single tick runs.
 func BenchmarkSessionNew(b *testing.B) {
 	cells, err := benchSpec(1).Cells()
 	if err != nil {
 		b.Fatal(err)
 	}
-	build := func(b *testing.B, a *sim.Arena) {
+	build := func(b *testing.B, arena func() *sim.Arena) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sp, err := cells[i%len(cells)].session()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sp.NewIn(a); err != nil {
+			if _, err := sp.NewIn(arena()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("fresh", func(b *testing.B) { build(b, nil) })
-	b.Run("arena", func(b *testing.B) { build(b, sim.NewArena()) })
+	b.Run("fresh", func(b *testing.B) { build(b, sim.NewArena) })
+	warm := sim.NewArena()
+	b.Run("arena", func(b *testing.B) { build(b, func() *sim.Arena { return warm }) })
 }
 
 // traceTick is one recorded PowerTrace call.
@@ -230,4 +235,86 @@ func BenchmarkSequentialShards(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(300*b.N)/b.Elapsed().Seconds(), "cells/s")
+}
+
+// churnStore fills a store under dir with 3000 records shaped like the
+// benchmark's fleet-store-churn study: one platform, 3 policies × 1000
+// seeds of a 200 ms scenario workload, every metric a full-precision
+// float.
+func churnStore(b *testing.B, dir string) {
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, policy := range []string{"mobicore", "android-default", "ondemand+offline"} {
+		for seed := int64(1); seed <= 1000; seed++ {
+			id := store.Identity{
+				Platform:   "Nexus 5",
+				Policy:     policy,
+				Workload:   "scenario-dayinlife",
+				Placer:     sim.PlacerGreedy,
+				Seed:       seed,
+				DurationNS: int64(200 * time.Millisecond),
+				TickNS:     int64(time.Millisecond),
+				SampleNS:   int64(50 * time.Millisecond),
+			}
+			st.Put(store.Record{
+				Key:            id.Key(),
+				Identity:       id,
+				Finished:       true,
+				ElapsedNS:      id.DurationNS,
+				AvgPowerW:      0.2 + rng.Float64(),
+				PeakPowerW:     1 + rng.Float64(),
+				EnergyJ:        0.05 + rng.Float64()/5,
+				AvgFreqHz:      3e8 + 2e9*rng.Float64(),
+				AvgOnlineCores: 1 + 3*rng.Float64(),
+				AvgUtil:        rng.Float64(),
+				AvgQuota:       1,
+				AvgTempC:       22 + rng.Float64(),
+				MaxTempC:       23 + rng.Float64(),
+				ExecutedCycles: 1e8 * rng.Float64(),
+			})
+		}
+	}
+	if err := st.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkStoreReport times the store-backed report (`mobifleet -report`)
+// on a 3000-record churn-shaped store, split as the benchmark's report_ms
+// splits it: "load" is LoadStoreResult (open, decode, sort, aggregate and
+// compare), "text" is WriteText and "csv" is WriteCSV of the loaded result.
+func BenchmarkStoreReport(b *testing.B) {
+	dir := b.TempDir()
+	churnStore(b, dir)
+	res, err := LoadStoreResult(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Cells) != 3000 {
+		b.Fatalf("store holds %d cells, want 3000", len(res.Cells))
+	}
+	for _, sub := range []struct {
+		name string
+		run  func() error
+	}{
+		{"load", func() error { _, err := LoadStoreResult(dir); return err }},
+		{"text", func() error { return res.WriteText(io.Discard) }},
+		{"csv", func() error { return res.WriteCSV(io.Discard) }},
+	} {
+		b.Run(sub.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := sub.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3000*b.N), "ns/cell")
+		})
+	}
 }

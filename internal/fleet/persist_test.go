@@ -19,20 +19,20 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files from current output")
 
-// readStoreFiles returns the cells.jsonl bytes and a full-store CSV render.
+// readStoreFiles returns the cells.jsonl bytes and the CSV of the
+// store-backed report over the whole store.
 func readStoreFiles(t *testing.T, dir string) (jsonl, csv []byte) {
 	t.Helper()
 	jsonl, err := os.ReadFile(filepath.Join(dir, store.CellsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(dir)
+	res, err := LoadStoreResult(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	var buf bytes.Buffer
-	if err := st.WriteCSV(&buf); err != nil {
+	if err := res.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return jsonl, buf.Bytes()

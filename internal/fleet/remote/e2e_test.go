@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mobicore/internal/fleet"
 	"mobicore/internal/fleet/store"
 	"mobicore/internal/fleet/study"
 )
@@ -136,13 +137,12 @@ func TestMultiProcessStudy(t *testing.T) {
 
 	readCSV := func(dir string) []byte {
 		t.Helper()
-		st, err := store.Open(dir)
+		res, err := fleet.LoadStoreResult(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
 		var buf bytes.Buffer
-		if err := st.WriteCSV(&buf); err != nil {
+		if err := res.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

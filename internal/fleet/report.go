@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
+	"unicode/utf8"
 
 	"mobicore/internal/fleet/store"
 	"mobicore/internal/sim"
@@ -42,18 +44,8 @@ func (r *Result) WriteText(w io.Writer) error {
 		"energy J", "avg mW", "fps", "drop%", "throttle s"); err != nil {
 		return err
 	}
-	for _, c := range r.Cells {
-		fps, drop := "-", "-"
-		if c.HasFrames {
-			fps = fmt.Sprintf("%.1f", c.AvgFPS)
-			drop = fmt.Sprintf("%.1f", c.DropRate*100)
-		}
-		if _, err := fmt.Fprintf(w, "%-16s %-18s %-16s %-8s %5d %10.2f %10.1f %8s %8s %10.2f\n",
-			c.Platform, c.Policy, c.Workload, placerName(c.Placer), c.Seed,
-			c.Report.EnergyJ, c.Report.AvgPowerW*1000, fps, drop,
-			c.Report.ThermalCappedSec); err != nil {
-			return err
-		}
+	if err := r.writeRows(w, appendCellRow); err != nil {
+		return err
 	}
 	for _, a := range r.Aggregates {
 		if _, err := fmt.Fprintf(w, "%s / %s / %s / %s (%d seeds)\n",
@@ -126,14 +118,84 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	if err := cw.Write(store.CSVHeader()); err != nil {
 		return fmt.Errorf("fleet: writing csv header: %w", err)
 	}
-	for i := range r.Cells {
-		if err := cw.Write(r.Cells[i].rec.CSVRow()); err != nil {
-			return fmt.Errorf("fleet: writing csv row %d: %w", i, err)
-		}
-	}
 	cw.Flush()
 	if err := cw.Error(); err != nil {
-		return fmt.Errorf("fleet: flushing csv: %w", err)
+		return fmt.Errorf("fleet: flushing csv header: %w", err)
+	}
+	err := r.writeRows(w, func(b []byte, c *CellResult) []byte { return c.rec.AppendCSV(b) })
+	if err != nil {
+		return fmt.Errorf("fleet: writing csv rows: %w", err)
 	}
 	return nil
+}
+
+// rowBatch is how many bytes of appended rows writeRows hands to the
+// writer at once.
+const rowBatch = 64 << 10
+
+// writeRows appends one row per cell into a buffer and writes it to w in
+// batches of about rowBatch bytes.
+func (r *Result) writeRows(w io.Writer, row func([]byte, *CellResult) []byte) error {
+	buf := make([]byte, 0, rowBatch+rowBatch/4)
+	for i := range r.Cells {
+		buf = row(buf, &r.Cells[i])
+		if len(buf) >= rowBatch || i == len(r.Cells)-1 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	return nil
+}
+
+// appendCellRow appends c's row of the text report, the bytes
+//
+//	fmt.Sprintf("%-16s %-18s %-16s %-8s %5d %10.2f %10.1f %8s %8s %10.2f\n", ...)
+//
+// writes, with fps and drop% as "-" or a %.1f figure: names pad to their
+// width in runes, as fmt's %-Ns does, and strconv's 'f' format is the one
+// fmt's %W.Pf pads, NaN, ±Inf and −0 included.
+func appendCellRow(b []byte, c *CellResult) []byte {
+	b = appendLeft(b, c.Platform, 16)
+	b = appendLeft(b, c.Policy, 18)
+	b = appendLeft(b, c.Workload, 16)
+	b = appendLeft(b, placerName(c.Placer), 8)
+	var num [32]byte
+	b = appendRight(b, strconv.AppendInt(num[:0], c.Seed, 10), 5)
+	b = appendFixed(b, c.Report.EnergyJ, 10, 2)
+	b = appendFixed(b, c.Report.AvgPowerW*1000, 10, 1)
+	if c.HasFrames {
+		b = appendFixed(b, c.AvgFPS, 8, 1)
+		b = appendFixed(b, c.DropRate*100, 8, 1)
+	} else {
+		b = append(b, "        -        -"...) // " %8s" of "-", twice
+	}
+	b = appendFixed(b, c.Report.ThermalCappedSec, 10, 2)
+	return append(b, '\n')
+}
+
+// appendLeft appends s padded with spaces to width runes, then the
+// column separator.
+func appendLeft(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, ' ')
+}
+
+// appendRight appends the ASCII text s right-aligned in width columns.
+func appendRight(b, s []byte, width int) []byte {
+	for n := len(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, s...)
+}
+
+// appendFixed appends the column separator and v in 'f' format with prec
+// decimals, right-aligned in width columns.
+func appendFixed(b []byte, v float64, width, prec int) []byte {
+	var num [32]byte
+	return appendRight(append(b, ' '), strconv.AppendFloat(num[:0], v, 'f', prec, 64), width)
 }

@@ -192,7 +192,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	for i := range cells {
 		if st != nil && spec.Resume {
 			if rec, ok := st.Get(keys[i]); ok {
-				results[i] = cellFromRecord(i, rec)
+				results[i] = new(CellResult)
+				cachedCell(results[i], new(sim.Report), i, &rec)
 				cached++
 				continue
 			}
@@ -431,11 +432,32 @@ func recordOf(c *CellResult, id store.Identity) store.Record {
 	}
 }
 
-// cellFromRecord rebuilds a cached cell from its persisted form. The
-// report is condensed — every scalar the aggregates and reports read, no
-// series.
-func cellFromRecord(idx int, rec store.Record) *CellResult {
-	return &CellResult{
+// cachedCell fills c as cell idx answered from the store by rec, with rep
+// as its condensed report: every scalar the aggregates and reports read,
+// no series.
+func cachedCell(c *CellResult, rep *sim.Report, idx int, rec *store.Record) {
+	*rep = sim.Report{
+		Policy:   rec.Policy,
+		Platform: rec.Platform,
+		Placer:   rec.Placer,
+		// The actual simulated length, not the spec's cap — an
+		// UntilDone cell that finished early keeps its true elapsed
+		// time through the cache round trip.
+		Duration:          time.Duration(rec.ElapsedNS),
+		AvgPowerW:         rec.AvgPowerW,
+		PeakPowerW:        rec.PeakPowerW,
+		EnergyJ:           rec.EnergyJ,
+		AvgFreqHz:         rec.AvgFreqHz,
+		AvgOnlineCores:    rec.AvgOnlineCores,
+		AvgUtil:           rec.AvgUtil,
+		AvgQuota:          rec.AvgQuota,
+		AvgTempC:          rec.AvgTempC,
+		MaxTempC:          rec.MaxTempC,
+		ExecutedCycles:    rec.ExecutedCycles,
+		QuotaThrottledSec: rec.QuotaThrottledSec,
+		ThermalCappedSec:  rec.ThermalCappedSec,
+	}
+	*c = CellResult{
 		Index:     idx,
 		Key:       rec.Key,
 		Platform:  rec.Platform,
@@ -443,32 +465,12 @@ func cellFromRecord(idx int, rec store.Record) *CellResult {
 		Workload:  rec.Workload,
 		Placer:    rec.Placer,
 		Seed:      rec.Seed,
+		Report:    rep,
 		Finished:  rec.Finished,
 		Cached:    true,
 		AvgFPS:    rec.AvgFPS,
 		DropRate:  rec.DropRate,
 		HasFrames: rec.HasFrames,
-		rec:       rec,
-		Report: &sim.Report{
-			Policy:   rec.Policy,
-			Platform: rec.Platform,
-			Placer:   rec.Placer,
-			// The actual simulated length, not the spec's cap — an
-			// UntilDone cell that finished early keeps its true elapsed
-			// time through the cache round trip.
-			Duration:          time.Duration(rec.ElapsedNS),
-			AvgPowerW:         rec.AvgPowerW,
-			PeakPowerW:        rec.PeakPowerW,
-			EnergyJ:           rec.EnergyJ,
-			AvgFreqHz:         rec.AvgFreqHz,
-			AvgOnlineCores:    rec.AvgOnlineCores,
-			AvgUtil:           rec.AvgUtil,
-			AvgQuota:          rec.AvgQuota,
-			AvgTempC:          rec.AvgTempC,
-			MaxTempC:          rec.MaxTempC,
-			ExecutedCycles:    rec.ExecutedCycles,
-			QuotaThrottledSec: rec.QuotaThrottledSec,
-			ThermalCappedSec:  rec.ThermalCappedSec,
-		},
+		rec:       *rec,
 	}
 }

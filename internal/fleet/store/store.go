@@ -39,7 +39,7 @@
 // main-file line does. A torn or CRC-bad last frame is what a writer
 // killed mid-append leaves; Open drops it and truncates it away. A bad
 // frame before another frame is a line-numbered error. Get reads one line
-// or frame back with ReadAt; Records, WriteCSV and a rewrite read the main
+// or frame back with ReadAt; Records and a rewrite read the main
 // file once, front to back, and the log once. Every such read must hash to
 // what Open read (and, for the log, what appends added since): a file
 // changed since Open — written by another process while the lock was
@@ -83,7 +83,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/csv"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -98,6 +97,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // CellsFile is the name of the per-cell JSONL file inside a store
@@ -619,8 +620,7 @@ func (s *Store) Records() []Record {
 	return out
 }
 
-// Keys returns every key in sorted order — the file order of a rewrite
-// and WriteCSV.
+// Keys returns every key in sorted order — the file order of a rewrite.
 func (s *Store) Keys() []string {
 	keys := make([]string, 0, s.Len())
 	for k := range s.lines {
@@ -1018,55 +1018,73 @@ func CSVHeader() []string {
 	}
 }
 
-// CSVRow renders the record as one row of CSVHeader columns. Floats use
-// the shortest round-trip encoding, so rows are byte-stable across runs.
-func (r Record) CSVRow() []string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return []string{
-		r.Key, r.Platform, r.Policy, r.Workload, r.Placer,
-		strconv.FormatInt(r.Seed, 10),
-		f(time.Duration(r.DurationNS).Seconds()),
-		f(time.Duration(r.ElapsedNS).Seconds()),
-		strconv.FormatBool(r.UntilDone),
-		f(time.Duration(r.TickNS).Seconds()),
-		f(time.Duration(r.SampleNS).Seconds()),
-		strconv.FormatBool(r.Finished),
-		strconv.FormatBool(r.HasFrames),
-		f(r.AvgFPS), f(r.DropRate),
-		f(r.AvgPowerW), f(r.PeakPowerW), f(r.EnergyJ),
-		f(r.AvgFreqHz), f(r.AvgOnlineCores), f(r.AvgUtil), f(r.AvgQuota),
-		f(r.AvgTempC), f(r.MaxTempC), f(r.ExecutedCycles),
-		f(r.QuotaThrottledSec), f(r.ThermalCappedSec),
+// AppendCSV appends the record as one CSV row of CSVHeader columns, line
+// end included: exactly the bytes encoding/csv's Writer (comma ',', LF
+// line ends) writes for the row's fields. Floats use the shortest
+// round-trip encoding, so rows are byte-stable across runs.
+func (r *Record) AppendCSV(b []byte) []byte {
+	for _, s := range [...]string{r.Key, r.Platform, r.Policy, r.Workload, r.Placer} {
+		b = append(appendCSVField(b, s), ',')
 	}
+	b = append(strconv.AppendInt(b, r.Seed, 10), ',')
+	b = appendCSVFloat(b, time.Duration(r.DurationNS).Seconds())
+	b = appendCSVFloat(b, time.Duration(r.ElapsedNS).Seconds())
+	b = append(strconv.AppendBool(b, r.UntilDone), ',')
+	b = appendCSVFloat(b, time.Duration(r.TickNS).Seconds())
+	b = appendCSVFloat(b, time.Duration(r.SampleNS).Seconds())
+	b = append(strconv.AppendBool(b, r.Finished), ',')
+	b = append(strconv.AppendBool(b, r.HasFrames), ',')
+	for _, v := range [...]float64{
+		r.AvgFPS, r.DropRate,
+		r.AvgPowerW, r.PeakPowerW, r.EnergyJ,
+		r.AvgFreqHz, r.AvgOnlineCores, r.AvgUtil, r.AvgQuota,
+		r.AvgTempC, r.MaxTempC, r.ExecutedCycles,
+		r.QuotaThrottledSec, r.ThermalCappedSec,
+	} {
+		b = appendCSVFloat(b, v)
+	}
+	b[len(b)-1] = '\n' // the last field's comma ends the line
+	return b
 }
 
-// WriteCSV exports every record as CSV, sorted by key — the whole-store
-// view that composes across invocations (the fleet result's WriteCSV is
-// the per-run view in matrix order).
-func (s *Store) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(CSVHeader()); err != nil {
-		return fmt.Errorf("store: writing csv header: %w", err)
+// appendCSVFloat appends v in the shortest 'g' form that round-trips and
+// a comma. No such form needs CSV quoting.
+func appendCSVFloat(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), ',')
+}
+
+// appendCSVField appends s as encoding/csv's Writer writes a field: bare
+// unless it is `\.`, holds a comma, a double quote, CR or LF, or starts
+// with a Unicode space; then inside double quotes, with each double quote
+// doubled and every other byte as is.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(b, s...)
 	}
-	err := s.walk(func(key string, rec Record, line []byte) (err error) {
-		if line != nil {
-			if rec, err = s.decode(s.cellsPath, key, line); err != nil {
-				return err
-			}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
 		}
-		if err := cw.Write(rec.CSVRow()); err != nil {
-			return fmt.Errorf("store: writing csv row %s: %w", key, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("store: flushing csv: %w", err)
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// csvNeedsQuotes is encoding/csv's quoting rule for a ',' separator.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
 	}
-	return nil
+	if s == `\.` || strings.ContainsAny(s, ",\"\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // Merge combines the records of the src store directories into dst — the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -203,6 +204,8 @@ func TestOpenRejectsCorruptLine(t *testing.T) {
 	}
 }
 
+// TestWriteCSV: the header and Records' rows through AppendCSV make a
+// CSV export in key order whose rows are as wide as the header.
 func TestWriteCSV(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -213,9 +216,16 @@ func TestWriteCSV(t *testing.T) {
 	s.Put(testRecord(2))
 	s.Put(testRecord(1))
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	cw := csv.NewWriter(&buf)
+	if err := cw.Write(CSVHeader()); err != nil {
 		t.Fatal(err)
 	}
+	cw.Flush()
+	var rows []byte
+	for _, rec := range s.Records() {
+		rows = rec.AppendCSV(rows)
+	}
+	buf.Write(rows)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("csv has %d lines, want header + 2 rows:\n%s", len(lines), buf.String())
@@ -230,6 +240,13 @@ func TestWriteCSV(t *testing.T) {
 	keys := s.Keys()
 	if !strings.HasPrefix(lines[1], keys[0]) || !strings.HasPrefix(lines[2], keys[1]) {
 		t.Errorf("csv rows not in key order:\n%s", buf.String())
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Errorf("encoding/csv read %d records back, want 3", len(recs))
 	}
 }
 

@@ -3,8 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+
+	"mobicore/internal/fleet/store"
 )
 
 // TestLoadStoreResultReproducesRun: a report rebuilt from the store alone
@@ -68,5 +72,41 @@ func TestLoadStoreResultEmpty(t *testing.T) {
 		t.Error("empty store accepted")
 	} else if !strings.Contains(err.Error(), "no records") {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestIdentityOrderMatchesIdentityLess: the rank-then-shape sort lists
+// records exactly as a sort by identityLess does, for names that natural
+// order sorts by embedded number, names it cannot tell apart ("n01",
+// "n1"), and every shape field.
+func TestIdentityOrderMatchesIdentityLess(t *testing.T) {
+	names := []string{"n1", "n01", "n2", "n10", "n", "N1", "n1a", ""}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() string { return names[rng.Intn(len(names))] }
+	recs := make([]store.Record, 2000)
+	for i := range recs {
+		id := store.Identity{
+			Platform:   pick(),
+			Policy:     pick(),
+			Workload:   pick(),
+			Placer:     pick(),
+			Seed:       rng.Int63n(5) - 2,
+			DurationNS: rng.Int63n(2),
+			UntilDone:  rng.Intn(2) == 0,
+			TickNS:     rng.Int63n(2),
+			SampleNS:   rng.Int63n(2),
+		}
+		recs[i] = store.Record{Key: id.Key(), Identity: id}
+	}
+	want := make([]int, len(recs))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(i, j int) bool { return identityLess(recs[want[i]].Identity, recs[want[j]].Identity) })
+	got := identityOrder(recs)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("position %d: record %d (%+v), want %d (%+v)", i, got[i], recs[got[i]].Identity, want[i], recs[want[i]].Identity)
+		}
 	}
 }
