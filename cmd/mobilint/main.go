@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -24,42 +25,56 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzers to run (default: all)")
-	skip := flag.String("skip", "", "comma-separated analyzers to skip")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: mobilint [flags] [packages]\n\nanalyzers:\n")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args (flags, then package
+// patterns), prints findings to stdout and problems to stderr, and
+// returns the exit status — 0 clean, 1 findings, 2 a usage or load error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mobilint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated analyzers to run (default: all)")
+	skip := fs.String("skip", "", "comma-separated analyzers to skip")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: mobilint [flags] [packages]\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nflags:\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(stderr, "\nflags:\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	analyzers, err := analysis.Select(*only, *skip)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mobilint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mobilint:", err)
+		return 2
 	}
 	if len(analyzers) == 0 {
-		fmt.Fprintln(os.Stderr, "mobilint: selection leaves no analyzers to run")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mobilint: selection leaves no analyzers to run")
+		return 2
 	}
 
 	modRoot, err := findModuleRoot()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mobilint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mobilint:", err)
+		return 2
 	}
 	loader, err := analysis.NewLoader(modRoot)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mobilint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mobilint:", err)
+		return 2
 	}
-	pkgs, err := loader.LoadPatterns(flag.Args())
+	pkgs, err := loader.LoadPatterns(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mobilint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mobilint:", err)
+		return 2
 	}
 
 	findings := analysis.RunAnalyzers(pkgs, analyzers)
@@ -68,12 +83,13 @@ func main() {
 		if err == nil {
 			f.Position.Filename = rel
 		}
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "mobilint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mobilint: %d finding(s)\n", len(findings))
+		return 1
 	}
+	return 0
 }
 
 // findModuleRoot walks up from the working directory to the nearest
