@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobicore/internal/platform"
+	"mobicore/internal/scenario"
 	"mobicore/internal/workload"
 )
 
@@ -32,31 +33,48 @@ func arenaSpec(t *testing.T, plat platform.Platform, placer string, seed int64) 
 }
 
 // TestArenaReuseMatchesFresh runs a heterogeneous sequence of sessions —
-// different platforms, topologies, and placers back to back — through ONE
-// arena and checks every report deep-equals its fresh-allocation twin: the
-// same spec run in a new, empty arena, whose first session allocates every
-// buffer anew. This is the arena's core contract: reuse is invisible in
-// the output.
+// different platforms, topologies, placers, and seeds of a workload that
+// draws from the session rng — back to back through ONE arena and checks
+// every report deep-equals its fresh-allocation twin: the same spec run in
+// a new, empty arena, whose first session allocates every buffer anew.
+// This is the arena's core contract: reuse is invisible in the output.
 func TestArenaReuseMatchesFresh(t *testing.T) {
 	runs := []struct {
-		name   string
-		plat   platform.Platform
-		placer string
-		seed   int64
+		name     string
+		plat     platform.Platform
+		placer   string
+		seed     int64
+		scenario bool
 	}{
-		{"nexus5", platform.Nexus5(), "", 1},
-		{"nexus6p", platform.Nexus6P(), "", 2},     // grows: 4 → 8 cores, 1 → 2 clusters
-		{"nexus5-again", platform.Nexus5(), "", 3}, // shrinks back
-		{"sd855-eas", platform.SD855(), PlacerEAS, 4},
-		{"nexus5-eas", platform.Nexus5(), PlacerEAS, 5},
+		{"nexus5", platform.Nexus5(), "", 1, false},
+		{"nexus6p", platform.Nexus6P(), "", 2, false},     // grows: 4 → 8 cores, 1 → 2 clusters
+		{"nexus5-again", platform.Nexus5(), "", 3, false}, // shrinks back
+		{"sd855-eas", platform.SD855(), PlacerEAS, 4, false},
+		{"nexus5-eas", platform.Nexus5(), PlacerEAS, 5, false},
+		// The arena reseeds its rng: each session's stream starts afresh.
+		{"scenario-6", platform.Nexus5(), "", 6, true},
+		{"scenario-7", platform.Nexus5(), "", 7, true},
+		{"scenario-6-again", platform.Nexus5(), "", 6, true},
 	}
 	a := NewArena()
 	for _, run := range runs {
-		fresh, doneF, err := arenaSpec(t, run.plat, run.placer, run.seed).RunIn(context.Background(), NewArena())
+		spec := func() SessionSpec {
+			spec := arenaSpec(t, run.plat, run.placer, run.seed)
+			if run.scenario {
+				w, err := scenario.FromProfile(scenario.DayInTheLife())
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Workloads = []workload.Workload{w}
+				spec.Duration = 30 * time.Second // long enough for several phase draws
+			}
+			return spec
+		}
+		fresh, doneF, err := spec().RunIn(context.Background(), NewArena())
 		if err != nil {
 			t.Fatalf("%s fresh: %v", run.name, err)
 		}
-		pooled, doneP, err := arenaSpec(t, run.plat, run.placer, run.seed).RunIn(context.Background(), a)
+		pooled, doneP, err := spec().RunIn(context.Background(), a)
 		if err != nil {
 			t.Fatalf("%s arena: %v", run.name, err)
 		}

@@ -186,6 +186,15 @@ func newSim(spec SessionSpec, a *Arena) (*Sim, error) {
 	}
 	sch := s.sch
 	sch.Placer = nil
+	// Reseeding resets the source and the Rand's read position, so the
+	// arena's rng yields the stream a fresh one would; workloads hold it
+	// only during Tick.
+	rng := s.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(spec.Seed))
+	} else {
+		rng.Seed(spec.Seed)
+	}
 
 	n := spec.Platform.NumCores
 	nc := len(comp.Specs)
@@ -224,7 +233,7 @@ func newSim(spec SessionSpec, a *Arena) (*Sim, error) {
 		model:       model,
 		net:         net,
 		sch:         sch,
-		rng:         rand.New(rand.NewSource(spec.Seed)),
+		rng:         rng,
 		mon:         mon,
 		views:       views,
 		coreCluster: comp.CoreCluster,

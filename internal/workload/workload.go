@@ -19,7 +19,9 @@ type Workload interface {
 	Name() string
 	// Tick advances the workload by dt at simulation time now, depositing
 	// any new demand into its threads. rng is the simulation's seeded
-	// source; implementations must use it for all randomness.
+	// source; implementations must use it for all randomness. It is valid
+	// only during the call: the engine reseeds it for its next session, so
+	// a workload must not keep it past Tick.
 	Tick(now, dt time.Duration, rng *rand.Rand)
 	// Threads returns the workload's schedulable threads. The slice is
 	// append-only: existing entries are stable for the whole run, and
