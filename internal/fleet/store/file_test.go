@@ -106,6 +106,7 @@ func checkStoreFile(t *testing.T, cells []byte, withSum bool) {
 		}
 	}
 	want, wantErr := refLoad(path)
+	checkReadAll(t, dir, want, wantErr)
 	s, err := Open(dir)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("Open error %v, reference error %v, on %q", err, wantErr, cells)
@@ -160,6 +161,22 @@ func checkStoreFile(t *testing.T, cells []byte, withSum bool) {
 	}
 	if sum, err := os.ReadFile(filepath.Join(dir, SumFile)); err != nil || !bytes.Equal(sum, sumOf(out)) {
 		t.Fatalf("sum file %q after Flush, want %q (%v)", sum, sumOf(out), err)
+	}
+}
+
+// checkReadAll holds ReadAll, which decodes in Open's read, to the
+// reference records and error, and requires it to release the lock.
+func checkReadAll(t *testing.T, dir string, want []Record, wantErr error) {
+	t.Helper()
+	got, err := ReadAll(dir)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("ReadAll error %v, reference error %v", err, wantErr)
+	}
+	if err == nil && !sameRecords(got, want) {
+		t.Fatalf("ReadAll records differ from the reference:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, LockFile)); !os.IsNotExist(err) {
+		t.Fatalf("ReadAll left %s behind (stat: %v)", LockFile, err)
 	}
 }
 

@@ -40,7 +40,9 @@
 // killed mid-append leaves; Open drops it and truncates it away. A bad
 // frame before another frame is a line-numbered error. Get reads one line
 // or frame back with ReadAt; Records and a rewrite read the main
-// file once, front to back, and the log once. Every such read must hash to
+// file once, front to back, and the log once. ReadAll, for a read-only
+// caller that wants every record, decodes each line while Open's read
+// checks it, and reads nothing again. Every such read must hash to
 // what Open read (and, for the log, what appends added since): a file
 // changed since Open — written by another process while the lock was
 // held — fails the read, and Flush then leaves the main file alone.
@@ -223,6 +225,9 @@ type Store struct {
 	// trusted says the sum file vouched for file, so its lines are in the
 	// encoder's byte form and a rewrite may copy them.
 	trusted bool
+	// eager says Open decodes every line into recs and indexes none
+	// (ReadAll's read-only path).
+	eager bool
 	// pending lists the keys Put since the last Flush, in Put order; a
 	// key Put twice is listed twice.
 	pending []string
@@ -258,6 +263,28 @@ type span struct {
 // the last rename silently dropped the other's records. Callers must Close
 // the store to release the lock.
 func Open(dir string) (*Store, error) {
+	return open(dir, false)
+}
+
+// ReadAll returns every record of the store at dir sorted by key, as Open
+// and then Records would, with Open's lock and errors, but in one read of
+// the cells file and the log: each line is decoded as it is checked
+// instead of indexed and read again. It releases the lock before it
+// returns.
+func ReadAll(dir string) ([]Record, error) {
+	s, err := open(dir, true)
+	if err != nil {
+		return nil, err
+	}
+	recs := s.Records()
+	if err := s.Close(); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// open is Open, decoding every line at once when eager is set.
+func open(dir string, eager bool) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
 	}
@@ -275,6 +302,7 @@ func Open(dir string) (*Store, error) {
 		lines:     map[string]span{},
 		logged:    map[string]span{},
 		recs:      map[string]Record{},
+		eager:     eager,
 	}
 	if err := s.load(); err != nil {
 		s.Close()
@@ -360,12 +388,9 @@ func (s *Store) load() error {
 		if len(b) == 0 {
 			continue
 		}
-		if key, ok := scanCanonical(b); ok && len(key) > 0 {
-			k := string(key)
+		if k, ok := s.index(b, s.lines, span{start, len(b)}); ok {
 			sorted = sorted && k > last
 			last = k
-			s.lines[k] = span{start, len(b)}
-			delete(s.recs, k)
 			continue
 		}
 		rec, err := DecodeRecord(b)
@@ -384,7 +409,7 @@ func (s *Store) load() error {
 	s.sum, s.size = h.Sum32(), next
 	sum, err := os.ReadFile(filepath.Join(s.dir, SumFile))
 	s.trusted = err == nil && string(sum) == sumText(s.sum, s.size) && sorted
-	if !sorted {
+	if !sorted && len(s.lines) > 0 {
 		return s.decodeLines()
 	}
 	return nil
@@ -466,11 +491,7 @@ func (s *Store) loadLog() error {
 // addLogged indexes the record line of the log frame at sp: a line in the
 // canonical layout by key, any other line decoded.
 func (s *Store) addLogged(line []byte, sp span) error {
-	if key, ok := scanCanonical(line); ok && len(key) > 0 {
-		k := string(key)
-		delete(s.lines, k)
-		delete(s.recs, k)
-		s.logged[k] = sp
+	if _, ok := s.index(line, s.logged, sp); ok {
 		return nil
 	}
 	rec, err := DecodeRecord(line)
@@ -484,6 +505,31 @@ func (s *Store) addLogged(line []byte, sp span) error {
 	delete(s.logged, rec.Key)
 	s.recs[rec.Key] = rec
 	return nil
+}
+
+// index files a record line in the canonical layout under its key,
+// replacing whatever the store held for the key: as into[key] = sp, or
+// decoded into recs when the store is eager. It returns the key, or false,
+// filing nothing, for any other line or an empty key.
+func (s *Store) index(line []byte, into map[string]span, sp span) (string, bool) {
+	if s.eager {
+		var rec Record
+		if !decodeCanonical(line, &rec) || rec.Key == "" {
+			return "", false
+		}
+		s.recs[rec.Key] = rec
+		return rec.Key, true
+	}
+	key, ok := scanCanonical(line)
+	if !ok || len(key) == 0 {
+		return "", false
+	}
+	k := string(key)
+	delete(s.lines, k)
+	delete(s.logged, k)
+	delete(s.recs, k)
+	into[k] = sp
+	return k, true
 }
 
 // readLog reads the log's frames back, which must hash to what Open read

@@ -145,12 +145,8 @@ func FromRecords(recs []store.Record) *Result {
 // serial, parallel, sharded, or distributed runs renders its aggregates
 // and comparisons without executing a single session.
 func LoadStoreResult(dir string) (*Result, error) {
-	st, err := store.Open(dir)
+	recs, err := store.ReadAll(dir)
 	if err != nil {
-		return nil, err
-	}
-	recs := st.Records()
-	if err := st.Close(); err != nil {
 		return nil, err
 	}
 	if len(recs) == 0 {
