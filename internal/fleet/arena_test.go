@@ -16,12 +16,13 @@ import (
 
 // arenaMatrixSpec is the heterogeneous matrix the arena-identity tests run:
 // two platform shapes (homogeneous 4-core, big.LITTLE 8-core) interleave on
-// every worker, so arena buffers grow and shrink between cells.
+// every worker, so arena buffers grow and shrink between cells, and the
+// scenario workload draws from the session rng the arena reseeds.
 func arenaMatrixSpec(par int) Spec {
 	return Spec{
 		Platforms: []platform.Platform{platform.Nexus5(), platform.Nexus6P()},
 		Policies:  []PolicyFactory{Policy("android-default"), Policy("mobicore")},
-		Workloads: []WorkloadFactory{busyFactory(0.5, 4)},
+		Workloads: []WorkloadFactory{busyFactory(0.5, 4), scenarioFactory("dayinlife")},
 		Seeds:     []int64{1, 2},
 		Duration:  time.Second,
 		Parallel:  par,
@@ -31,11 +32,12 @@ func arenaMatrixSpec(par int) Spec {
 // renderings carries one run's rendered outputs for cross-run comparison.
 type renderings struct{ txt, csv, js, store string }
 
-// TestFleetArenaMatchesFreshAllocation is the tentpole's acceptance gate:
-// the fleet path (worker arenas, cached platform precompute, recycled trace
-// writers) must produce byte-identical output to per-cell fresh allocation
-// — same reports, same store records, same trace files — at parallel 1 and
-// parallel 8.
+// TestFleetArenaMatchesFreshAllocation: the fleet path (worker arenas
+// and trace writers pooled across Runs, cached platform precompute) must
+// produce byte-identical output to per-cell fresh allocation — same
+// reports, same store records, same trace files — at parallel 1 and
+// parallel 8, and when the matrix runs as consecutive shard Runs that
+// take their scratch from the pool the earlier Runs filled.
 func TestFleetArenaMatchesFreshAllocation(t *testing.T) {
 	var outputs []renderings
 	for _, par := range []int{1, 8} {
@@ -102,6 +104,53 @@ func TestFleetArenaMatchesFreshAllocation(t *testing.T) {
 	}
 	if outputs[0] != outputs[1] {
 		t.Error("parallel-8 arena output differs from parallel-1 output (text/CSV/JSON/store)")
+	}
+
+	// The same matrix as three consecutive shard Runs into one store and
+	// trace directory: every trace matches fresh allocation's, and the
+	// completed cells.jsonl the whole-matrix runs'.
+	dir := t.TempDir()
+	freshTraces := filepath.Join(dir, "fresh-traces")
+	if err := os.MkdirAll(freshTraces, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := arenaMatrixSpec(2)
+	spec.StoreDir = filepath.Join(dir, "store")
+	spec.TraceDir = filepath.Join(dir, "traces")
+	spec.ShardCount = 3
+	for i := range spec.ShardCount {
+		spec.ShardIndex = i
+		if _, err := Run(context.Background(), spec); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		key := c.identity().Key()
+		if _, err := runCell(context.Background(), i, c, key, freshTraces, newCellScratch()); err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := os.ReadFile(filepath.Join(spec.TraceDir, TraceFileName(key)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(freshTraces, TraceFileName(key)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pooled, want) {
+			t.Errorf("cell %d (%s): sharded-run trace differs from the fresh one", i, key)
+		}
+	}
+	storeBytes, err := os.ReadFile(filepath.Join(spec.StoreDir, "cells.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(storeBytes) != outputs[0].store {
+		t.Error("sharded-run cells.jsonl differs from the whole-matrix run's")
 	}
 }
 

@@ -113,12 +113,19 @@ func isCancellation(err error) bool {
 // then holds every record sorted by identity key, its bytes independent
 // of parallelism, sharding and invocation count.
 //
+// A call restricted to one shard costs the identity key of every cell of
+// the matrix and the plan over them (the plan needs every key), the store
+// index (store.Open, which runs while the keys are hashed), and the
+// shard's own cells: only those are built as Cells and run. Workers take
+// their session arena and trace writer from a pool that outlives the
+// call, so consecutive calls in one process reuse them.
+//
 // When ctx is canceled mid-run the completed cells come back in a partial
 // Result (Incomplete set) alongside ctx's error, so callers can report
 // what finished. A failing cell cancels the rest and Run returns the
 // lowest-indexed cell error — deterministic, because cell failures are.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
-	cells, err := spec.Cells()
+	n, err := spec.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -126,57 +133,32 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, errors.New("fleet: Resume requires StoreDir")
 	}
 
-	ids := make([]store.Identity, len(cells))
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		ids[i] = c.identity()
-		keys[i] = ids[i].Key()
+	// The store index is built while the matrix is hashed and planned. A
+	// planning error wins over an open error, and still waits for the
+	// open, to release the lock.
+	openStore := openAsync(spec.StoreDir)
+	allKeys, manifest, members, err := spec.plan(n)
+	if err != nil {
+		if st, _ := openStore(); st != nil {
+			st.Close()
+		}
+		return nil, err
 	}
-
-	allKeys := keys
-
-	// Restrict the matrix to one key-range shard. A handed-in manifest is
-	// verified against the locally expanded cell set first — a worker must
-	// prove it was handed the right work before executing any of it. One
-	// planned here from the same keys holds by construction.
-	manifest := spec.Shard
-	if manifest != nil {
-		if err := manifest.Verify(keys); err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-	} else if spec.ShardCount > 0 {
-		plan, err := shard.Plan(keys, spec.ShardCount)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		if spec.ShardIndex < 0 || spec.ShardIndex >= spec.ShardCount {
-			return nil, fmt.Errorf("fleet: shard index %d outside [0, %d)", spec.ShardIndex, spec.ShardCount)
-		}
-		manifest = &plan[spec.ShardIndex]
+	st, err := openStore()
+	if err != nil {
+		return nil, err
 	}
-	if manifest != nil {
-		var (
-			shardCells []Cell
-			shardIDs   []store.Identity
-			shardKeys  []string
-		)
-		for i := range cells {
-			if manifest.Contains(keys[i]) {
-				shardCells = append(shardCells, cells[i])
-				shardIDs = append(shardIDs, ids[i])
-				shardKeys = append(shardKeys, keys[i])
-			}
-		}
-		cells, ids, keys = shardCells, shardIDs, shardKeys
-	}
-
-	var st *store.Store
-	if spec.StoreDir != "" {
-		st, err = store.Open(spec.StoreDir)
-		if err != nil {
-			return nil, err
-		}
+	if st != nil {
 		defer st.Close()
+	}
+
+	// Only the run's own cells are built; members maps their run index to
+	// their matrix index.
+	cells := make([]Cell, len(members))
+	keys := make([]string, len(members))
+	for i, m := range members {
+		cells[i] = spec.cell(m)
+		keys[i] = allKeys[m]
 	}
 	if spec.TraceDir != "" {
 		if err := os.MkdirAll(spec.TraceDir, 0o755); err != nil {
@@ -221,11 +203,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			// Each worker owns one arena (and one recycled trace writer)
-			// for its whole cell stream: consecutive cells reuse the
-			// engine's buffers, and because reports deep-copy their series
-			// the output stays byte-identical to fresh allocation at any
-			// parallelism.
-			scratch := newCellScratch()
+			// for its whole cell stream, taken from the pool and returned
+			// when the stream ends: consecutive cells, and consecutive
+			// Runs, reuse the engine's buffers, and because reports
+			// deep-copy their series the output stays byte-identical to
+			// fresh allocation at any parallelism.
+			scratch := scratchPool.Get().(*cellScratch)
+			defer scratchPool.Put(scratch)
 			for {
 				n := int(next.Add(1))
 				if n >= len(pending) {
@@ -244,7 +228,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					}
 					continue
 				}
-				res.rec = recordOf(res, ids[i])
+				res.rec = recordOf(res, cells[i].identity())
 				results[i] = res
 			}
 		}()
@@ -306,6 +290,68 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	return out, nil
 }
 
+// plan hashes the identity key of each of the expansion's n cells and
+// restricts the run to one key-range shard when the spec asks for one. A
+// handed-in manifest is verified against the locally expanded keys first —
+// a worker must prove it was handed the right work before executing any of
+// it; one planned here from the same keys holds by construction. It
+// returns every cell's key, the manifest (nil for the whole matrix) and
+// the matrix indices of the run's cells, in cell order.
+func (s *Spec) plan(n int) (keys []string, manifest *shard.Manifest, members []int, err error) {
+	keys = s.keys(n)
+	manifest = s.Shard
+	if manifest != nil {
+		if err := manifest.Verify(keys); err != nil {
+			return nil, nil, nil, fmt.Errorf("fleet: %w", err)
+		}
+	} else if s.ShardCount > 0 {
+		plan, err := shard.Plan(keys, s.ShardCount)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("fleet: %w", err)
+		}
+		if s.ShardIndex < 0 || s.ShardIndex >= s.ShardCount {
+			return nil, nil, nil, fmt.Errorf("fleet: shard index %d outside [0, %d)", s.ShardIndex, s.ShardCount)
+		}
+		manifest = &plan[s.ShardIndex]
+	}
+	if manifest == nil {
+		members = make([]int, n)
+		for i := range members {
+			members[i] = i
+		}
+		return keys, nil, members, nil
+	}
+	members = make([]int, 0, manifest.Cells)
+	for i, k := range keys {
+		if manifest.Contains(k) {
+			members = append(members, i)
+		}
+	}
+	return keys, manifest, members, nil
+}
+
+// openAsync starts store.Open(dir) on its own goroutine and returns the
+// function that waits for it and returns its result. An empty dir opens
+// nothing: the wait returns a nil store and no error.
+func openAsync(dir string) func() (*store.Store, error) {
+	if dir == "" {
+		return func() (*store.Store, error) { return nil, nil }
+	}
+	var (
+		st  *store.Store
+		err error
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		st, err = store.Open(dir)
+	}()
+	return func() (*store.Store, error) {
+		<-done
+		return st, err
+	}
+}
+
 // holdsAll reports whether the store holds a record for every key. It
 // stops at the first missing key, so on an unfinished study it costs a few
 // map lookups. (Comparing Len with len(keys) first would be wrong: a
@@ -325,6 +371,11 @@ type cellScratch struct {
 	arena *sim.Arena
 	tw    *traceWriter // nil until the first traced cell
 }
+
+// scratchPool holds idle workers' scratch between Runs, so a process
+// that runs shard after shard builds its arenas and trace writers (each
+// with its gzip state) once, not once per worker per call.
+var scratchPool = sync.Pool{New: func() any { return newCellScratch() }}
 
 // newCellScratch returns empty scratch: the first cell run in it allocates
 // every buffer anew, exactly like fresh allocation.

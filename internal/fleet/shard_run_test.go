@@ -5,11 +5,15 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mobicore/internal/fleet/store"
+	"mobicore/internal/platform"
 )
 
 // TestShardedRunsMatchSerial: running the matrix as disjoint key-range
@@ -166,5 +170,129 @@ func TestShardManifestRejectsWrongSpec(t *testing.T) {
 	bad.ShardIndex, bad.ShardCount = 5, 2
 	if _, err := Run(context.Background(), bad); err == nil {
 		t.Error("out-of-range shard index accepted")
+	}
+}
+
+// TestRunErrorsReleaseConcurrentOpen: Run opens the store while it plans,
+// so each planning error must still wait for the open and release the
+// lock. A wrong-spec manifest, an out-of-range shard index and an invalid
+// cell each fail with the error Run gives without a store, and leave no
+// store.lock behind. A held lock fails a valid plan with the open error,
+// and an invalid plan with the planning error. The matrix has 20000 cells,
+// so hashing them outlasts opening the empty store: a Run that returned
+// without waiting for the open would leave the lock to be found.
+func TestRunErrorsReleaseConcurrentOpen(t *testing.T) {
+	matrix := func() Spec {
+		spec := matrixSpec(1)
+		spec.Seeds = make([]int64, 5000)
+		for i := range spec.Seeds {
+			spec.Seeds[i] = int64(i)
+		}
+		return spec
+	}
+	plan, err := matrix().ShardPlan(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongSpec := matrix()
+	wrongSpec.Seeds[0] = -1 // a different matrix, so different keys
+	wrongSpec.Shard = &plan[0]
+	badIndex := matrix()
+	badIndex.ShardIndex, badIndex.ShardCount = 5, 2
+	badCell := matrix()
+	badCell.Policies = append(badCell.Policies, PolicyFactory{Name: "nil"})
+
+	dir := t.TempDir()
+	lock := filepath.Join(dir, store.LockFile)
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{{"wrong spec", wrongSpec}, {"shard index", badIndex}, {"invalid cell", badCell}} {
+		_, want := Run(context.Background(), tc.spec)
+		if want == nil {
+			t.Fatalf("%s: no error without a store", tc.name)
+		}
+		tc.spec.StoreDir = dir
+		if _, err := Run(context.Background(), tc.spec); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v with a store, want %v", tc.name, err, want)
+		}
+		if _, err := os.Stat(lock); !os.IsNotExist(err) {
+			t.Fatalf("%s: %s left behind (stat: %v)", tc.name, store.LockFile, err)
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatalf("%s: store does not reopen: %v", tc.name, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	held, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := matrix()
+	valid.ShardIndex, valid.ShardCount = 0, 5000 // 4 cells, which the held lock keeps from running
+	valid.StoreDir = dir
+	if _, err := Run(context.Background(), valid); err == nil || !strings.Contains(err.Error(), "held by another writer") {
+		t.Errorf("held lock, valid plan: error %v, want the open error", err)
+	}
+	badIndex.StoreDir = dir
+	if _, err := Run(context.Background(), badIndex); err == nil || !strings.Contains(err.Error(), "shard index 5 outside") {
+		t.Errorf("held lock, invalid plan: error %v, want the planning error", err)
+	}
+	// The failed opens left the holder's lock alone.
+	if err := held.Close(); err != nil {
+		t.Errorf("closing the holder: %v", err)
+	}
+}
+
+// TestShardRunAllocs bounds the bytes one shard Run allocates: 10 cells
+// of a 3000-cell matrix cut into 300 shards. Such a call must pay for the
+// whole matrix's keys and plan and for its own cells, not for a Cell and
+// an Identity per matrix cell or a fresh arena per worker. The budget is
+// 1.5× the 282 KB measured (linux/amd64, go1.24); expanding every cell
+// and building new scratch per call took 1.57 MB.
+func TestShardRunAllocs(t *testing.T) {
+	const budget = 423_000
+	seeds := make([]int64, 1000)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	spec := Spec{
+		Platforms:  []platform.Platform{platform.Nexus5()},
+		Policies:   []PolicyFactory{Policy("android-default"), Policy("mobicore"), Policy("ondemand+load")},
+		Workloads:  []WorkloadFactory{busyFactory(0.5, 4)},
+		Seeds:      seeds,
+		Duration:   20 * time.Millisecond,
+		Parallel:   2,
+		ShardCount: 300,
+	}
+	run := func(i int) {
+		s := spec
+		s.ShardIndex = i
+		res, err := Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Cells) != 10 {
+			t.Fatalf("shard %d ran %d cells, want 10", i, len(res.Cells))
+		}
+	}
+	// No collection may empty the scratch pool between the shards.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run(0)
+	const shards = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= shards; i++ {
+		run(i)
+	}
+	runtime.ReadMemStats(&after)
+	perShard := (after.TotalAlloc - before.TotalAlloc) / shards
+	t.Logf("%d bytes per shard Run", perShard)
+	if perShard > budget {
+		t.Errorf("a 10-cell shard of a 3000-cell matrix allocates %d bytes, budget %d", perShard, budget)
 	}
 }

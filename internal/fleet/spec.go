@@ -144,15 +144,20 @@ func (s Spec) ShardPlan(count int) ([]shard.Manifest, error) {
 // Keys expands the spec and returns each cell's identity key, in cell
 // order.
 func (s Spec) Keys() ([]string, error) {
-	cells, err := s.Cells()
+	n, err := s.validate()
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		keys[i] = c.identity().Key()
+	return s.keys(n), nil
+}
+
+// keys returns the identity key of each of the expansion's n cells.
+func (s *Spec) keys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = s.cell(i).identity().Key()
 	}
-	return keys, nil
+	return keys
 }
 
 // Cell is one fully-resolved session of a fleet.
@@ -172,14 +177,15 @@ type Cell struct {
 	NoFuse bool
 }
 
-func (c Cell) validate() error {
-	if c.Policy.New == nil {
+// validCell checks the parts of a cell that Run cannot do without.
+func validCell(pol *PolicyFactory, wl *WorkloadFactory, d time.Duration) error {
+	if pol.New == nil {
 		return errors.New("fleet: cell needs a policy factory")
 	}
-	if c.Workload.New == nil {
+	if wl.New == nil {
 		return errors.New("fleet: cell needs a workload factory")
 	}
-	if c.Duration <= 0 {
+	if d <= 0 {
 		return errors.New("fleet: cell needs a positive duration")
 	}
 	return nil
@@ -187,51 +193,87 @@ func (c Cell) validate() error {
 
 // Cells expands the spec into its ordered cell list: the cross-product in
 // platform → policy → workload → placer → seed nesting order, then the
-// extra cells. The order is part of the contract — results and text output
-// follow it exactly, whatever the parallelism.
+// extra cells (see cell). The order is part of the contract — results and
+// text output follow it exactly, whatever the parallelism.
 func (s Spec) Cells() ([]Cell, error) {
-	placers := s.Placers
-	if len(placers) == 0 {
-		placers = []string{""}
+	n, err := s.validate()
+	if err != nil {
+		return nil, err
 	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{0}
-	}
-	n := len(s.Platforms)*len(s.Policies)*len(s.Workloads)*len(placers)*len(seeds) + len(s.ExtraCells)
-	cells := make([]Cell, 0, n)
-	for _, plat := range s.Platforms {
-		for _, pol := range s.Policies {
-			for _, wl := range s.Workloads {
-				for _, placer := range placers {
-					for _, seed := range seeds {
-						cells = append(cells, Cell{
-							Platform:     plat,
-							Policy:       pol,
-							Workload:     wl,
-							Placer:       placer,
-							Seed:         seed,
-							Duration:     s.Duration,
-							UntilDone:    s.UntilDone,
-							Tick:         s.Tick,
-							SamplePeriod: s.SamplePeriod,
-							NoFuse:       s.NoFuse,
-						})
-					}
-				}
-			}
-		}
-	}
-	cells = append(cells, s.ExtraCells...)
-	if len(cells) == 0 {
-		return nil, errors.New("fleet: spec declares no cells")
-	}
-	for i, c := range cells {
-		if err := c.validate(); err != nil {
-			return nil, fmt.Errorf("%w (cell %d)", err, i)
-		}
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = s.cell(i)
 	}
 	return cells, nil
+}
+
+// size returns the number of cross-product cells and of all cells. An
+// empty Placers or Seeds list counts as its one default.
+func (s *Spec) size() (cross, total int) {
+	cross = len(s.Platforms) * len(s.Policies) * len(s.Workloads) * max(len(s.Placers), 1) * max(len(s.Seeds), 1)
+	return cross, cross + len(s.ExtraCells)
+}
+
+// coords decodes cross-product index i into its dimension indices, seed
+// the fastest-moving: the one place the nesting order is defined.
+func (s *Spec) coords(i int) (plat, pol, wl, placer, seed int) {
+	ns, np, nw, npol := max(len(s.Seeds), 1), max(len(s.Placers), 1), len(s.Workloads), len(s.Policies)
+	seed, i = i%ns, i/ns
+	placer, i = i%np, i/np
+	wl, i = i%nw, i/nw
+	pol, plat = i%npol, i/npol
+	return plat, pol, wl, placer, seed
+}
+
+// cell returns cell i of the expansion: a cross-product cell decoded by
+// coords, or an extra cell after them. i must lie in [0, total).
+func (s *Spec) cell(i int) Cell {
+	cross, _ := s.size()
+	if i >= cross {
+		return s.ExtraCells[i-cross]
+	}
+	plat, pol, wl, placer, seed := s.coords(i)
+	c := Cell{
+		Platform:     s.Platforms[plat],
+		Policy:       s.Policies[pol],
+		Workload:     s.Workloads[wl],
+		Duration:     s.Duration,
+		UntilDone:    s.UntilDone,
+		Tick:         s.Tick,
+		SamplePeriod: s.SamplePeriod,
+		NoFuse:       s.NoFuse,
+	}
+	if len(s.Placers) > 0 {
+		c.Placer = s.Placers[placer]
+	}
+	if len(s.Seeds) > 0 {
+		c.Seed = s.Seeds[seed]
+	}
+	return c
+}
+
+// validate checks every cell of the expansion in cell order, reading each
+// cross-product cell's factories in place, and returns the cell count.
+// The first invalid cell's error names its index.
+func (s *Spec) validate() (int, error) {
+	cross, total := s.size()
+	if total == 0 {
+		return 0, errors.New("fleet: spec declares no cells")
+	}
+	for i := range total {
+		var err error
+		if i < cross {
+			_, pol, wl, _, _ := s.coords(i)
+			err = validCell(&s.Policies[pol], &s.Workloads[wl], s.Duration)
+		} else {
+			c := &s.ExtraCells[i-cross]
+			err = validCell(&c.Policy, &c.Workload, c.Duration)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("%w (cell %d)", err, i)
+		}
+	}
+	return total, nil
 }
 
 // identity is the cell's canonical store coordinate. Engine defaults are
