@@ -178,7 +178,7 @@ type Cell struct {
 }
 
 // validCell checks the parts of a cell that Run cannot do without.
-func validCell(pol *PolicyFactory, wl *WorkloadFactory, d time.Duration) error {
+func validCell(pol PolicyFactory, wl WorkloadFactory, d time.Duration) error {
 	if pol.New == nil {
 		return errors.New("fleet: cell needs a policy factory")
 	}
@@ -264,10 +264,10 @@ func (s *Spec) validate() (int, error) {
 		var err error
 		if i < cross {
 			_, pol, wl, _, _ := s.coords(i)
-			err = validCell(&s.Policies[pol], &s.Workloads[wl], s.Duration)
+			err = validCell(s.Policies[pol], s.Workloads[wl], s.Duration)
 		} else {
 			c := &s.ExtraCells[i-cross]
-			err = validCell(&c.Policy, &c.Workload, c.Duration)
+			err = validCell(c.Policy, c.Workload, c.Duration)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("%w (cell %d)", err, i)

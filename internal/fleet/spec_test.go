@@ -46,7 +46,7 @@ func nestedCells(s Spec) ([]Cell, error) {
 		return nil, errors.New("fleet: spec declares no cells")
 	}
 	for i, c := range cells {
-		if err := validCell(&c.Policy, &c.Workload, c.Duration); err != nil {
+		if err := validCell(c.Policy, c.Workload, c.Duration); err != nil {
 			return nil, fmt.Errorf("%w (cell %d)", err, i)
 		}
 	}
