@@ -13,7 +13,7 @@ import (
 // fixtures match too).
 var DeterministicPkgs = []string{
 	"sim", "fleet", "fleet/shard", "fleet/store", "metrics", "experiment",
-	"sched", "scenario", "soc",
+	"sched", "scenario", "soc", "randsrc",
 }
 
 // wallClockFuncs are the time-package functions that read the wall clock

@@ -194,8 +194,20 @@ func storeFileSeeds(t testing.TB) map[string][]byte {
 	other := fullRecord()
 	other.EnergyJ = 99
 	otherLine, _ := json.Marshal(other)
+	// Three passes over 16 records, each pass changing every record: a
+	// reader must keep each key's last line, past the sizes a sort handles
+	// by insertion.
+	var rewrites []Record
+	for pass := range 3 {
+		for seed := range 16 {
+			rec := testRecord(int64(seed))
+			rec.EnergyJ = float64(pass)
+			rewrites = append(rewrites, rec)
+		}
+	}
 	seeds := map[string][]byte{
 		"empty":              {},
+		"rewritten-3x":       refEncode(t, rewrites),
 		"newline":            []byte("\n"),
 		"flushed":            flushed,
 		"unsorted":           unsorted,

@@ -225,9 +225,11 @@ type Store struct {
 	// trusted says the sum file vouched for file, so its lines are in the
 	// encoder's byte form and a rewrite may copy them.
 	trusted bool
-	// eager says Open decodes every line into recs and indexes none
-	// (ReadAll's read-only path).
+	// eager says Open decodes every line into all and indexes none
+	// (ReadAll's read-only path). all holds those records in the order
+	// they were read, a key read twice listed twice; ReadAll sorts it.
 	eager bool
+	all   []Record
 	// pending lists the keys Put since the last Flush, in Put order; a
 	// key Put twice is listed twice.
 	pending []string
@@ -276,11 +278,31 @@ func ReadAll(dir string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs := s.Records()
 	if err := s.Close(); err != nil {
 		return nil, err
 	}
-	return recs, nil
+	return latestByKey(s.all), nil
+}
+
+// latestByKey sorts records read in file order by key, keeping of the
+// records read for one key the last. A compacted store's records come
+// in strictly rising key order, which it checks first.
+func latestByKey(recs []Record) []Record {
+	rising := true
+	for i := 1; i < len(recs) && rising; i++ {
+		rising = recs[i-1].Key < recs[i].Key
+	}
+	if rising {
+		return recs
+	}
+	slices.SortStableFunc(recs, func(a, b Record) int { return strings.Compare(a.Key, b.Key) })
+	out := recs[:0]
+	for i, r := range recs {
+		if i+1 == len(recs) || recs[i+1].Key != r.Key {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // open is Open, decoding every line at once when eager is set.
@@ -368,6 +390,11 @@ func (s *Store) load() error {
 		return fmt.Errorf("store: opening %s: %w", path, err)
 	}
 	s.file = f
+	if s.eager {
+		if fi, err := f.Stat(); err == nil {
+			s.all = make([]Record, 0, fi.Size()/minLine+1)
+		}
+	}
 	h := crc32.New(castagnoli)
 	sc := bufio.NewScanner(io.TeeReader(f, h))
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -400,8 +427,7 @@ func (s *Store) load() error {
 		if rec.Key == "" {
 			return fmt.Errorf("store: %s line %d: record without key", path, line)
 		}
-		s.recs[rec.Key] = rec
-		delete(s.lines, rec.Key)
+		s.keep(rec)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: reading %s: %w", path, err)
@@ -414,6 +440,12 @@ func (s *Store) load() error {
 	}
 	return nil
 }
+
+// minLine is about the shortest a record line in the canonical layout
+// runs: its field names and punctuation alone take about 400 bytes. An
+// eager load reserves room for a cells file of such lines, so its record
+// slice does not grow and copy as it fills.
+const minLine = 400
 
 // castagnoli is the CRC-32C table of the sum file.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -501,15 +533,25 @@ func (s *Store) addLogged(line []byte, sp span) error {
 	if rec.Key == "" {
 		return errors.New("record without key")
 	}
+	s.keep(rec)
+	return nil
+}
+
+// keep files a decoded record under its key, replacing whatever the store
+// held for the key; an eager store appends it to all.
+func (s *Store) keep(rec Record) {
+	if s.eager {
+		s.all = append(s.all, rec)
+		return
+	}
 	delete(s.lines, rec.Key)
 	delete(s.logged, rec.Key)
 	s.recs[rec.Key] = rec
-	return nil
 }
 
 // index files a record line in the canonical layout under its key,
 // replacing whatever the store held for the key: as into[key] = sp, or
-// decoded into recs when the store is eager. It returns the key, or false,
+// decoded by keep when the store is eager. It returns the key, or false,
 // filing nothing, for any other line or an empty key.
 func (s *Store) index(line []byte, into map[string]span, sp span) (string, bool) {
 	if s.eager {
@@ -517,7 +559,7 @@ func (s *Store) index(line []byte, into map[string]span, sp span) (string, bool)
 		if !decodeCanonical(line, &rec) || rec.Key == "" {
 			return "", false
 		}
-		s.recs[rec.Key] = rec
+		s.keep(rec)
 		return rec.Key, true
 	}
 	key, ok := scanCanonical(line)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"mobicore/internal/randsrc"
 )
 
 // This file is the uncertainty half of the toolkit: confidence intervals on
@@ -111,7 +113,7 @@ func BootstrapMeanCI(vals []float64, level float64, resamples int, seed int64) (
 	if len(vals) == 1 {
 		return CI{Level: level, Lo: mean, Hi: mean}, nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	n := len(vals)
 	means := make([]float64, resamples)
 	for r := range means {

@@ -3,6 +3,8 @@ package scenario
 import (
 	"math/rand"
 	"time"
+
+	"mobicore/internal/randsrc"
 )
 
 // walk is the deterministic phase walk shared by the Generator (which
@@ -50,7 +52,7 @@ func NewGenerator(prof Profile, seed int64) (*Generator, error) {
 // truncating the final segment so TotalDuration is exactly total. The same
 // profile, seed, and total always produce the identical trace.
 func (g *Generator) Generate(total time.Duration) Trace {
-	rng := rand.New(rand.NewSource(g.seed))
+	rng := rand.New(randsrc.New(g.seed))
 	w := newWalk(g.prof)
 	tr := Trace{Name: g.prof.Name, Seed: g.seed}
 	var elapsed time.Duration

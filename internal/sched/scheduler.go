@@ -39,8 +39,9 @@ func (r Result) UtilizationInto(dst []float64, dt time.Duration) []float64 {
 		}
 		return dst
 	}
+	secs := dt.Seconds()
 	for i, b := range r.BusySeconds {
-		dst[i] = b / dt.Seconds()
+		dst[i] = b / secs
 		if dst[i] > 1 {
 			dst[i] = 1
 		}
