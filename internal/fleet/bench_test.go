@@ -143,11 +143,11 @@ type traceTick struct {
 }
 
 // BenchmarkTraceHook measures the power-trace export per tick: line
-// encoding, gzip compression and the file write, over the sample stream of
-// a 30 s Nexus 5 mobicore day-in-the-life session replayed in a loop. The
+// encoding, deflating and the file write, over the sample stream of a
+// 30 s Nexus 5 mobicore day-in-the-life session replayed in a loop. The
 // writer is warm (its buffers sized by a first pass), so allocs/op must
 // read 0. gz-bytes/tick is the first pass's compressed file size over its
-// tick count: the size side of the gzip level's speed trade.
+// tick count.
 func BenchmarkTraceHook(b *testing.B) {
 	c := Cell{
 		Platform: platform.Nexus5(),

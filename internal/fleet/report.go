@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"unicode/utf8"
 
@@ -197,5 +198,92 @@ func appendRight(b, s []byte, width int) []byte {
 // decimals, right-aligned in width columns.
 func appendFixed(b []byte, v float64, width, prec int) []byte {
 	var num [32]byte
-	return appendRight(append(b, ' '), strconv.AppendFloat(num[:0], v, 'f', prec, 64), width)
+	return appendRight(append(b, ' '), appendFloatF(num[:0], v, prec), width)
+}
+
+// appendFloatF appends exactly strconv.AppendFloat(b, v, 'f', prec, 64).
+// strconv formats 'f' with a precision through its slow multiprecision
+// path, but 'e' with up to 18 digits through its exact fixed-digit one;
+// both round v's exact binary value half to even. So when v needs 1–17
+// significant digits down to 10^-prec, the digits come from 'e' and are
+// laid out as 'f'. Zero, subnormals, NaN, ±Inf and the rest go to 'f'.
+func appendFloatF(b []byte, v float64, prec int) []byte {
+	a := math.Abs(v)
+	if !(a >= 0x1p-1022 && a <= math.MaxFloat64) {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	// x guesses v's decimal exponent (10^x ≤ |v| < 10^(x+1)); it may be
+	// off by one, which the exponent 'e' prints shows.
+	x := int(math.Floor(math.Log10(a)))
+	for range 2 {
+		nd := x + 1 + prec // significant digits down to 10^-prec
+		if nd < 1 || nd > 17 {
+			break
+		}
+		var buf [32]byte
+		digits, exp := splitE(strconv.AppendFloat(buf[:0], a, 'e', nd-1, 64))
+		switch {
+		case exp == x:
+			// The exponent held: the digits are v rounded at 10^-prec. (If
+			// x was one too high, 'e' rounded one place finer and carried
+			// up to 10^x, which rounding at 10^-prec gives as well.)
+			return layoutF(b, v < 0, digits, exp)
+		case exp == x-1:
+			x--
+		case exp == x+1 && !isPowerOfTen(digits):
+			x++
+		default:
+			// A carry to 10^(x+1), or x one too low with digits that read
+			// like one: the two need different roundings.
+			return strconv.AppendFloat(b, v, 'f', prec, 64)
+		}
+	}
+	return strconv.AppendFloat(b, v, 'f', prec, 64)
+}
+
+// splitE splits strconv's 'e' format d[.ddd]e±XX into its digits, in
+// place, and its exponent.
+func splitE(s []byte) (digits []byte, exp int) {
+	e := len(s) - 4
+	for s[e] != 'e' {
+		e--
+	}
+	digits = append(s[:1], s[min(2, e):e]...)
+	for _, c := range s[e+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if s[e+1] == '-' {
+		exp = -exp
+	}
+	return digits, exp
+}
+
+func isPowerOfTen(digits []byte) bool {
+	for _, c := range digits[1:] {
+		if c != '0' {
+			return false
+		}
+	}
+	return digits[0] == '1'
+}
+
+// layoutF appends the decimal digits·10^(exp-len(digits)+1) in 'f' form,
+// with a minus sign when neg.
+func layoutF(b []byte, neg bool, digits []byte, exp int) []byte {
+	if neg {
+		b = append(b, '-')
+	}
+	if exp < 0 {
+		b = append(b, "0."...)
+		for range -exp - 1 {
+			b = append(b, '0')
+		}
+		return append(b, digits...)
+	}
+	b = append(b, digits[:exp+1]...)
+	if exp+1 < len(digits) {
+		b = append(b, '.')
+		b = append(b, digits[exp+1:]...)
+	}
+	return b
 }

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"mobicore/internal/sim"
@@ -66,4 +68,42 @@ func FuzzTextRow(f *testing.F) {
 			},
 		})
 	})
+}
+
+// TestAppendFloatF compares appendFloatF with strconv's 'f' on half-way
+// and carry cases, the fallbacks, and a sweep of values at the report's
+// precisions.
+func TestAppendFloatF(t *testing.T) {
+	check := func(v float64, prec int) {
+		t.Helper()
+		var got, want [64]byte
+		if g, w := appendFloatF(got[:0], v, prec), strconv.AppendFloat(want[:0], v, 'f', prec, 64); !bytes.Equal(g, w) {
+			t.Fatalf("appendFloatF(%v, %d) = %s, want %s", v, prec, g, w)
+		}
+	}
+	for _, v := range []float64{
+		9.995, 0.005, 0.0005, -0.004, 1e21, 0.996, -0.996, 9.96, 99.95, 999.95, 0.05, 0.95, 0.15, 0.25, 2.5, 0.125,
+		1, 10, 100, 0.1, 0.01, 0.001, 9.999999999999998, 0.09999999999999999, 1e15, 1e16, 123456789012345.67,
+		0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		for prec := 0; prec <= 3; prec++ {
+			check(v, prec)
+			check(-v, prec)
+		}
+	}
+	for i := -200000; i <= 200000; i++ {
+		v := float64(i) / 1000
+		check(v, 1)
+		check(v, 2)
+		check(v*1.0000001, 2)
+	}
+	x := uint64(1) // xorshift64 state: bit patterns of every magnitude
+	for range 100000 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		check(math.Float64frombits(x), 1)
+		check(math.Float64frombits(x), 2)
+		check(math.Ldexp(float64(x>>11)/(1<<53), int(x%80)-20), 2)
+	}
 }

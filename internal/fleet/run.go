@@ -373,8 +373,8 @@ type cellScratch struct {
 }
 
 // scratchPool holds idle workers' scratch between Runs, so a process
-// that runs shard after shard builds its arenas and trace writers (each
-// with its gzip state) once, not once per worker per call.
+// that runs shard after shard builds its arenas and trace writers once,
+// not once per worker per call.
 var scratchPool = sync.Pool{New: func() any { return newCellScratch() }}
 
 // newCellScratch returns empty scratch: the first cell run in it allocates

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bufio"
-	"compress/gzip"
 	"fmt"
 	"math"
 	"os"
@@ -32,47 +30,30 @@ type TraceSample struct {
 // TraceFileName returns the trace file a cell key exports to.
 func TraceFileName(key string) string { return key + ".trace.jsonl.gz" }
 
-// traceGzipLevel is the deflate level of every trace file. Level 2 runs
-// about 3× faster than the default level 6 on trace lines, whose t_s
-// differs on every line so level 6's lazy matching walks its full hash
-// chains, for 7–14% larger files. The decompressed bytes are the format
-// contract; the level only moves the compressed ones.
-const traceGzipLevel = 2
-
-// traceBatchBytes is how many bytes of encoded lines collect before they
-// go to the gzip writer in one Write. Deflate's output does not depend on
-// how its input is split across writes, so the batch size never changes
-// the file's bytes.
-const traceBatchBytes = 16 << 10
-
-// traceWriter streams TraceSamples to a gzip JSONL file. Write errors are
-// latched and surfaced at Close, because the sim's trace hook has no error
-// return.
+// traceWriter streams TraceSamples to a gzip JSONL file through a
+// lineDeflater. Write errors are latched and surfaced at Close, because
+// the sim's trace hook has no error return.
 //
 // Each line is assembled by appending: `{"t_s":` plus the tick's time plus
 // a cached tail holding the rest of the line. The tail is reformatted only
 // when its inputs change, which on a quiescent session (where the memo
-// fast path replays the previous tick's power) is rarely.
+// fast path replays the previous tick's power) is rarely; while it holds,
+// the deflater is told the line ends like the one before.
 type traceWriter struct {
-	f     *os.File
-	buf   *bufio.Writer
-	gz    *gzip.Writer
-	batch []byte // encoded lines not yet written to gz
+	f *os.File
+	lineDeflater
 	// tail is `,"dt_s":…,"system_w":…,"cluster_w":[…]}` plus a newline,
 	// encoded from tailIn = [dt, systemW, clusterW...]; tailNil records
 	// whether clusterW was nil. An empty tailIn means no tail is cached.
 	tail    []byte
 	tailIn  []float64
 	tailNil bool
-	err     error
 	path    string
 }
 
 // newTraceWriter creates <dir>/<key>.trace.jsonl.gz for writing. Passing
 // the worker's previous (closed or aborted) writer as recycle reuses its
-// 64 KiB buffer, gzip state, and line buffers for the new file, so a
-// tracing fleet worker allocates the expensive compression machinery once,
-// not per cell.
+// line and output buffers for the new file.
 func newTraceWriter(dir, key string, recycle *traceWriter) (*traceWriter, error) {
 	path := filepath.Join(dir, TraceFileName(key))
 	f, err := os.Create(path)
@@ -82,14 +63,10 @@ func newTraceWriter(dir, key string, recycle *traceWriter) (*traceWriter, error)
 	tw := recycle
 	if tw == nil {
 		tw = &traceWriter{}
-		tw.buf = bufio.NewWriterSize(nil, 64*1024)
-		// The level is a valid constant, so NewWriterLevel cannot fail.
-		tw.gz, _ = gzip.NewWriterLevel(tw.buf, traceGzipLevel)
 	}
-	tw.f, tw.path, tw.err = f, path, nil
-	tw.batch, tw.tailIn = tw.batch[:0], tw.tailIn[:0]
-	tw.buf.Reset(f)
-	tw.gz.Reset(tw.buf)
+	tw.f, tw.path = f, path
+	tw.tailIn = tw.tailIn[:0]
+	tw.reset(f)
 	return tw, nil
 }
 
@@ -110,18 +87,18 @@ func (tw *traceWriter) sample(now time.Duration, dt, systemW float64, clusterW [
 	if tw.err != nil {
 		return
 	}
+	same := len(tw.tail)
 	if !tw.tailMatches(dt, systemW, clusterW) {
 		if tw.err = tw.setTail(dt, systemW, clusterW); tw.err != nil {
 			return
 		}
+		same = 0
 	}
 	//mobilint:ignore append into the writer's reused batch buffer; capacity amortizes across ticks and cells
 	tw.batch = append(tw.batch, `{"t_s":`...)
 	tw.batch = appendSeconds(tw.batch, now)
 	tw.batch = append(tw.batch, tw.tail...) //mobilint:ignore append into the reused batch buffer, as above
-	if len(tw.batch) >= traceBatchBytes {
-		tw.flushBatch()
-	}
+	tw.endLine(same)
 }
 
 // pow10 holds 10^k for the scales appendSeconds writes; each is exact.
@@ -226,14 +203,6 @@ func (tw *traceWriter) setTail(dt, systemW float64, clusterW []float64) error {
 	return nil
 }
 
-// flushBatch hands the batched lines to the gzip writer.
-func (tw *traceWriter) flushBatch() {
-	if tw.err == nil && len(tw.batch) > 0 {
-		_, tw.err = tw.gz.Write(tw.batch)
-	}
-	tw.batch = tw.batch[:0]
-}
-
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func unsupportedValue(x float64) error {
@@ -242,25 +211,20 @@ func unsupportedValue(x float64) error {
 
 // Abort closes and deletes the trace — the path for sessions that ended
 // early (cancellation, cell failure), whose partial trace would otherwise
-// pass for a complete shorter run. Batched lines are never written; the
-// next newTraceWriter on this writer drops them.
+// pass for a complete shorter run. Pending output is never written; the
+// next newTraceWriter on this writer drops it.
 func (tw *traceWriter) Abort() {
-	tw.gz.Close()
 	tw.f.Close()
 	os.Remove(tw.path)
 }
 
-// Close writes the batched lines, flushes and closes the trace, returning
-// the first error from any stage. On error the partial file is removed — a
+// Close finishes the gzip member and closes the trace, returning the
+// first error from any stage. On error the partial file is removed — a
 // truncated trace is worse than no trace.
 func (tw *traceWriter) Close() error {
-	tw.flushBatch()
 	err := tw.err
-	if e := tw.gz.Close(); err == nil {
-		err = e
-	}
-	if e := tw.buf.Flush(); err == nil {
-		err = e
+	if err == nil {
+		err = tw.close()
 	}
 	if e := tw.f.Close(); err == nil {
 		err = e

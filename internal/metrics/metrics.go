@@ -41,13 +41,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddWeighted incorporates a sample with integer weight w (w samples of x).
-func (s *Summary) AddWeighted(x float64, w uint64) {
-	for i := uint64(0); i < w; i++ {
-		s.Add(x)
-	}
-}
-
 // Count returns the number of samples.
 func (s Summary) Count() uint64 { return s.n }
 

@@ -31,17 +31,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 }
 
-func TestSummaryAddWeighted(t *testing.T) {
-	var a, b Summary
-	a.AddWeighted(3, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(3)
-	}
-	if a.Mean() != b.Mean() || a.Count() != b.Count() || a.Variance() != b.Variance() {
-		t.Errorf("weighted add diverges from repeated add: %+v vs %+v", a, b)
-	}
-}
-
 // TestSummaryMergeProperty: merging two summaries equals summarizing the
 // concatenation.
 func TestSummaryMergeProperty(t *testing.T) {
