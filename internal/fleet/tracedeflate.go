@@ -11,19 +11,19 @@ import (
 // lineDeflater writes one gzip member (RFC 1952) holding a single final
 // dynamic-Huffman deflate block (RFC 1951). Instead of searching for
 // matches, it codes each line against the line before it: one match for
-// their common prefix (distance: the previous line's length), literals
-// for the bytes that differ, and one match for their common suffix
-// (distance: this line's length). A trace line differs from the one
-// before it in a few t_s digits, so that diff is nearly all a generic
-// LZ77 search would find, at a small fraction of its cost.
+// their common prefix (distance: the previous line's length), one for
+// their common suffix (distance: this line's length), and the bytes
+// between diffed field by field (diffFields). Most trace lines differ
+// from the one before in a few t_s digits, so that diff is nearly all a
+// generic LZ77 search would find, at a small fraction of its cost.
 //
 // A line's suffix match and the next line's prefix match copy from the
 // same distance (the length of the line between them), so when both are
 // taken they merge into one match across the newline.
 //
 // The code lengths are the constant traceCodeLengths, so the block header
-// is the same for every file. Any byte string decodes: every symbol has
-// a code.
+// is the same for every file. Every symbol has a code, so any bytes can
+// be coded.
 type lineDeflater struct {
 	w io.Writer
 	// batch holds the lines not yet folded into crc, after the first
@@ -235,9 +235,9 @@ func (z *lineDeflater) flushMatch() {
 		return
 	}
 	z.pendLen = 0
-	dsym, dextra := distSymbol(d)
+	dsym, dextra, nextra := distSymbol(d)
 	dcode := uint64(distCodes[dsym]) | uint64(dextra)<<traceCodeLengths[numLitLen+dsym]
-	dbits := uint(traceCodeLengths[numLitLen+dsym]) + distExtraBits(dsym)
+	dbits := uint(traceCodeLengths[numLitLen+dsym]) + nextra
 	for l > 0 {
 		piece := min(l, maxMatch)
 		if r := l - piece; r > 0 && r < minMatch {
@@ -270,10 +270,8 @@ func (z *lineDeflater) write() {
 	z.out = z.out[:0]
 }
 
-// close ends the block and writes the gzip trailer. Bytes appended to
-// batch after the last endLine are not part of the member.
+// close ends the block and writes the gzip trailer.
 func (z *lineDeflater) close() error {
-	z.batch = z.batch[:z.cur]
 	z.flushBatch()
 	z.flushMatch()
 	z.put(uint64(litCodes[endOfBlock]), uint(traceCodeLengths[endOfBlock]))
@@ -301,23 +299,15 @@ func (z *lineDeflater) put(v uint64, n uint) {
 	}
 }
 
-// distSymbol returns the distance code of d (1 ≤ d ≤ 32768) and the value
-// of its extra bits.
-func distSymbol(d int) (sym int, extra uint32) {
+// distSymbol returns the distance code of d (1 ≤ d ≤ 32768), the value of
+// its extra bits and how many there are.
+func distSymbol(d int) (sym int, extra uint32, nextra uint) {
 	x := uint32(d - 1)
 	if x < 4 {
-		return int(x), 0
+		return int(x), 0, 0
 	}
 	hi := uint(bits.Len32(x) - 1) // x's top bit; the code's extra bits are hi-1
-	return int(2*hi) + int(x>>(hi-1))&1, x & (1<<(hi-1) - 1)
-}
-
-// distExtraBits is how many extra bits distance code sym carries.
-func distExtraBits(sym int) uint {
-	if sym < 4 {
-		return 0
-	}
-	return uint(sym/2 - 1)
+	return int(2*hi) + int(x>>(hi-1))&1, x & (1<<(hi-1) - 1), hi - 1
 }
 
 // Alphabet sizes and the end-of-block symbol.

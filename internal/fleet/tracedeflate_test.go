@@ -98,7 +98,8 @@ func decodeFuzzLines(data []byte) [][]byte {
 // FuzzTraceDeflate runs arbitrary byte lines through the line deflater and
 // requires compress/gzip to give them back. The seeds cover empty and
 // one-byte differences, lines over 258 bytes, a previous line over
-// 32 KiB, repeated and alternating lines, and fields that come and go.
+// 32 KiB, matches from 25,600 and exactly 32,768 bytes back, repeated and
+// alternating lines, and fields that come and go.
 func FuzzTraceDeflate(f *testing.F) {
 	stretched := func(k byte, body string) string { return "\xff" + string([]byte{k}) + body }
 	for _, s := range []string{
@@ -114,6 +115,7 @@ func FuzzTraceDeflate(f *testing.F) {
 		stretched(2, "abcdefg,") + "\n" + stretched(2, "abcdefh,") + "\n",
 		stretched(200, "0123456789,") + "\n" + stretched(200, "0123456789,") + "1\n" + stretched(129, "0123,") + "\n",
 		stretched(130, "ab") + "\n" + stretched(130, "ab") + "\n" + stretched(130, "ab") + "x\n",
+		stretched(100, "abc,") + "\n" + stretched(100, "abc,") + "\n" + stretched(128, "ab,") + "\n" + stretched(128, "ab,") + "\n",
 		strings.Repeat("z", 300) + "\n" + strings.Repeat("z", 299) + "y\n" + strings.Repeat("z", 300) + "\n",
 	} {
 		f.Add([]byte(s))
