@@ -212,9 +212,14 @@ func appendFloatF(b []byte, v float64, prec int) []byte {
 	if !(a >= 0x1p-1022 && a <= math.MaxFloat64) {
 		return strconv.AppendFloat(b, v, 'f', prec, 64)
 	}
-	// x guesses v's decimal exponent (10^x ≤ |v| < 10^(x+1)); it may be
-	// off by one, which the exponent 'e' prints shows.
-	x := int(math.Floor(math.Log10(a)))
+	// x guesses v's decimal exponent (10^x ≤ |v| < 10^(x+1)) from its
+	// binary one; it may be off by one, which the exponent 'e' prints
+	// shows.
+	_, e2 := math.Frexp(a)
+	x := int(math.Floor(float64(e2-1) * math.Log10E / math.Log2E))
+	if a >= math.Pow10(x+1) {
+		x++
+	}
 	for range 2 {
 		nd := x + 1 + prec // significant digits down to 10^-prec
 		if nd < 1 || nd > 17 {
