@@ -79,24 +79,30 @@ func writeTrace(t *testing.T, dir, key string, recycle *traceWriter, calls []tra
 	return tw, tw.Close()
 }
 
-// gunzipFile reads a gzip file through compress/gzip to EOF, which checks
-// the trailer's CRC-32 and length.
-func gunzipFile(t *testing.T, path string) []byte {
+// gunzip decompresses one gzip member through compress/gzip to EOF, which
+// checks the trailer's CRC-32 and length.
+func gunzip(t *testing.T, gz []byte) []byte {
 	t.Helper()
-	f, err := os.Open(path)
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(gz)
+	raw, err := io.ReadAll(zr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// gunzipFile reads a gzip file through compress/gzip to EOF, which checks
+// the trailer's CRC-32 and length.
+func gunzipFile(t *testing.T, path string) []byte {
+	t.Helper()
+	gz, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gunzip(t, gz)
 }
 
 // checkMatchesReference writes calls with a fresh traceWriter and with

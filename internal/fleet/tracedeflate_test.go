@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -59,21 +57,6 @@ func deflateLines(lines [][]byte) []byte {
 		panic(err) // a bytes.Buffer does not fail
 	}
 	return out.Bytes()
-}
-
-// gunzip decompresses one gzip member through compress/gzip to EOF, which
-// checks the trailer's CRC-32 and length.
-func gunzip(t *testing.T, gz []byte) []byte {
-	t.Helper()
-	zr, err := gzip.NewReader(bytes.NewReader(gz))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }
 
 // Fuzz input format: lines separated by '\n' (kept at each line's end). A
