@@ -74,11 +74,11 @@ func DiffRecords(a, b []store.Record) *Diff {
 		aFPS, bFPS           []float64
 		frames               bool
 	}
-	var order []string
-	groups := map[string]*group{}
+	var order []groupKey
+	groups := map[groupKey]*group{}
 	for _, ra := range matched {
 		rb := bByKey[ra.Key]
-		key := ra.Platform + "\x00" + ra.Policy + "\x00" + ra.Workload + "\x00" + ra.Placer
+		key := groupOf(ra.Identity)
 		g, ok := groups[key]
 		if !ok {
 			g = &group{
@@ -115,21 +115,13 @@ func DiffRecords(a, b []store.Record) *Diff {
 	return d
 }
 
-// LoadStoreDiff opens two store directories and diffs their records.
+// LoadStoreDiff reads two store directories and diffs their records.
 func LoadStoreDiff(dirA, dirB string) (*Diff, error) {
-	load := func(dir string) ([]store.Record, error) {
-		st, err := store.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		recs := st.Records()
-		return recs, st.Close()
-	}
-	a, err := load(dirA)
+	a, err := store.ReadAll(dirA)
 	if err != nil {
 		return nil, err
 	}
-	b, err := load(dirB)
+	b, err := store.ReadAll(dirB)
 	if err != nil {
 		return nil, err
 	}

@@ -145,8 +145,8 @@ func TestCrashDurability(t *testing.T) {
 				t.Fatalf("kill %d: store of %d records lacks record %d of its set", kill, n, i)
 			}
 		}
-		// Whatever state the kill left the sum file in, the next Flush
-		// writes the set's canonical bytes.
+		// Whatever state the kill left the log in, the next Flush writes
+		// the set's canonical bytes.
 		if err := s.Flush(); err != nil {
 			t.Fatalf("kill %d: Flush after the kill: %v", kill, err)
 		}

@@ -70,11 +70,6 @@ func refEncode(t testing.TB, recs []Record) []byte {
 	return b
 }
 
-// sumOf is the sum file a Flush writes for cells bytes b.
-func sumOf(b []byte) []byte {
-	return []byte(sumText(crc32.Checksum(b, castagnoli), int64(len(b))))
-}
-
 func sameRecords(a, b []Record) bool {
 	if len(a) != len(b) {
 		return false
@@ -88,20 +83,19 @@ func sameRecords(a, b []Record) bool {
 }
 
 // checkStoreFile runs cells bytes through Open, Records, Get and Flush
-// against refLoad and refEncode, with a sum file that matches the bytes
-// or none. With no matching sum Flush must write refEncode's bytes. With
-// one — the sum vouching for bytes this package did not write, the
-// accepted cost of a CRC collision — Flush may keep a line that decodes
-// to the same record in another byte form, and nothing else.
-func checkStoreFile(t *testing.T, cells []byte, withSum bool) {
+// against refLoad and refEncode, alone or beside a leftover temp file of
+// a rewrite killed before its rename, holding the first half of the same
+// bytes. Open must ignore the temp file, and Flush must write refEncode's
+// bytes.
+func checkStoreFile(t *testing.T, cells []byte, leftover bool) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, CellsFile)
 	if err := os.WriteFile(path, cells, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if withSum {
-		if err := os.WriteFile(filepath.Join(dir, SumFile), sumOf(cells), 0o644); err != nil {
+	if leftover {
+		if err := os.WriteFile(path+".tmp-crash", cells[:len(cells)/2], 0o600); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,34 +127,14 @@ func checkStoreFile(t *testing.T, cells []byte, withSum bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canon := refEncode(t, want); !withSum && !bytes.Equal(out, canon) {
-		t.Fatalf("Flush without a matching sum wrote\n%q\nwant\n%q", out, canon)
-	}
-	if withSum {
-		lines := strings.SplitAfter(string(out), "\n")
-		if lines[len(lines)-1] == "" {
-			lines = lines[:len(lines)-1]
-		}
-		if len(lines) != len(want) {
-			t.Fatalf("Flush wrote %d lines for %d records:\n%q", len(lines), len(want), out)
-		}
-		for i, line := range lines {
-			line = strings.TrimSuffix(line, "\n")
-			enc, _ := json.Marshal(want[i])
-			var rec Record
-			if line != string(enc) && (!decodeCanonical([]byte(line), &rec) || !sameRecord(rec, want[i])) {
-				t.Fatalf("Flush line %d is %q, neither %q nor a canonical line of the same record", i+1, line, enc)
-			}
-		}
+	if canon := refEncode(t, want); !bytes.Equal(out, canon) {
+		t.Fatalf("Flush wrote\n%q\nwant\n%q", out, canon)
 	}
 	if got := s.Records(); !sameRecords(got, want) {
 		t.Fatalf("Records after Flush differ:\n got %+v\nwant %+v", got, want)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	if sum, err := os.ReadFile(filepath.Join(dir, SumFile)); err != nil || !bytes.Equal(sum, sumOf(out)) {
-		t.Fatalf("sum file %q after Flush, want %q (%v)", sum, sumOf(out), err)
 	}
 }
 
@@ -237,27 +211,27 @@ func storeFileSeeds(t testing.TB) map[string][]byte {
 // fails the reference load. (The fuzz seeds below cover everything else.)
 func TestStoreFileLineLimit(t *testing.T) {
 	cells := append(bytes.Repeat([]byte("x"), 4*1024*1024+1), '\n')
-	for _, withSum := range []bool{false, true} {
-		checkStoreFile(t, cells, withSum)
+	for _, leftover := range []bool{false, true} {
+		checkStoreFile(t, cells, leftover)
 	}
 }
 
-// FuzzStoreFile feeds arbitrary bytes in as a cells file, with and
-// without a matching sum file, and holds Open, Records, Get and Flush to
+// FuzzStoreFile feeds arbitrary bytes in as a cells file, alone and
+// beside a leftover temp file, and holds Open, Records, Get and Flush to
 // the reference load and encode.
 func FuzzStoreFile(f *testing.F) {
 	for _, cells := range storeFileSeeds(f) {
 		f.Add(cells, false)
 		f.Add(cells, true)
 	}
-	f.Fuzz(func(t *testing.T, cells []byte, withSum bool) {
-		checkStoreFile(t, cells, withSum)
+	f.Fuzz(func(t *testing.T, cells []byte, leftover bool) {
+		checkStoreFile(t, cells, leftover)
 	})
 }
 
-// TestHandEditedLineNormalized: a hand edit leaves the sum stale, so the
-// next Flush re-encodes the edited line the way json.Marshal writes it —
-// 0.10000000000000001 is the float64 0.1 and goes back as 0.1.
+// TestHandEditedLineNormalized: a rewrite re-encodes a hand-edited line
+// the way json.Marshal writes it — 0.10000000000000001 is the float64 0.1
+// and goes back as 0.1.
 func TestHandEditedLineNormalized(t *testing.T) {
 	dir := t.TempDir()
 	rec := fullRecord()
@@ -288,9 +262,6 @@ func TestHandEditedLineNormalized(t *testing.T) {
 	s, err = Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.trusted {
-		t.Error("Open trusted a hand-edited file")
 	}
 	if got, ok := s.Get(rec.Key); !ok || got != rec {
 		t.Errorf("Get after the edit: %+v, %v", got, ok)
@@ -352,11 +323,23 @@ func TestFlushRefusesChangedFile(t *testing.T) {
 	}
 }
 
-// TestSumCrashStates: a crash can leave the old or the new cells file
-// beside a sum file that matches it, matches the other one, is missing
-// or is torn, with or without leftover temp files. In every state Open
-// returns exactly one flushed record set, trusts the lines only when the
-// sum matches, and the next Flush writes that set's canonical bytes.
+// legacySum is the sum file older builds kept beside the cells file:
+// the CRC-32C and length of the file their last rewrite wrote. The store
+// neither reads nor writes it.
+const legacySum = "cells.jsonl.sum"
+
+// legacySumOf is the content an older build's sum file had for cells
+// bytes b.
+func legacySumOf(b []byte) []byte {
+	return fmt.Appendf(nil, "crc32c %08x %d\n", crc32.Checksum(b, castagnoli), len(b))
+}
+
+// TestSumCrashStates: a crash of an older build can leave the old or the
+// new cells file beside that build's sum file, which matches it, matches
+// the other one, is missing or is torn, with or without the leftover temp
+// files of a killed rewrite. In every state Open returns exactly one
+// flushed record set, the next Flush writes that set's canonical bytes,
+// and the sum file stays as it was: the store ignores it.
 func TestSumCrashStates(t *testing.T) {
 	type flushed struct {
 		recs        []Record
@@ -383,11 +366,7 @@ func TestSumCrashStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sums, err := os.ReadFile(filepath.Join(dir, SumFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return flushed{recs, cells, sums}
+		return flushed{recs, cells, legacySumOf(cells)}
 	}
 	versions := map[string]flushed{"old": flush(1, 2, 3), "new": flush(1, 2, 3, 4, 5)}
 	other := map[string]string{"old": "new", "new": "old"}
@@ -404,27 +383,28 @@ func TestSumCrashStates(t *testing.T) {
 						}
 					}
 					write(CellsFile, v.cells)
+					var sums []byte
 					switch sum {
 					case "matching":
-						write(SumFile, v.sums)
+						sums = v.sums
 					case "stale":
-						write(SumFile, versions[other[cells]].sums)
+						sums = versions[other[cells]].sums
 					case "torn":
-						write(SumFile, v.sums[:len(v.sums)-3])
+						sums = v.sums[:len(v.sums)-3]
+					}
+					if sums != nil {
+						write(legacySum, sums)
 					}
 					if leftover {
 						n := versions["new"]
 						write(CellsFile+".tmp-crash", n.cells[:len(n.cells)*2/3])
-						write(SumFile+".tmp-crash", n.sums[:len(n.sums)/2])
+						write(legacySum+".tmp-crash", n.sums[:len(n.sums)/2])
 					}
 					s, err := Open(dir)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer s.Close()
-					if s.trusted != (sum == "matching") {
-						t.Errorf("Open trusted the lines: %v", s.trusted)
-					}
 					if got := s.Records(); !sameRecords(got, v.recs) {
 						t.Fatalf("Open returned %d records, want the %s set of %d", len(got), cells, len(v.recs))
 					}
@@ -438,8 +418,8 @@ func TestSumCrashStates(t *testing.T) {
 					if want := refEncode(t, v.recs); !bytes.Equal(got, want) {
 						t.Errorf("Flush wrote\n%s\nwant\n%s", got, want)
 					}
-					if sums, _ := os.ReadFile(filepath.Join(dir, SumFile)); !bytes.Equal(sums, v.sums) {
-						t.Errorf("sum file %q after Flush, want %q", sums, v.sums)
+					if got, _ := os.ReadFile(filepath.Join(dir, legacySum)); !bytes.Equal(got, sums) {
+						t.Errorf("sum file %q after Flush, want it left as %q", got, sums)
 					}
 				})
 			}

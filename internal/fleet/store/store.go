@@ -3,13 +3,12 @@
 // compose across sequential invocations. A re-run of the same Spec loads
 // its cached cells from the store and executes only the missing ones.
 //
-// A store directory holds three files. cells.jsonl is the canonical main
+// A store directory holds two files. cells.jsonl is the canonical main
 // file: one line per record, sorted by key, so its bytes depend only on
 // which cells exist — never on execution order, parallelism, or how many
 // invocations it took to fill the matrix. cells.log is an append-only
 // delta log of the records flushed since the main file was last
-// rewritten. cells.jsonl.sum holds the CRC-32C and length of the main file
-// the last rewrite wrote.
+// rewritten.
 //
 // Each main-file line is byte-for-byte encoding/json's encoding of a
 // Record. The package writes and parses that form itself, without
@@ -47,37 +46,31 @@
 // changed since Open — written by another process while the lock was
 // held — fails the read, and Flush then leaves the main file alone.
 //
-// Flush appends when there are records new since the last Flush, the sum
-// file vouched for the main file, and the log with the new frames stays
-// smaller than the main file. An append checks that the main file still
+// Flush appends the records Put since the last Flush to the log, unless
+// there is no main file yet, an earlier append failed, or one of those
+// Puts replaced a record the files already hold; then, and when nothing
+// is new, it rewrites, as Compact always does. So outside crash states
+// the log never holds a key twice, and an Open's log scan stays within
+// one scan of the store. An append checks that the main file still
 // hashes to what Open read, writes the frames in one write, fsyncs the
-// log, and fsyncs the directory when it created the log. Otherwise Flush
-// rewrites, as Compact always does. Bounding the log by the main file
-// keeps the bytes a growing store writes within a small multiple of its
-// final size, and an Open's log scan within its main-file scan.
+// log, and fsyncs the directory when it created the log.
 //
-// A rewrite writes every record, sorted by key, to a temp file, fsyncs it,
-// renames it over the main file, fsyncs the directory, replaces the sum
-// file, and removes the log. It copies a main line byte for byte only when
-// the sum file held the CRC-32C and length of the file Open read. Without
-// that proof (an older store, a hand edit, another tool's file) it decodes
-// each line and encodes it again, so such a file is normalized: a
-// hand-written 0.10000000000000001 is written back as 0.1. Log records are
-// always encoded again. A CRC collision could only keep a line that Open
-// validated and that decodes to the same record in another byte form.
+// A rewrite decodes every record, encodes it again, and writes the lines,
+// sorted by key, to a temp file; it fsyncs the file, renames it over the
+// main file, fsyncs the directory, and removes the log. So a file this
+// package did not write (a hand edit, another tool's file) is normalized:
+// a hand-written 0.10000000000000001 is written back as 0.1.
 //
 // Crash states. A reader sees the previous complete main file or the new
 // one, never a partial one; once Flush or Compact returns, what it wrote
 // survives a crash or power loss, as far as the file system honours fsync
 // and atomic rename. A crash during a rewrite leaves the previous main
-// file plus stale cells.jsonl.tmp-* or cells.jsonl.sum.tmp-* files, which
-// Open ignores. The sum file is replaced by rename but not fsynced: a
-// crash can leave it stale, missing or torn, none of which matches the
-// main file, so the next Flush rewrites. A crash after the rename and
-// before the log's removal leaves log records that repeat main-file
-// records, which Open accepts. A crash during an append leaves at most a
-// torn last frame. The store holds the main file open between Open and
-// Close, and a rewrite renames over it, as POSIX file systems allow.
+// file plus a stale cells.jsonl.tmp-* file, which Open ignores. A crash
+// after the rename and before the log's removal leaves log records that
+// repeat main-file records, which Open accepts. A crash during an append
+// leaves at most a torn last frame. The store holds the main file open
+// between Open and Close, and a rewrite renames over it, as POSIX file
+// systems allow.
 package store
 
 import (
@@ -91,6 +84,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -110,10 +104,6 @@ const CellsFile = "cells.jsonl"
 // LockFile is the name of the single-writer lock file inside a store
 // directory. It exists exactly while some process holds the store open.
 const LockFile = "store.lock"
-
-// SumFile is the name of the file holding the CRC-32C and length of the
-// cells file the last rewrite wrote.
-const SumFile = CellsFile + ".sum"
 
 // LogFile is the name of the append-only delta log inside a store
 // directory: one CRC-framed line per record flushed since the last
@@ -214,25 +204,22 @@ type Store struct {
 	sum  uint32
 	size int64
 
-	// lines indexes, by key, the records still held only as lines of
-	// file; logged indexes, by key, those held only as frames of log;
-	// recs holds every other record, decoded. No key is in two of them.
-	// The indexed lines' keys rise with their offsets, so a walk in key
-	// order reads file front to back.
-	lines  map[string]span
-	logged map[string]span
-	recs   map[string]Record
-	// trusted says the sum file vouched for file, so its lines are in the
-	// encoder's byte form and a rewrite may copy them.
-	trusted bool
+	// idx locates, by key, the records still held only as lines of file
+	// or frames of log; recs holds every other record, decoded. No key is
+	// in both. The indexed lines' keys rise with their offsets, so a walk
+	// in key order reads file front to back.
+	idx  map[string]loc
+	recs map[string]Record
 	// eager says Open decodes every line into all and indexes none
 	// (ReadAll's read-only path). all holds those records in the order
 	// they were read, a key read twice listed twice; ReadAll sorts it.
 	eager bool
 	all   []Record
-	// pending lists the keys Put since the last Flush, in Put order; a
-	// key Put twice is listed twice.
-	pending []string
+	// pending holds the keys Put since the last Flush. replaced says one
+	// of those Puts replaced a record the files hold, so the next Flush
+	// rewrites instead of logging the key twice.
+	pending  map[string]struct{}
+	replaced bool
 	// log is the delta log, held open for reads and appends; nil when
 	// there is none. logSum and logSize are the CRC-32C and length of its
 	// frames. torn says a failed append may have left a partial frame, or
@@ -245,11 +232,14 @@ type Store struct {
 	err error
 }
 
-// span locates a line of the cells file: its offset and its length
-// without the line end.
-type span struct {
+// loc locates an indexed record: the offset and the length, without the
+// line end, of its line of the cells file or, when log is set, its frame
+// of the log. The scanners cap a line at 4 MiB, so n fits in 32 bits,
+// which keeps an index entry at 16 bytes.
+type loc struct {
 	off int64
-	n   int
+	n   int32
+	log bool
 }
 
 // Open creates the store directory if needed, takes the single-writer
@@ -321,9 +311,9 @@ func open(dir string, eager bool) (*Store, error) {
 		locked:    true,
 		cellsPath: filepath.Join(dir, CellsFile),
 		logPath:   filepath.Join(dir, LogFile),
-		lines:     map[string]span{},
-		logged:    map[string]span{},
+		idx:       map[string]loc{},
 		recs:      map[string]Record{},
+		pending:   map[string]struct{}{},
 		eager:     eager,
 	}
 	if err := s.load(); err != nil {
@@ -377,13 +367,11 @@ func (s *Store) Close() error {
 	return s.err
 }
 
-// load indexes the cells file, hashing every byte it reads, and trusts
-// the indexed lines when the sum file matches that hash.
+// load indexes the cells file, hashing every byte it reads.
 func (s *Store) load() error {
 	path := s.cellsPath
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		s.trusted = true
 		return nil
 	}
 	if err != nil {
@@ -415,7 +403,7 @@ func (s *Store) load() error {
 		if len(b) == 0 {
 			continue
 		}
-		if k, ok := s.index(b, s.lines, span{start, len(b)}); ok {
+		if k, ok := s.index(b, loc{start, int32(len(b)), false}); ok {
 			sorted = sorted && k > last
 			last = k
 			continue
@@ -433,9 +421,7 @@ func (s *Store) load() error {
 		return fmt.Errorf("store: reading %s: %w", path, err)
 	}
 	s.sum, s.size = h.Sum32(), next
-	sum, err := os.ReadFile(filepath.Join(s.dir, SumFile))
-	s.trusted = err == nil && string(sum) == sumText(s.sum, s.size) && sorted
-	if !sorted && len(s.lines) > 0 {
+	if !sorted && len(s.idx) > 0 {
 		return s.decodeLines()
 	}
 	return nil
@@ -447,14 +433,8 @@ func (s *Store) load() error {
 // slice does not grow and copy as it fills.
 const minLine = 400
 
-// castagnoli is the CRC-32C table of the sum file.
+// castagnoli is the CRC-32C table of the file hashes and log frames.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// sumText is the sum file's content for a cells file: one line, so a
-// torn write never matches.
-func sumText(sum uint32, size int64) string {
-	return fmt.Sprintf("crc32c %08x %d\n", sum, size)
-}
 
 // loadLog indexes the log's frames over what load indexed, a later record
 // replacing an earlier one, and truncates a torn or CRC-bad last frame
@@ -502,10 +482,10 @@ func (s *Store) loadLog() error {
 			bad = start
 			continue
 		}
-		if err := s.addLogged(body, span{start, len(frame)}); err != nil {
+		if err := s.addLogged(body, loc{start, int32(len(frame)), true}); err != nil {
 			return fmt.Errorf("store: %s line %d: %w", path, line, err)
 		}
-		s.logSum = crc32.Update(crc32.Update(s.logSum, castagnoli, frame), castagnoli, []byte{'\n'})
+		s.logSum = crc32.Update(crc32.Update(s.logSum, castagnoli, frame), castagnoli, lineEnd)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: reading %s: %w", path, err)
@@ -520,10 +500,10 @@ func (s *Store) loadLog() error {
 	return nil
 }
 
-// addLogged indexes the record line of the log frame at sp: a line in the
+// addLogged indexes the record line of the log frame at l: a line in the
 // canonical layout by key, any other line decoded.
-func (s *Store) addLogged(line []byte, sp span) error {
-	if _, ok := s.index(line, s.logged, sp); ok {
+func (s *Store) addLogged(line []byte, l loc) error {
+	if _, ok := s.index(line, l); ok {
 		return nil
 	}
 	rec, err := DecodeRecord(line)
@@ -544,16 +524,15 @@ func (s *Store) keep(rec Record) {
 		s.all = append(s.all, rec)
 		return
 	}
-	delete(s.lines, rec.Key)
-	delete(s.logged, rec.Key)
+	delete(s.idx, rec.Key)
 	s.recs[rec.Key] = rec
 }
 
 // index files a record line in the canonical layout under its key,
-// replacing whatever the store held for the key: as into[key] = sp, or
+// replacing whatever the store held for the key: as idx[key] = l, or
 // decoded by keep when the store is eager. It returns the key, or false,
 // filing nothing, for any other line or an empty key.
-func (s *Store) index(line []byte, into map[string]span, sp span) (string, bool) {
+func (s *Store) index(line []byte, l loc) (string, bool) {
 	if s.eager {
 		var rec Record
 		if !decodeCanonical(line, &rec) || rec.Key == "" {
@@ -567,10 +546,8 @@ func (s *Store) index(line []byte, into map[string]span, sp span) (string, bool)
 		return "", false
 	}
 	k := string(key)
-	delete(s.lines, k)
-	delete(s.logged, k)
 	delete(s.recs, k)
-	into[k] = sp
+	s.idx[k] = l
 	return k, true
 }
 
@@ -589,6 +566,11 @@ func (s *Store) readLog() ([]byte, error) {
 	}
 	return b, nil
 }
+
+// lineEnd is the newline a frame ends with, hashed after the frame's
+// bytes; a package variable, since a literal passed to crc32.Update
+// escapes and would allocate once per frame.
+var lineEnd = []byte{'\n'}
 
 // frameHeader is the length of a log frame's header: the CRC-32C of its
 // line as 8 hex digits and a space.
@@ -621,14 +603,13 @@ func unframe(frame []byte) ([]byte, bool) {
 func (s *Store) Dir() string { return s.dir }
 
 // Len returns the number of records held.
-func (s *Store) Len() int { return len(s.lines) + len(s.logged) + len(s.recs) }
+func (s *Store) Len() int { return len(s.idx) + len(s.recs) }
 
 // Has reports whether a record for key is held, without reading it.
 func (s *Store) Has(key string) bool {
-	_, inLines := s.lines[key]
-	_, inLog := s.logged[key]
-	_, inRecs := s.recs[key]
-	return inLines || inLog || inRecs
+	_, indexed := s.idx[key]
+	_, decoded := s.recs[key]
+	return indexed || decoded
 }
 
 // Get returns the record for a key, if present. An indexed record is
@@ -638,20 +619,20 @@ func (s *Store) Get(key string) (Record, bool) {
 	if rec, ok := s.recs[key]; ok {
 		return rec, true
 	}
-	f, path := s.file, s.cellsPath
-	sp, ok := s.lines[key]
+	l, ok := s.idx[key]
 	if !ok {
-		if sp, ok = s.logged[key]; !ok {
-			return Record{}, false
-		}
+		return Record{}, false
+	}
+	f, path := s.file, s.cellsPath
+	if l.log {
 		f, path = s.log, s.logPath
 	}
-	line := make([]byte, sp.n)
-	if _, err := f.ReadAt(line, sp.off); err != nil {
+	line := make([]byte, l.n)
+	if _, err := f.ReadAt(line, l.off); err != nil {
 		s.fail(fmt.Errorf("store: reading %s: %w", path, err))
 		return Record{}, false
 	}
-	if f == s.log {
+	if l.log {
 		if line, ok = unframe(line); !ok {
 			s.fail(s.changed(path))
 			return Record{}, false
@@ -664,10 +645,12 @@ func (s *Store) Get(key string) (Record, bool) {
 // Put adds or replaces a record. Records with equal keys describe the same
 // deterministic session, so replacement is idempotent by construction.
 func (s *Store) Put(rec Record) {
+	if _, ok := s.pending[rec.Key]; !ok {
+		s.replaced = s.replaced || s.Has(rec.Key)
+		s.pending[rec.Key] = struct{}{}
+	}
+	delete(s.idx, rec.Key)
 	s.recs[rec.Key] = rec
-	delete(s.lines, rec.Key)
-	delete(s.logged, rec.Key)
-	s.pending = append(s.pending, rec.Key)
 }
 
 // PutChecked adds a record, verifying the idempotence Put assumes: a key
@@ -695,14 +678,7 @@ func (s *Store) PutChecked(rec Record) (added bool, err error) {
 // read it returns nil, and Flush and Close report the error.
 func (s *Store) Records() []Record {
 	out := make([]Record, 0, s.Len())
-	err := s.walk(func(key string, rec Record, line []byte) (err error) {
-		if line != nil {
-			rec, err = s.decode(s.cellsPath, key, line)
-		}
-		out = append(out, rec)
-		return err
-	})
-	if err != nil {
+	if s.walk(func(rec Record) error { out = append(out, rec); return nil }) != nil {
 		return nil
 	}
 	return out
@@ -710,17 +686,9 @@ func (s *Store) Records() []Record {
 
 // Keys returns every key in sorted order — the file order of a rewrite.
 func (s *Store) Keys() []string {
-	keys := make([]string, 0, s.Len())
-	for k := range s.lines {
-		keys = append(keys, k)
-	}
-	for k := range s.logged {
-		keys = append(keys, k)
-	}
-	for k := range s.recs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.AppendSeq(make([]string, 0, s.Len()), maps.Keys(s.idx))
+	keys = slices.AppendSeq(keys, maps.Keys(s.recs))
+	slices.Sort(keys)
 	return keys
 }
 
@@ -749,13 +717,12 @@ func (s *Store) fail(err error) error {
 	return s.err
 }
 
-// walk calls fn for every record in key order, with either the bytes of
-// its indexed cells-file line, valid only during the call, or (line nil)
-// the decoded record. The lines come from one front-to-back read of the
-// cells file, which must hash to what Open read; logged records are
-// decoded from one read of the log, which must hash to what Open read and
-// the appends since wrote. The first error stops the walk.
-func (s *Store) walk(fn func(key string, rec Record, line []byte) error) error {
+// walk calls fn for every record in key order, decoded. Indexed lines
+// come from one front-to-back read of the cells file, which must hash to
+// what Open read; logged records come from one read of the log, which
+// must hash to what Open read and the appends since wrote. The first
+// error stops the walk.
+func (s *Store) walk(fn func(Record) error) error {
 	if s.err != nil {
 		return s.err
 	}
@@ -764,30 +731,30 @@ func (s *Store) walk(fn func(key string, rec Record, line []byte) error) error {
 		log []byte
 	)
 	for _, key := range s.Keys() {
-		var (
-			rec  Record
-			line []byte
-			err  error
-		)
-		if sp, ok := s.lines[key]; ok {
-			if r == nil {
-				r = s.newLineReader()
-			}
-			line, err = r.read(sp)
-		} else if sp, ok := s.logged[key]; ok {
+		rec, decoded := s.recs[key]
+		var err error
+		switch l := s.idx[key]; {
+		case decoded:
+		case l.log:
 			if log == nil {
 				log, err = s.readLog()
 			}
 			if err == nil {
-				rec, err = s.decode(s.logPath, key, log[sp.off+frameHeader:sp.off+int64(sp.n)])
+				rec, err = s.decode(s.logPath, key, log[l.off+frameHeader:l.off+int64(l.n)])
 			}
-		} else {
-			rec = s.recs[key]
+		default:
+			if r == nil {
+				r = s.newLineReader()
+			}
+			var line []byte
+			if line, err = r.read(l); err == nil {
+				rec, err = s.decode(s.cellsPath, key, line)
+			}
 		}
 		if err != nil {
 			return err
 		}
-		if err := fn(key, rec, line); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
 	}
@@ -797,18 +764,20 @@ func (s *Store) walk(fn func(key string, rec Record, line []byte) error) error {
 	return nil
 }
 
-// decodeLines moves every indexed line into recs, reading the cells file
-// again in offset order — Open's path for a file whose keys are out of
-// order, which this package never writes.
+// decodeLines moves every indexed cells-file line into recs, reading the
+// cells file again in offset order — Open's path for a file whose keys
+// are out of order, which this package never writes.
 func (s *Store) decodeLines() error {
-	keys := make([]string, 0, len(s.lines))
-	for k := range s.lines {
-		keys = append(keys, k)
+	var keys []string
+	for k, l := range s.idx {
+		if !l.log {
+			keys = append(keys, k)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return s.lines[keys[i]].off < s.lines[keys[j]].off })
+	sort.Slice(keys, func(i, j int) bool { return s.idx[keys[i]].off < s.idx[keys[j]].off })
 	r := s.newLineReader()
 	for _, key := range keys {
-		line, err := r.read(s.lines[key])
+		line, err := r.read(s.idx[key])
 		if err != nil {
 			return err
 		}
@@ -816,13 +785,9 @@ func (s *Store) decodeLines() error {
 		if err != nil {
 			return err
 		}
-		s.recs[key] = rec
+		s.keep(rec)
 	}
-	if err := r.finish(); err != nil {
-		return err
-	}
-	clear(s.lines)
-	return nil
+	return r.finish()
 }
 
 // lineReader reads indexed lines front to back from the cells file,
@@ -842,17 +807,17 @@ func (s *Store) newLineReader() *lineReader {
 	return &lineReader{s: s, h: h, br: bufio.NewReaderSize(src, 64*1024)}
 }
 
-// read returns the line at sp, which must not start before the end of
-// the previous one.
-func (r *lineReader) read(sp span) ([]byte, error) {
-	if _, err := r.br.Discard(int(sp.off - r.pos)); err != nil {
+// read returns the cells-file line at l, which must not start before the
+// end of the previous one.
+func (r *lineReader) read(l loc) ([]byte, error) {
+	if _, err := r.br.Discard(int(l.off - r.pos)); err != nil {
 		return nil, r.error(err)
 	}
-	r.buf = slices.Grow(r.buf[:0], sp.n)[:sp.n]
+	r.buf = slices.Grow(r.buf[:0], int(l.n))[:l.n]
 	if _, err := io.ReadFull(r.br, r.buf); err != nil {
 		return nil, r.error(err)
 	}
-	r.pos = sp.off + int64(sp.n)
+	r.pos = l.off + int64(l.n)
 	return r.buf, nil
 }
 
@@ -879,21 +844,21 @@ func (r *lineReader) error(err error) error {
 }
 
 // Flush persists the records Put since the last Flush. It appends them
-// to the log, in key order, when there are any, the sum file vouched for
-// the cells file, and the log with them stays smaller than the cells
-// file; otherwise it rewrites, as Compact does. An append first checks
-// that the cells file still hashes to what Open read, then writes the
-// frames in one write and fsyncs the log, and the directory when the log
-// is new. Either way a returned Flush survives a crash (see the package
-// comment).
+// to the log, in key order, unless there are none, there is no cells file
+// yet, an earlier append failed, or one of those Puts replaced a record
+// the files hold; then it rewrites, as Compact does. An append first
+// checks that the cells file still hashes to what Open read, then writes
+// the frames in one write and fsyncs the log, and the directory when the
+// log is new. Either way a returned Flush survives a crash (see the
+// package comment).
 func (s *Store) Flush() error {
-	if len(s.pending) == 0 || !s.trusted || s.torn || s.logSize >= s.size {
+	if len(s.pending) == 0 || s.file == nil || s.torn || s.replaced {
 		return s.Compact()
 	}
-	slices.Sort(s.pending)
-	s.pending = slices.Compact(s.pending)
+	keys := slices.AppendSeq(make([]string, 0, len(s.pending)), maps.Keys(s.pending))
+	slices.Sort(keys)
 	var frames, enc []byte
-	for _, key := range s.pending {
+	for _, key := range keys {
 		var err error
 		if enc, err = appendRecord(enc[:0], s.recs[key]); err != nil {
 			return fmt.Errorf("store: encoding record %s: %w", key, err)
@@ -905,13 +870,10 @@ func (s *Store) Flush() error {
 		}
 		frames = appendFrame(frames, enc)
 	}
-	if s.logSize+int64(len(frames)) >= s.size {
-		return s.Compact()
-	}
 	if err := s.appendLog(frames); err != nil {
 		return err
 	}
-	s.pending = s.pending[:0]
+	clear(s.pending)
 	return nil
 }
 
@@ -951,17 +913,15 @@ func (s *Store) appendLog(frames []byte) error {
 }
 
 // Compact rewrites the cells file: one JSON line per record, sorted by
-// key. A line Open indexed is copied byte for byte when the sum file
-// vouched for it, and decoded and re-encoded otherwise; every other
-// record is encoded by appendRecord. The old file must still hash to what
-// Open read, or Compact fails and leaves it alone. The lines go to a temp
-// file, which is fsynced and renamed into place before the directory is
-// fsynced, so readers never observe a torn store and a returned Compact
-// survives a crash. Then the sum file is replaced, the log is removed,
-// and the store re-indexes against the new file and drops its decoded
-// records, except the few only encoding/json could write. The bytes
-// depend only on the record set — a parallel run, a serial run, and a
-// resumed run that filled the same cells all write byte-identical files.
+// key, each record encoded by appendRecord. The old file must still hash
+// to what Open read, or Compact fails and leaves it alone. The lines go
+// to a temp file, which is fsynced and renamed into place before the
+// directory is fsynced, so readers never observe a torn store and a
+// returned Compact survives a crash. Then the log is removed, and the
+// store re-indexes against the new file and drops its decoded records,
+// except the few only encoding/json could write. The bytes depend only on
+// the record set — a parallel run, a serial run, and a resumed run that
+// filled the same cells all write byte-identical files.
 func (s *Store) Compact() error {
 	tmp, err := os.CreateTemp(s.dir, CellsFile+".tmp-*")
 	if err != nil {
@@ -970,38 +930,29 @@ func (s *Store) Compact() error {
 	defer os.Remove(tmp.Name())
 	h := crc32.New(castagnoli)
 	w := bufio.NewWriterSize(io.MultiWriter(tmp, h), 64*1024)
-	lines := make(map[string]span, s.Len())
+	idx := make(map[string]loc, s.Len())
 	recs := map[string]Record{} // records encoding/json wrote, kept decoded
 	var (
 		enc []byte
 		off int64
 	)
-	err = s.walk(func(key string, rec Record, line []byte) (err error) {
-		if line != nil && !s.trusted {
-			if rec, err = s.decode(s.cellsPath, key, line); err != nil {
-				return err
+	err = s.walk(func(rec Record) error {
+		var ok bool
+		if enc, ok = appendCanonical(enc[:0], &rec); ok {
+			idx[rec.Key] = loc{off: off, n: int32(len(enc))}
+		} else {
+			var err error
+			if enc, err = appendRecord(enc[:0], rec); err != nil {
+				return fmt.Errorf("store: encoding record %s: %w", rec.Key, err)
 			}
-			line = nil
+			recs[rec.Key] = rec
 		}
-		if line == nil {
-			var ok bool
-			if enc, ok = appendCanonical(enc[:0], &rec); !ok {
-				if enc, err = appendRecord(enc[:0], rec); err != nil {
-					return fmt.Errorf("store: encoding record %s: %w", key, err)
-				}
-				recs[key] = rec
-			}
-			line = enc
-		}
-		if _, ok := recs[key]; !ok {
-			lines[key] = span{off, len(line)}
-		}
-		off += int64(len(line)) + 1
-		w.Write(line)
+		off += int64(len(enc)) + 1
+		w.Write(enc)
 		// A bufio.Writer's error sticks, so this also reports a failed
 		// Write.
 		if err := w.WriteByte('\n'); err != nil {
-			return fmt.Errorf("store: writing record %s: %w", key, err)
+			return fmt.Errorf("store: writing record %s: %w", rec.Key, err)
 		}
 		return nil
 	})
@@ -1026,9 +977,6 @@ func (s *Store) Compact() error {
 	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("store: syncing %s: %w", s.dir, err)
 	}
-	if err := writeSum(s.dir, sumText(h.Sum32(), off)); err != nil {
-		return err
-	}
 	f, err := os.Open(s.cellsPath)
 	if err != nil {
 		return fmt.Errorf("store: reopening %s: %w", s.cellsPath, err)
@@ -1037,10 +985,9 @@ func (s *Store) Compact() error {
 		s.file.Close() // read-only
 	}
 	s.file, s.sum, s.size = f, h.Sum32(), off
-	s.lines, s.recs = lines, recs
-	clear(s.logged)
-	s.trusted = true
-	s.pending = s.pending[:0]
+	s.idx, s.recs = idx, recs
+	clear(s.pending)
+	s.replaced = false
 	// Every logged record is in the new file now; a crash before the log
 	// is gone leaves records the file repeats, which Open accepts.
 	if s.log != nil {
@@ -1053,28 +1000,6 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("store: removing %s: %w", s.logPath, err)
 	}
 	s.torn = false
-	return nil
-}
-
-// writeSum replaces the sum file through a temp file and a rename. It is
-// not fsynced: after a power loss it can only be stale, missing or torn,
-// each of which matches no cells file, so the next Flush re-encodes.
-func writeSum(dir, text string) error {
-	tmp, err := os.CreateTemp(dir, SumFile+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: creating sum temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(text); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing sum file: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: closing sum temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, SumFile)); err != nil {
-		return fmt.Errorf("store: installing sum file: %w", err)
-	}
 	return nil
 }
 
@@ -1181,7 +1106,7 @@ func csvNeedsQuotes(s string) bool {
 // record is identical everywhere; a conflicting record for the same key
 // fails the merge loudly, because it means two runs produced different
 // results for what the identity hash says is the same deterministic
-// session. Because Flush sorts by key, merging N disjoint shard stores
+// session. Because a rewrite sorts by key, merging N disjoint shard stores
 // yields a cells file byte-identical to a single run that filled the whole
 // matrix. Returns the number of records new to dst.
 func Merge(dst string, srcs ...string) (added int, err error) {

@@ -136,7 +136,8 @@ func TestFlushDeterministic(t *testing.T) {
 }
 
 // TestIncrementalMergeMatchesCold: filling a store in two invocations
-// produces the same bytes as one cold pass — the property resume rides on.
+// produces the same bytes as one cold pass once compacted — the property
+// resume rides on. The second Flush appends to the log.
 func TestIncrementalMergeMatchesCold(t *testing.T) {
 	cold := t.TempDir()
 	s, err := Open(cold)
@@ -172,6 +173,9 @@ func TestIncrementalMergeMatchesCold(t *testing.T) {
 	second.Put(testRecord(1))
 	second.Put(testRecord(3))
 	if err := second.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Compact(); err != nil {
 		t.Fatal(err)
 	}
 
